@@ -65,11 +65,27 @@ def linear_to_db(x: float) -> float:
 def _quad(f, lo: float, hi: float, q: QuadratureSettings) -> float:
     val, err = quad(f, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol,
                     limit=q.max_subdivisions)
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise QuadratureError(
+            f"quadrature returned {val!r} with error estimate {err!r}",
+            val, err)
     tol = max(q.abs_tol, q.rel_tol * abs(val))
     if err > max(tol * 100.0, 1e-8):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} exceeds tolerance", val, err)
     return val
+
+
+def _port_cdf_product(a2: np.ndarray, b2: np.ndarray, t: float) -> float:
+    """prod_k P1(a_k sqrt(t), b_k) over the non-reference ports.
+
+    a2 and b2 hold a_k^2 and b_k^2.  Each conditional cdf
+    P1 = 1 - Q1 is the noncentral chi-square cdf chndtr(b^2, 2, a^2 t),
+    taken directly rather than as 1 minus an upper tail, so small P1
+    keeps its relative accuracy (Gil, Segura & Temme, ACM TOMS 40(3),
+    2014: compute the smaller of P and Q directly).
+    """
+    return float(np.prod(sp.chndtr(b2, 2.0, a2 * t)))
 
 
 def _validated_mu(profile: CorrelationProfile) -> np.ndarray:
@@ -110,19 +126,11 @@ def joint_cdf(profile: CorrelationProfile, r: Sequence[float],
         raise ValueError("r must supply one envelope per port")
     if np.any(r < 0):
         raise ValueError("envelopes must be nonnegative")
-    a_coef = np.sqrt(2.0 * mu[1:] ** 2 / (1.0 - mu[1:] ** 2))
-    b = np.sqrt(2.0 / (1.0 - mu[1:] ** 2)) * r[1:]
-
-    def integrand(t: float) -> float:
-        st = math.sqrt(t)
-        p = math.exp(-t)
-        for ak, bk in zip(a_coef, b):
-            p *= 1.0 - marcum_q1(ak * st, bk)
-            if p == 0.0:
-                break
-        return p
-
-    return _quad(integrand, 0.0, r[0] ** 2, q)
+    one_minus = 1.0 - mu[1:] ** 2
+    a2 = 2.0 * mu[1:] ** 2 / one_minus
+    b2 = 2.0 * r[1:] ** 2 / one_minus
+    return _quad(lambda t: math.exp(-t) * _port_cdf_product(a2, b2, t),
+                 0.0, r[0] ** 2, q)
 
 
 def _active_mu(mu: np.ndarray) -> np.ndarray:
@@ -138,19 +146,11 @@ def outage_exact_profile(mu: Sequence[float], snr_ratio: float,
         raise ValueError("snr_ratio must be positive")
     mu = _active_mu(np.asarray(mu, dtype=float))
     x = float(snr_ratio)
-    a_coef = np.sqrt(2.0 * mu[1:] ** 2 / (1.0 - mu[1:] ** 2))
-    b = np.sqrt(2.0 * x / (1.0 - mu[1:] ** 2))
-
-    def integrand(t: float) -> float:
-        st = math.sqrt(t)
-        p = math.exp(-t)
-        for ak, bk in zip(a_coef, b):
-            p *= 1.0 - marcum_q1(ak * st, bk)
-            if p == 0.0:
-                break
-        return p
-
-    return _quad(integrand, 0.0, x, q)
+    one_minus = 1.0 - mu[1:] ** 2
+    a2 = 2.0 * mu[1:] ** 2 / one_minus
+    b2 = 2.0 * x / one_minus
+    return _quad(lambda t: math.exp(-t) * _port_cdf_product(a2, b2, t),
+                 0.0, x, q)
 
 
 def outage_exact(config: FasConfig,
@@ -208,19 +208,17 @@ def outage_port_reduction(config: FasConfig,
         # a port identical to the reference adds nothing
         return 0.0
     head = _active_mu(mu[:-1])
-    a_coef = np.sqrt(2.0 * head[1:] ** 2 / (1.0 - head[1:] ** 2))
-    b = np.sqrt(2.0 * x / (1.0 - head[1:] ** 2))
+    one_minus = 1.0 - head[1:] ** 2
+    a2 = 2.0 * head[1:] ** 2 / one_minus
+    b2 = 2.0 * x / one_minus
     a_last = math.sqrt(2.0 * mu_last ** 2 / (1.0 - mu_last ** 2))
     b_last = math.sqrt(2.0 * x / (1.0 - mu_last ** 2))
 
     def integrand(t: float) -> float:
-        st = math.sqrt(t)
-        p = math.exp(-t) * marcum_q1(a_last * st, b_last)
-        for ak, bk in zip(a_coef, b):
-            p *= 1.0 - marcum_q1(ak * st, bk)
-            if p == 0.0:
-                break
-        return p
+        # the last port's factor is the upper tail Q1; marcum_q1 keeps it
+        # accurate where 1 - chndtr would cancel
+        return (math.exp(-t) * marcum_q1(a_last * math.sqrt(t), b_last)
+                * _port_cdf_product(a2, b2, t))
 
     return _quad(integrand, 0.0, x, q)
 

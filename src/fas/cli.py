@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -76,9 +77,55 @@ def _mrc_list(text: str):
     return values
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _mc_trials(text: str) -> int:
+    return _int_at_least(text, mc.MIN_TRIALS)
+
+
+def _trials(text: str) -> int:
+    """0 disables Monte Carlo; any other count must meet McSettings' floor."""
+    if _int_at_least(text, 0) == 0:
+        return 0
+    return _mc_trials(text)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _kappa(text: str) -> float:
+    try:
+        return bounds.bound_constants(float(text)).kappa
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+_SWEEP_HELP = ("start:stop:step; a negative start needs the = form, "
+               "e.g. --sweep-snr-db=-20:10:1")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
 
@@ -98,6 +145,11 @@ def _sweep_points(args, parser) -> tuple[str, list]:
     name, values = chosen[0]
     if not values:
         parser.error("sweep value list is empty")
+    # ranges ascend, so the start is the smallest value
+    if name == "n_ports" and values[0] < 1:
+        parser.error("--sweep-n values must be >= 1")
+    if name == "size_wl" and not values[0] > 0:
+        parser.error("--sweep-w values must be > 0")
     return name, values
 
 
@@ -205,8 +257,6 @@ def _answer_dict(answer: design.DesignAnswer) -> dict:
 
 
 def cmd_design(args, parser) -> int:
-    if args.kappa <= 1:
-        parser.error("--kappa must be > 1")
     constants = bounds.bound_constants(args.kappa)
     x = analytic.db_to_linear(args.snr_db)
     query = design.DesignQuery(mrc_branches=args.mrc_l, snr_ratio=x,
@@ -334,55 +384,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("outage-curve", help="exact/approx/bound outage sweep")
-    p.add_argument("--n-ports", type=int, default=10)
-    p.add_argument("--size-wl", type=float, default=0.5)
+    p.add_argument("--n-ports", type=_positive_int, default=10)
+    p.add_argument("--size-wl", type=_positive_float, default=0.5)
     p.add_argument("--snr-db", type=float, default=0.0)
-    p.add_argument("--kappa", type=float, default=bounds.DEFAULT_KAPPA)
-    p.add_argument("--trials", type=int, default=0,
-                   help="MC trials per point (0 disables MC)")
-    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S")
-    p.add_argument("--sweep-w", type=_float_range, default=None, metavar="A:B:S")
-    p.add_argument("--sweep-snr-db", type=_float_range, default=None, metavar="A:B:S")
+    p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
+    p.add_argument("--trials", type=_trials, default=0,
+                   help="MC trials per point, >= 1000 (0 disables MC)")
+    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
+                   help=_SWEEP_HELP)
+    p.add_argument("--sweep-w", type=_float_range, default=None, metavar="A:B:S",
+                   help=_SWEEP_HELP)
+    p.add_argument("--sweep-snr-db", type=_float_range, default=None, metavar="A:B:S",
+                   help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_outage_curve)
 
     p = sub.add_parser("bounds-compare", help="sweep with MRC reference levels")
-    p.add_argument("--n-ports", type=int, default=10)
-    p.add_argument("--size-wl", type=float, default=0.5)
+    p.add_argument("--n-ports", type=_positive_int, default=10)
+    p.add_argument("--size-wl", type=_positive_float, default=0.5)
     p.add_argument("--snr-db", type=float, default=0.0)
-    p.add_argument("--kappa", type=float, default=bounds.DEFAULT_KAPPA)
+    p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     p.add_argument("--mrc-l", type=_mrc_list, default=[2, 5, 8])
-    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S")
-    p.add_argument("--sweep-w", type=_float_range, default=None, metavar="A:B:S")
-    p.add_argument("--sweep-snr-db", type=_float_range, default=None, metavar="A:B:S")
+    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
+                   help=_SWEEP_HELP)
+    p.add_argument("--sweep-w", type=_float_range, default=None, metavar="A:B:S",
+                   help=_SWEEP_HELP)
+    p.add_argument("--sweep-snr-db", type=_float_range, default=None, metavar="A:B:S",
+                   help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_bounds_compare)
 
     p = sub.add_parser("design", help="minimum N / minimum size solvers")
-    p.add_argument("--mrc-l", type=int, default=2)
+    p.add_argument("--mrc-l", type=_positive_int, default=2)
     p.add_argument("--snr-db", type=float, default=0.0)
-    p.add_argument("--kappa", type=float, default=bounds.DEFAULT_KAPPA)
+    p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     p.add_argument("--n-ports", type=int, default=None)
-    p.add_argument("--size-wl", type=float, default=None)
-    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S")
+    p.add_argument("--size-wl", type=_positive_float, default=None)
+    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
+                   help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("envelope", help="time-selective fading trace CSV")
-    p.add_argument("--n-ports", type=int, default=100)
-    p.add_argument("--size-wl", type=float, default=2.0)
+    p.add_argument("--n-ports", type=_positive_int, default=100)
+    p.add_argument("--size-wl", type=_positive_float, default=2.0)
     p.add_argument("--freq-ghz", type=float, default=5.0)
     p.add_argument("--speed-kmh", type=float, default=30.0)
     p.add_argument("--duration-s", type=float, default=10.0)
     p.add_argument("--rate-hz", type=float, default=1000.0)
     p.add_argument("--scatterers", type=int, default=64)
-    p.add_argument("--mrc-l", type=int, default=2)
+    p.add_argument("--mrc-l", type=_positive_int, default=2)
     _add_common(p)
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
-    p.add_argument("--trials", type=int, default=200_000)
+    p.add_argument("--trials", type=_mc_trials, default=200_000)
     p.add_argument("--quad-abs-tol", type=float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_validate)

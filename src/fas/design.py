@@ -24,6 +24,7 @@ GUARD_COMPLEX_MU = "radicand negative (mu* would be complex)"
 GUARD_FACTOR_RANGE = "per-port factor outside (0, 1)"
 GUARD_N_EXHAUSTED = "no N <= n_max satisfies the product condition"
 GUARD_PROFILE_EXHAUSTED = "profile exhausted before the product condition held"
+GUARD_TOO_FEW_PORTS = "n_ports < 4 (the size rule needs floor(N/2) >= 2 outer ports)"
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,14 @@ def min_size(query: DesignQuery) -> DesignAnswer:
 
 
 def min_size_frontier(query: DesignQuery, n_values: Sequence[int]):
-    """(N, DesignAnswer) pairs of the minimum-size tradeoff curve."""
+    """(N, DesignAnswer) pairs of the minimum-size tradeoff curve; N < 4,
+    where min_size does not apply, is reported infeasible."""
     out = []
     for n in n_values:
+        if n < 4:
+            out.append((int(n), DesignAnswer(value=None, feasible=False,
+                                             guard_report=GUARD_TOO_FEW_PORTS)))
+            continue
         q = DesignQuery(mrc_branches=query.mrc_branches,
                         snr_ratio=query.snr_ratio, constants=query.constants,
                         n_ports=int(n))

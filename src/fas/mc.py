@@ -22,6 +22,7 @@ _CHUNK = 200_000
 # Rare-event policy: scale trials to this many expected failures, up to the cap.
 TARGET_FAILURES = 100
 TRIALS_CAP = 10 ** 9
+MIN_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class McSettings:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1000:
-            raise ValueError("trials must be >= 1000")
+        if self.trials < MIN_TRIALS:
+            raise ValueError(f"trials must be >= {MIN_TRIALS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fas.analytic import (DEFAULT_QUADRATURE, OutageReport, QuadratureError,
-                          QuadratureSettings, db_to_linear, joint_cdf,
-                          joint_pdf, linear_to_db, outage_approx,
-                          outage_approx_profile, outage_exact,
+                          QuadratureSettings, _port_cdf_product, _quad,
+                          db_to_linear, joint_cdf, joint_pdf, linear_to_db,
+                          outage_approx, outage_approx_profile, outage_exact,
                           outage_exact_profile, outage_mrc,
                           outage_n2_closed_form, outage_port_reduction)
 from fas.channel import CorrelationProfile, FasConfig, correlation_profile
 from fas.mc import McSettings, mc_outage_fas
+from fas.specfun import marcum_q1
 
 import reference
 
@@ -38,6 +39,12 @@ class TestQuadratureSettings:
             QuadratureSettings(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_nan_integrand_raises(self):
+        with pytest.raises(QuadratureError) as exc_info:
+            _quad(lambda t: math.nan, 0.0, 1.0, QuadratureSettings())
+        assert math.isnan(exc_info.value.estimate)
 
 
 class TestJointPdf:
@@ -109,6 +116,13 @@ class TestOutageExact:
         for n in (2, 3, 5):
             got = outage_exact_profile(np.zeros(n), 0.7)
             assert got == pytest.approx((1.0 - math.exp(-0.7)) ** n, abs=1e-9)
+
+    def test_independent_ports_at_tiny_snr(self):
+        # (1 - e^-x)^5 = 1e-40: the port cdfs must not lose digits as x -> 0
+        x = 1e-8
+        want = (-math.expm1(-x)) ** 5
+        assert outage_exact_profile(np.zeros(5), x) == pytest.approx(want,
+                                                                     rel=1e-12)
 
     def test_agrees_with_n2_closed_form(self):
         rng = np.random.default_rng(21)
@@ -252,6 +266,63 @@ class TestOutageMrc:
             outage_mrc(0, 1.0)
         with pytest.raises(ValueError):
             outage_mrc(2, 0.0)
+
+
+class TestPortCdfKernel:
+    # measured on the grid below: worst relative error 7.6e-14 (a = 50,
+    # b = 39) wherever P1 >= 1e-45; below that chndtr underflows to 0
+    # (from P1 ~ 1e-50 at a = 14.6, b <= 0.3), as 1 - marcum_q1 already did
+    P1_FLOOR = 1e-45
+    REL_TOL = 2e-13
+
+    def test_matches_mpmath_on_log_grid(self):
+        mp = pytest.importorskip("mpmath")
+        grid = np.geomspace(1e-3, 50.0, 30)
+        failures = []
+        for a in grid:
+            for b in grid:
+                nc, x = a * a, b * b
+                want = reference.ncx2_cdf_2dof_mpmath(x, nc)
+                got = _port_cdf_product(np.array([nc]), np.array([x]), 1.0)
+                rel = float(abs(mp.mpf(got) - want) / want)
+                if want >= self.P1_FLOOR:
+                    ok = rel <= self.REL_TOL
+                else:
+                    # never worse than the 1 - Q1 cancellation it replaced
+                    old = 1.0 - marcum_q1(a, b)
+                    ok = rel <= float(abs(mp.mpf(old) - want) / want)
+                if not ok:
+                    failures.append((a, b, mp.nstr(want, 5), rel))
+        assert not failures
+
+    def test_product_over_ports(self):
+        a2 = np.array([0.0, 0.5, 8.0])
+        b2 = np.array([1.0, 2.0, 3.0])
+        want = math.prod(1.0 - marcum_q1(math.sqrt(na * 0.7), math.sqrt(nb))
+                         for na, nb in zip(a2, b2))
+        assert _port_cdf_product(a2, b2, 0.7) == pytest.approx(want, rel=1e-12)
+        assert _port_cdf_product(np.empty(0), np.empty(0), 0.7) == 1.0
+
+    @pytest.mark.parametrize("n, w, x", [(5, 1.0, 1.0), (12, 0.5, 0.3),
+                                         (20, 5.0, 1.0), (8, 2.0, 4.0)])
+    def test_matches_marcum_loop(self, n, w, x):
+        # the per-port 1 - marcum_q1 loop the kernel replaced; marcum_q1's
+        # documented 1e-10 absolute error bounds the integrand's error by
+        # (n - 1) * 1e-10, so the integrals over [0, x] agree within x times
+        # that
+        mu = correlation_profile(FasConfig(n_ports=n, size_wavelengths=w,
+                                           snr_ratio=x)).mu[1:]
+        a = np.sqrt(2.0 * mu ** 2 / (1.0 - mu ** 2))
+        b = np.sqrt(2.0 * x / (1.0 - mu ** 2))
+
+        def integrand(t):
+            return math.exp(-t) * math.prod(
+                1.0 - marcum_q1(ak * math.sqrt(t), bk) for ak, bk in zip(a, b))
+
+        want = _quad(integrand, 0.0, x, DEFAULT_QUADRATURE)
+        got = outage_exact(FasConfig(n_ports=n, size_wavelengths=w,
+                                     snr_ratio=x))
+        assert abs(got - want) <= x * (n - 1) * 1e-10
 
 
 class TestEightBranchCrossingAtW5:

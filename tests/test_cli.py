@@ -43,6 +43,27 @@ class TestArgumentHandling:
             main(["design", "--kappa", "1.0", "--n-ports", "10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["outage-curve", "--sweep-n", "1:3:1", "--trials", "500"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--trials", "-1"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--kappa", "1"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--workers", "0"],
+        ["bounds-compare", "--sweep-n", "1:3:1", "--kappa", "0.5"],
+        ["bounds-compare", "--sweep-n", "1:3:1", "--workers", "0"],
+        ["envelope", "--n-ports", "0"],
+        ["envelope", "--size-wl", "-1"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--size-wl", "0"],
+        ["design", "--n-ports", "10", "--mrc-l", "0"],
+        ["validate", "--trials", "500"],
+        ["outage-curve", "--sweep-n=0:3:1"],
+        ["bounds-compare", "--sweep-w=0:1:0.5"],
+    ])
+    def test_out_of_range_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
 
 class TestOutageCurve:
     def test_sweep_n_monotone(self, capsys):

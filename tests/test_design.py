@@ -9,7 +9,8 @@ from fas.bounds import bound_constants, outage_upper_bound_profile, \
 from fas.channel import FasConfig, correlation_profile
 from fas.design import (GUARD_COMPLEX_MU, GUARD_FACTOR_RANGE,
                         GUARD_LOG_NEGATIVE, GUARD_N_EXHAUSTED,
-                        GUARD_PROFILE_EXHAUSTED, DesignAnswer, DesignQuery,
+                        GUARD_PROFILE_EXHAUSTED, GUARD_TOO_FEW_PORTS,
+                        DesignAnswer, DesignQuery,
                         MuSizeResult, min_ports_general,
                         min_ports_homogeneous, min_size, min_size_frontier,
                         required_mu_and_size)
@@ -192,6 +193,14 @@ class TestMinSize:
         values = [a.value for _, a in frontier if a.feasible]
         assert len(values) >= 10
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_frontier_reports_too_few_ports(self):
+        frontier = dict(min_size_frontier(query(), range(2, 7)))
+        for n in (2, 3):
+            assert not frontier[n].feasible
+            assert frontier[n].guard_report == GUARD_TOO_FEW_PORTS
+        for n in (4, 5, 6):
+            assert frontier[n] == min_size(query(n_ports=n))
 
     def test_infeasible_small_n(self):
         answer = min_size(query(n_ports=4))
