@@ -2,6 +2,9 @@
 position-switching (fluid) antennas over spatially correlated Rayleigh
 fading, with a Monte-Carlo oracle validating every analytic expression."""
 
+# set before the submodule imports: the cli and validation modules read it
+__version__ = "0.1.0"
+
 from .analytic import (OutageReport, QuadratureSettings, joint_cdf, joint_pdf,
                        outage_approx, outage_exact, outage_mrc,
                        outage_n2_closed_form, outage_port_reduction)
@@ -10,13 +13,12 @@ from .bounds import BoundConstants, bound_constants, outage_upper_bound, \
 from .channel import (AvgSnr, ChannelDraw, CorrelationProfile,
                       DopplerTraceConfig, FasConfig, correlation_profile,
                       draw_channels, envelope_trace, port_displacements)
-from .design import (DesignAnswer, DesignQuery, min_ports_general,
-                     min_ports_homogeneous, min_size, required_mu_and_size)
+from .design import (DesignAnswer, DesignQuery, min_ports_for_size,
+                     min_ports_general, min_ports_homogeneous, min_size,
+                     required_mu_and_size)
 from .mc import McEstimate, McSettings, mc_outage_fas, mc_outage_mrc
 from .specfun import (EnvelopeInverseResult, bessel_i0_scaled, bessel_j0,
                       delta_q1, gaussian_q, inv_besselj0_envelope, marcum_q1)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AvgSnr", "BoundConstants", "ChannelDraw", "CorrelationProfile", "DesignAnswer",
@@ -25,7 +27,7 @@ __all__ = [
     "bessel_i0_scaled", "bessel_j0", "bound_constants", "correlation_profile",
     "delta_q1", "draw_channels", "envelope_trace", "gaussian_q",
     "inv_besselj0_envelope", "joint_cdf", "joint_pdf", "marcum_q1",
-    "mc_outage_fas", "mc_outage_mrc", "min_ports_general",
+    "mc_outage_fas", "mc_outage_mrc", "min_ports_for_size", "min_ports_general",
     "min_ports_homogeneous", "min_size", "outage_approx", "outage_exact",
     "outage_mrc", "outage_n2_closed_form", "outage_port_reduction",
     "outage_upper_bound", "per_port_bound_factor", "port_displacements",

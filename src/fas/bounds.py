@@ -45,19 +45,31 @@ def bound_constants(kappa: float = DEFAULT_KAPPA) -> BoundConstants:
     return BoundConstants(kappa=kappa, rho=rho)
 
 
+def per_port_bound_factors(mu, snr_ratio: float,
+                           constants: BoundConstants) -> np.ndarray:
+    """Outage-bound scaling of each correlated port of `mu`; each in (0, 1].
+
+    The gain rho/sqrt(|mu_k|) applies where it is below 1; elsewhere,
+    mu_k = 0 included, the fallback gain rho keeps the factor positive.
+    """
+    mu = np.asarray(mu, dtype=float)
+    inside = np.abs(mu) < 1.0
+    if not np.all(inside):
+        raise ValueError(f"|mu_k| must be < 1, got {mu[~inside][0]}")
+    if not snr_ratio > 0:
+        raise ValueError("snr_ratio must be positive")
+    decay = np.exp(-constants.kappa * snr_ratio / (1.0 - mu * mu))
+    with np.errstate(divide="ignore"):
+        gain = constants.rho / np.sqrt(np.abs(mu))
+    # small-|mu| fallback: rho < 0.5 keeps the factor strictly positive
+    gain = np.where(gain < 1.0, gain, constants.rho)
+    return 1.0 - gain * decay
+
+
 def per_port_bound_factor(mu_k: float, snr_ratio: float,
                           constants: BoundConstants) -> float:
     """Outage-bound scaling contributed by one correlated port; in (0, 1]."""
-    if not abs(mu_k) < 1:
-        raise ValueError(f"|mu_k| must be < 1, got {mu_k}")
-    if snr_ratio <= 0:
-        raise ValueError("snr_ratio must be positive")
-    decay = math.exp(-constants.kappa * snr_ratio / (1.0 - mu_k ** 2))
-    am = abs(mu_k)
-    if am > 0.0 and constants.rho / math.sqrt(am) < 1.0:
-        return 1.0 - constants.rho / math.sqrt(am) * decay
-    # small-|mu| fallback: rho < 0.5 keeps the factor strictly positive
-    return 1.0 - constants.rho * decay
+    return float(per_port_bound_factors([mu_k], snr_ratio, constants)[0])
 
 
 def outage_upper_bound_profile(mu: Sequence[float], snr_ratio: float,
@@ -65,10 +77,8 @@ def outage_upper_bound_profile(mu: Sequence[float], snr_ratio: float,
     """Bound for an explicit profile; degenerate ports are skipped."""
     mu = np.asarray(mu, dtype=float)
     mu = mu[np.abs(mu) <= DEGENERATE_MU]
-    p = 1.0 - math.exp(-snr_ratio)
-    for m in mu[1:]:
-        p *= per_port_bound_factor(float(m), snr_ratio, constants)
-    return p
+    factors = per_port_bound_factors(mu[1:], snr_ratio, constants)
+    return -math.expm1(-snr_ratio) * float(np.prod(factors))
 
 
 def outage_upper_bound(config: FasConfig, constants: BoundConstants) -> float:

@@ -9,6 +9,7 @@ answers), 1 means a validation failure, 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -16,9 +17,9 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import analytic, bounds, design, mc
+from . import __version__, analytic, bounds, design, mc
 from .channel import DopplerTraceConfig, FasConfig, envelope_trace
-from .validation import VERSION, GRID_PRESETS, ValidationSettings, run_validation
+from .validation import GRID_PRESETS, ValidationSettings, run_validation
 
 
 def _fmt(value) -> str:
@@ -102,12 +103,19 @@ def _trials(text: str) -> int:
     return _mc_trials(text)
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not 0.0 < value < math.inf:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
@@ -130,10 +138,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output path (default: stdout)")
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """Stream for a command's output: stdout, or the file at `path`, which
+    is closed on exit."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as out:
+            yield out
 
 
 def _sweep_points(args, parser) -> tuple[str, list]:
@@ -188,17 +201,13 @@ def cmd_outage_curve(args, parser) -> int:
         ub = bounds.outage_upper_bound(config, constants)
         mc_p, mc_ci = _mc_columns(config, exact, args)
         rows.append([value, exact, approx, ub, mc_p, mc_ci])
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _write_csv(out, [
-            f"fas {VERSION} outage-curve",
+            f"fas {__version__} outage-curve",
             f"sweep={variable} fixed: n_ports={args.n_ports} size_wl={args.size_wl} "
             f"snr_db={args.snr_db} kappa={args.kappa}",
             f"seed={args.seed} trials={args.trials} workers={args.workers}",
         ], [variable, "exact", "approx", "upper_bound", "mc", "mc_ci"], rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -219,17 +228,13 @@ def cmd_bounds_compare(args, parser) -> int:
         rows.append(row)
     header = [variable, "exact", "approx", "upper_bound", "approx_out_of_regime"]
     header.extend(f"mrc_{branches}" for branches in args.mrc_l)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _write_csv(out, [
-            f"fas {VERSION} bounds-compare",
+            f"fas {__version__} bounds-compare",
             f"sweep={variable} fixed: n_ports={args.n_ports} size_wl={args.size_wl} "
             f"snr_db={args.snr_db} kappa={args.kappa} mrc_l={args.mrc_l}",
             f"seed={args.seed}",
         ], header, rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -240,7 +245,7 @@ def _design_json(args, results: dict, guards: list[str]) -> str:
                    "size_wl": args.size_wl},
         "results": results,
         "guards": guards,
-        "version": VERSION,
+        "version": __version__,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -270,15 +275,11 @@ def cmd_design(args, parser) -> int:
                 rows.append([n, answer.value, 1, ""])
             else:
                 rows.append([n, None, 0, answer.guard_report])
-        out, close = _open_out(args.out)
-        try:
+        with _output(args.out) as out:
             _write_csv(out, [
-                f"fas {VERSION} design frontier",
+                f"fas {__version__} design frontier",
                 f"mrc_l={args.mrc_l} snr_db={args.snr_db} kappa={args.kappa}",
             ], ["n_ports", "w_min", "feasible", "guard"], rows)
-        finally:
-            if close:
-                out.close()
         return 0
 
     results: dict = {}
@@ -294,37 +295,16 @@ def cmd_design(args, parser) -> int:
             if not answer.feasible:
                 guards.append(answer.guard_report)
     elif args.size_wl is not None:
-        answer = _min_ports_for_size(args.size_wl, query)
+        answer = design.min_ports_for_size(args.size_wl, query)
         results["min_ports"] = _answer_dict(answer)
         if not answer.feasible:
             guards.append(answer.guard_report)
     else:
         parser.error("design needs --n-ports, --size-wl, or --sweep-n")
     text = _design_json(args, results, guards)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(text + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
-
-
-def _min_ports_for_size(size_wl: float, query: design.DesignQuery,
-                        n_max: int = 2000) -> design.DesignAnswer:
-    """Smallest N whose geometry-derived bound at this aperture beats MRC.
-
-    The profile changes with N (ports pack denser), so this scans N instead
-    of consuming a fixed profile prefix.
-    """
-    target = analytic.outage_mrc(query.mrc_branches, query.snr_ratio)
-    for n in range(1, n_max + 1):
-        config = FasConfig(n_ports=n, size_wavelengths=size_wl,
-                           snr_ratio=query.snr_ratio)
-        if bounds.outage_upper_bound(config, query.constants) < target:
-            return design.DesignAnswer(value=n, feasible=True)
-    return design.DesignAnswer(value=None, feasible=False,
-                               guard_report=design.GUARD_N_EXHAUSTED)
 
 
 def cmd_envelope(args, parser) -> int:
@@ -347,17 +327,13 @@ def cmd_envelope(args, parser) -> int:
         [trace.t_norm[i], *trace.port_db[i], trace.fas_db[i], trace.mrc_db[i]]
         for i in range(trace.t_norm.size)
     ]
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _write_csv(out, [
-            f"fas {VERSION} envelope trace",
+            f"fas {__version__} envelope trace",
             f"n_ports={args.n_ports} size_wl={args.size_wl} freq_ghz={args.freq_ghz} "
             f"speed_kmh={args.speed_kmh} rate_hz={args.rate_hz} mrc_l={args.mrc_l}",
             f"seed={args.seed}",
         ], header, rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -367,12 +343,8 @@ def cmd_validate(args, parser) -> int:
                                   quad_abs_tol=args.quad_abs_tol)
     report = run_validation(settings)
     text = json.dumps(report, indent=2, sort_keys=True)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(text + "\n")
-    finally:
-        if close:
-            out.close()
     return 0 if report["all_passed"] else 1
 
 
@@ -386,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("outage-curve", help="exact/approx/bound outage sweep")
     p.add_argument("--n-ports", type=_positive_int, default=10)
     p.add_argument("--size-wl", type=_positive_float, default=0.5)
-    p.add_argument("--snr-db", type=float, default=0.0)
+    p.add_argument("--snr-db", type=_finite_float, default=0.0)
     p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     p.add_argument("--trials", type=_trials, default=0,
                    help="MC trials per point, >= 1000 (0 disables MC)")
@@ -402,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds-compare", help="sweep with MRC reference levels")
     p.add_argument("--n-ports", type=_positive_int, default=10)
     p.add_argument("--size-wl", type=_positive_float, default=0.5)
-    p.add_argument("--snr-db", type=float, default=0.0)
+    p.add_argument("--snr-db", type=_finite_float, default=0.0)
     p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     p.add_argument("--mrc-l", type=_mrc_list, default=[2, 5, 8])
     p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
@@ -416,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="minimum N / minimum size solvers")
     p.add_argument("--mrc-l", type=_positive_int, default=2)
-    p.add_argument("--snr-db", type=float, default=0.0)
+    p.add_argument("--snr-db", type=_finite_float, default=0.0)
     p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     p.add_argument("--n-ports", type=int, default=None)
     p.add_argument("--size-wl", type=_positive_float, default=None)

@@ -14,7 +14,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import outage_mrc
-from .bounds import BoundConstants, per_port_bound_factor
+from .bounds import (BoundConstants, outage_upper_bound,
+                     per_port_bound_factor, per_port_bound_factors)
+from .channel import FasConfig
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -60,7 +62,7 @@ class DesignAnswer:
 def _mrc_ratio(query: DesignQuery) -> float:
     """Target ratio p_MRC / (1 - e^-x) the bound product must undercut."""
     x = query.snr_ratio
-    return outage_mrc(query.mrc_branches, x) / (1.0 - math.exp(-x))
+    return outage_mrc(query.mrc_branches, x) / -math.expm1(-x)
 
 
 def min_ports_general(profile_mu: Sequence[float], query: DesignQuery,
@@ -70,14 +72,33 @@ def min_ports_general(profile_mu: Sequence[float], query: DesignQuery,
     if target > 1.0:
         return DesignAnswer(value=1, feasible=True)
     mu = np.asarray(profile_mu, dtype=float)
-    prod = 1.0
-    for k in range(1, min(mu.size, n_max)):
-        prod *= per_port_bound_factor(float(mu[k]), query.snr_ratio,
-                                      query.constants)
-        if prod < target:
-            return DesignAnswer(value=k + 1, feasible=True)
+    # prod[j] is the product over ports 2..j+2, so N = j + 2
+    prod = np.cumprod(per_port_bound_factors(mu[1:n_max], query.snr_ratio,
+                                             query.constants))
+    below = np.flatnonzero(prod < target)
+    if below.size:
+        return DesignAnswer(value=int(below[0]) + 2, feasible=True)
     guard = GUARD_N_EXHAUSTED if mu.size > n_max else GUARD_PROFILE_EXHAUSTED
     return DesignAnswer(value=None, feasible=False, guard_report=guard)
+
+
+def min_ports_for_size(size_wl: float, query: DesignQuery,
+                       n_max: int = 2000) -> DesignAnswer:
+    """Smallest N whose geometry-derived bound at this aperture beats MRC.
+
+    The profile changes with N (ports pack denser), so this evaluates the
+    bound afresh for each N instead of consuming a fixed profile prefix.  The
+    bound is not monotone in N, so the scan visits every N from 1 rather than
+    bisecting.
+    """
+    target = outage_mrc(query.mrc_branches, query.snr_ratio)
+    for n in range(1, n_max + 1):
+        config = FasConfig(n_ports=n, size_wavelengths=size_wl,
+                           snr_ratio=query.snr_ratio)
+        if outage_upper_bound(config, query.constants) < target:
+            return DesignAnswer(value=n, feasible=True)
+    return DesignAnswer(value=None, feasible=False,
+                        guard_report=GUARD_N_EXHAUSTED)
 
 
 def min_ports_homogeneous(mu: float, query: DesignQuery,
@@ -111,11 +132,12 @@ def _mu_star(query: DesignQuery, n_effective: int) -> DesignAnswer:
         raise ValueError("need at least 2 effective ports")
     x = query.snr_ratio
     rho, kappa = query.constants.rho, query.constants.kappa
-    ratio = _mrc_ratio(query)
-    if ratio > 1.0:
-        # MRC target weaker than a single port; any correlation works
+    root = _mrc_ratio(query) ** (1.0 / (n_effective - 1))
+    if root >= 1.0:
+        # MRC target no stronger than a single port, or within rounding of
+        # it (L = 1, or x so large that both outages round to 1); any
+        # correlation works, and 1 - root below would be 0
         return DesignAnswer(value=MuSizeResult(1.0, 0.0), feasible=True)
-    root = ratio ** (1.0 / (n_effective - 1))
     log_arg = rho / (1.0 - root)
     if log_arg <= 1.0:
         return DesignAnswer(value=None, feasible=False,

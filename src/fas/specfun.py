@@ -4,9 +4,10 @@ Provides J0/I0 kernels, the first-order Marcum Q-function, its antisymmetric
 difference, the Gaussian tail Q, and the envelope inverse of J0 (smallest
 argument beyond which |J0| stays at or below a target level).
 
-All functions are pure and stateless.  The Marcum Q evaluation uses the
-scaled-Bessel series so no intermediate quantity can overflow, with a
-Gaussian-tail fallback for extreme arguments.
+All functions are pure.  The only module state is a grow-only table of
+J0/J1 zeros, which caches values and changes no result.  The Marcum Q
+evaluation uses the scaled-Bessel series so no intermediate quantity can
+overflow, with a Gaussian-tail fallback for extreme arguments.
 """
 from __future__ import annotations
 
@@ -113,6 +114,22 @@ def delta_q1(alpha: float, beta: float) -> float:
     return marcum_q1(alpha, beta) - marcum_q1(beta, alpha)
 
 
+# First zeros of J0 and J1, grown on demand.  jn_zeros(k, n) is a
+# bit-identical prefix of jn_zeros(k, m) for n <= m, so a slice of the table
+# equals a fresh jn_zeros call.
+_BESSEL_ZEROS = {0: np.empty(0), 1: np.empty(0)}
+
+
+def _bessel_zeros(order: int, count: int) -> np.ndarray:
+    """First `count` positive zeros of J_order (order 0 or 1), read-only."""
+    table = _BESSEL_ZEROS[order]
+    if table.size < count:
+        table = sp.jn_zeros(order, max(count, 2 * table.size))
+        table.setflags(write=False)
+        _BESSEL_ZEROS[order] = table
+    return table[:count]
+
+
 @dataclass(frozen=True)
 class EnvelopeInverseResult:
     """Smallest epsilon* with |J0(eps)| <= target for every eps >= epsilon*."""
@@ -139,7 +156,7 @@ def inv_besselj0_envelope(target: float) -> EnvelopeInverseResult:
 
     n = 32
     while True:
-        extrema = sp.jn_zeros(1, n)
+        extrema = _bessel_zeros(1, n)
         mags = np.abs(sp.j0(extrema))
         below = np.nonzero(mags <= target)[0]
         if below.size:
@@ -152,15 +169,15 @@ def inv_besselj0_envelope(target: float) -> EnvelopeInverseResult:
     if first_ok == 0:
         # only the main lobe exceeds the target: |J0| falls 1 -> 0 on
         # [0, first J0 zero]
-        lo, hi = 0.0, float(sp.jn_zeros(0, 1)[0])
+        lo, hi = 0.0, float(_bessel_zeros(0, 1)[0])
     else:
         # |J0| decreases monotonically from the offending extremum to the
         # next zero of J0 (zeros of J0 and J1 interlace)
         lo = float(extrema[first_ok - 1])
-        hi = float(sp.jn_zeros(0, first_ok + 1)[first_ok])
+        hi = float(_bessel_zeros(0, first_ok + 1)[first_ok])
     eps = brentq(lambda e: abs(sp.j0(e)) - target, lo, hi, xtol=ENVELOPE_XTOL)
 
     # certify: every later extremum must also sit at or below the target
-    check = sp.jn_zeros(1, first_ok + 50)[first_ok:]
+    check = _bessel_zeros(1, first_ok + 50)[first_ok:]
     achieved = bool(np.all(np.abs(sp.j0(check)) <= target + 1e-12))
     return EnvelopeInverseResult(float(eps), achieved)

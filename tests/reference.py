@@ -167,3 +167,39 @@ def ncx2_cdf_2dof_mpmath(x: float, nc: float, dps: int = 40):
             total += term
             if m > m0 and term <= tiny * total:
                 return total
+
+
+def per_port_bound_factor_scalar(mu_k: float, snr_ratio: float,
+                                 kappa: float, rho: float) -> float:
+    """One port's bound factor with math-module scalars, as the package
+    evaluated it one port at a time before its numpy kernel."""
+    decay = math.exp(-kappa * snr_ratio / (1.0 - mu_k ** 2))
+    am = abs(mu_k)
+    if am > 0.0 and rho / math.sqrt(am) < 1.0:
+        return 1.0 - rho / math.sqrt(am) * decay
+    return 1.0 - rho * decay
+
+
+def outage_upper_bound_sequential(mu, snr_ratio: float, kappa: float,
+                                  rho: float) -> float:
+    """The bound as a port-by-port running product: (1 - e^-x) times each
+    non-degenerate correlated port's scalar factor in turn."""
+    mu = np.asarray(mu, dtype=float)
+    mu = mu[np.abs(mu) <= 1.0 - 1e-9]
+    p = 1.0 - math.exp(-snr_ratio)
+    for m in mu[1:]:
+        p *= per_port_bound_factor_scalar(float(m), snr_ratio, kappa, rho)
+    return p
+
+
+def min_ports_sequential(mu, snr_ratio: float, target: float, kappa: float,
+                         rho: float, n_max: int):
+    """Smallest prefix length N whose running factor product drops below
+    `target`, or None: the loop the package ran before its cumprod."""
+    prod = 1.0
+    for k in range(1, min(len(mu), n_max)):
+        prod *= per_port_bound_factor_scalar(float(mu[k]), snr_ratio, kappa,
+                                             rho)
+        if prod < target:
+            return k + 1
+    return None

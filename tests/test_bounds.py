@@ -6,8 +6,11 @@ import pytest
 from fas.analytic import outage_exact
 from fas.bounds import (DEFAULT_KAPPA, BoundConstants, ConstantsError,
                         bound_constants, optimize_kappa, outage_upper_bound,
-                        outage_upper_bound_profile, per_port_bound_factor)
-from fas.channel import FasConfig
+                        outage_upper_bound_profile, per_port_bound_factor,
+                        per_port_bound_factors)
+from fas.channel import DEGENERATE_MU, FasConfig, correlation_profile
+
+import reference
 
 
 class TestBoundConstants:
@@ -81,12 +84,72 @@ class TestPerPortBoundFactor:
         with pytest.raises(ValueError):
             per_port_bound_factor(1.0, 1.0, bound_constants())
 
+    def test_rejects_nan(self):
+        c = bound_constants()
+        with pytest.raises(ValueError):
+            per_port_bound_factor(float("nan"), 1.0, c)
+        with pytest.raises(ValueError):
+            per_port_bound_factor(0.5, float("nan"), c)
+
+
+class TestPerPortBoundFactors:
+    @pytest.mark.parametrize("kappa", [1.5, 2.0, 3.0])
+    def test_matches_scalar_formula(self, kappa):
+        c = bound_constants(kappa)
+        edge = c.rho ** 2  # |mu| where the gain rho/sqrt(|mu|) reaches 1
+        mags = [0.0, 1e-300, 1e-12, 0.01, edge * (1.0 - 1e-12), edge,
+                edge * (1.0 + 1e-12), 0.5, 0.9, 0.999999, DEGENERATE_MU,
+                math.nextafter(1.0, 0.0)]
+        mu = np.array(mags + [-m for m in mags[1:]])
+        for x in np.logspace(-10.0, math.log10(50.0), 25):
+            got = per_port_bound_factors(mu, x, c)
+            want = np.array([reference.per_port_bound_factor_scalar(
+                float(m), float(x), c.kappa, c.rho) for m in mu])
+            # np.exp and math.exp may round e^-a to neighbouring doubles, which
+            # moves 1 - g e^-a by about 1e-16 * g e^-a: near the branch edge
+            # at tiny x the factor itself is ~1e-10, so the error is bounded
+            # relative to the larger of the factor and the term it subtracts
+            scale = np.maximum(want, 1.0 - want)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale), x
+
+    def test_empty_profile(self):
+        assert per_port_bound_factors([], 1.0, bound_constants()).size == 0
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, float("nan")])
+    def test_rejects_mu_outside_open_unit_interval(self, bad):
+        with pytest.raises(ValueError):
+            per_port_bound_factors([0.1, bad, 0.2], 1.0, bound_constants())
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_snr_ratio(self, bad):
+        with pytest.raises(ValueError):
+            per_port_bound_factors([0.1, 0.2], bad, bound_constants())
+
 
 class TestOutageUpperBound:
     def test_single_port(self):
         c = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=1.0)
         assert outage_upper_bound(c, bound_constants()) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-15)
+
+    def test_single_port_tiny_snr_ratio(self):
+        # 1 - exp(-x) would be 8e-8 off here; the bound takes -expm1(-x)
+        x = 1e-10
+        got = outage_upper_bound_profile([0.0], x, bound_constants())
+        assert got == pytest.approx(-math.expm1(-x), rel=1e-15, abs=0.0)
+
+    def test_matches_sequential_product(self):
+        c = bound_constants()
+        for w in (0.01, 0.2, 1.0, 5.0):
+            for n in (1, 2, 3, 10, 100, 1000, 2000):
+                mu = correlation_profile(
+                    FasConfig(n_ports=n, size_wavelengths=w,
+                              snr_ratio=1.0)).mu
+                for x in (0.1, 1.0, 10.0):
+                    got = outage_upper_bound_profile(mu, x, c)
+                    want = reference.outage_upper_bound_sequential(
+                        mu, x, c.kappa, c.rho)
+                    assert abs(got - want) <= 1e-13 * want, (w, n, x)
 
     def test_dominates_exact_on_grid(self):
         for kappa in (1.5, 2.0, 3.0):

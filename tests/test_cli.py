@@ -57,12 +57,45 @@ class TestArgumentHandling:
         ["validate", "--trials", "500"],
         ["outage-curve", "--sweep-n=0:3:1"],
         ["bounds-compare", "--sweep-w=0:1:0.5"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--snr-db", "nan"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--snr-db", "inf"],
+        ["bounds-compare", "--sweep-n", "1:3:1", "--snr-db=-inf"],
+        ["design", "--size-wl", "1", "--snr-db", "inf"],
+        ["design", "--n-ports", "10", "--snr-db", "inf"],
+        ["design", "--n-ports", "10", "--snr-db", "nan"],
     ])
     def test_out_of_range_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+
+class TestOutputSinks:
+    @pytest.mark.parametrize("argv", [
+        ["outage-curve", "--sweep-n", "1:3:1"],
+        ["bounds-compare", "--sweep-n", "1:3:1", "--mrc-l", "2,4"],
+        ["design", "--n-ports", "30", "--mrc-l", "4"],
+        ["design", "--size-wl", "2", "--mrc-l", "2"],
+        ["design", "--sweep-n", "2:12:2"],
+        ["envelope", "--n-ports", "3", "--duration-s", "0.05"],
+        ["validate", "--trials", "1000", "--seed", "3"],
+    ])
+    def test_file_matches_stdout(self, argv, tmp_path, capsys):
+        code, printed = run_cli(capsys, *argv)
+        path = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "")
+        assert path.read_text() == printed
+        assert printed.endswith("\n")
+
+    def test_version_in_every_output(self, capsys):
+        from fas import __version__
+        _, text = run_cli(capsys, "design", "--n-ports", "10")
+        assert json.loads(text)["version"] == __version__
+        _, text = run_cli(capsys, "validate", "--trials", "1000")
+        assert json.loads(text)["version"] == __version__
+        _, text = run_cli(capsys, "outage-curve", "--sweep-n", "1:1:1")
+        assert text.startswith(f"# fas {__version__} outage-curve\n")
 
 
 class TestOutageCurve:
@@ -162,6 +195,15 @@ class TestDesign:
         answer = doc["results"]["min_ports"]
         assert answer["feasible"] is True
         assert answer["value"] >= 2
+
+    def test_single_branch_reference(self, capsys):
+        code, out = run_cli(capsys, "design", "--n-ports", "10",
+                            "--mrc-l", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["required_mu"]["value"] == {
+            "mu_star": "1.0", "d_star_wl": "0.0"}
+        assert doc["results"]["min_size_wl"]["value"] == "0.0"
 
     def test_frontier_sweep_nonincreasing(self, capsys):
         code, out = run_cli(capsys, "design", "--sweep-n", "40:120:8",

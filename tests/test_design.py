@@ -11,10 +11,12 @@ from fas.design import (GUARD_COMPLEX_MU, GUARD_FACTOR_RANGE,
                         GUARD_LOG_NEGATIVE, GUARD_N_EXHAUSTED,
                         GUARD_PROFILE_EXHAUSTED, GUARD_TOO_FEW_PORTS,
                         DesignAnswer, DesignQuery,
-                        MuSizeResult, min_ports_general,
+                        MuSizeResult, min_ports_for_size, min_ports_general,
                         min_ports_homogeneous, min_size, min_size_frontier,
                         required_mu_and_size)
 from fas.specfun import bessel_j0, inv_besselj0_envelope
+
+import reference
 
 
 def query(branches=2, x=1.0, kappa=2.0, n_ports=None, size=None):
@@ -72,6 +74,35 @@ class TestMinPortsGeneral:
                 break
         assert min_ports_general(mu, q).value == want
 
+    def test_matches_sequential_loop(self):
+        for w, size in ((0.5, 300), (5.0, 500)):
+            mu = wide_profile_mu(size, w)
+            for branches in (1, 2, 4, 8):
+                for x in (0.1, 1.0, 10.0):
+                    q = query(branches=branches, x=x)
+                    target = outage_mrc(branches, x) / -math.expm1(-x)
+                    for n_max in (50, 100_000):
+                        got = min_ports_general(mu, q, n_max=n_max)
+                        if target > 1.0:
+                            assert got.value == 1
+                            continue
+                        want = reference.min_ports_sequential(
+                            mu, x, target, q.constants.kappa,
+                            q.constants.rho, n_max)
+                        assert got.value == want, (w, branches, x, n_max)
+                        assert got.feasible == (want is not None)
+
+    def test_n_max_exhaustion(self):
+        answer = min_ports_general(wide_profile_mu(300), query(branches=8),
+                                   n_max=20)
+        assert not answer.feasible
+        assert answer.guard_report == GUARD_N_EXHAUSTED
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, float("nan")])
+    def test_rejects_invalid_mu(self, bad):
+        with pytest.raises(ValueError):
+            min_ports_general([0.0, 0.5, bad, 0.5], query())
+
     def test_profile_exhaustion(self):
         q = query(branches=8)
         answer = min_ports_general(wide_profile_mu(3), q)
@@ -118,6 +149,36 @@ class TestMinPortsHomogeneous:
             min_ports_homogeneous(1.0, query())
 
 
+class TestMinPortsForSize:
+    def test_reference_design_point(self):
+        # W = 0.2 wavelengths against 4-branch MRC at x = 1
+        answer = min_ports_for_size(0.2, query(branches=4))
+        assert answer == DesignAnswer(value=1659, feasible=True)
+
+    def test_tiny_aperture_exhausts_scan(self):
+        answer = min_ports_for_size(0.01, query(branches=2))
+        assert not answer.feasible
+        assert answer.value is None
+        assert answer.guard_report == GUARD_N_EXHAUSTED
+
+    def test_agrees_with_brute_force_scan(self):
+        n_max = 120
+        for x in (0.5, 1.0):
+            for w in (0.5, 1.0, 2.0, 5.0):
+                for branches in (2, 4, 8):
+                    q = query(branches=branches, x=x)
+                    target = outage_mrc(branches, x)
+                    want = next(
+                        (n for n in range(1, n_max + 1)
+                         if reference.outage_upper_bound_sequential(
+                             correlation_profile(FasConfig(n, w, x)).mu, x,
+                             q.constants.kappa, q.constants.rho) < target),
+                        None)
+                    got = min_ports_for_size(w, q, n_max=n_max)
+                    assert got.value == want, (x, w, branches)
+                    assert got.feasible == (want is not None)
+
+
 class TestRequiredMuAndSize:
     def test_large_n_mu_star_approaches_one(self):
         # the requirement relaxes only logarithmically, so the approach to 1
@@ -159,6 +220,17 @@ class TestRequiredMuAndSize:
         for extra in np.linspace(0.0, 5.0, 100):
             assert abs(bessel_j0(2.0 * math.pi * (d_star + extra))) \
                 <= mu_star + 1e-9
+
+    @pytest.mark.parametrize("branches, x", [(1, 1e-10), (1, 0.1), (1, 1.0),
+                                             (1, 10.0), (2, 1e30)])
+    def test_single_port_level_target_takes_any_correlation(self, branches, x):
+        # the MRC level equals the single-port outage (L = 1), or both round
+        # to 1 (huge x): mu* = 1, d* = 0, where the root once divided by 0
+        for n in (2, 3, 10, 100):
+            answer = required_mu_and_size(query(branches=branches, x=x,
+                                                n_ports=n))
+            assert answer == DesignAnswer(value=MuSizeResult(1.0, 0.0),
+                                          feasible=True)
 
     def test_requires_n_ports(self):
         with pytest.raises(ValueError):

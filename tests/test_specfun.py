@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from fas import specfun
 from fas.specfun import (EnvelopeInverseResult, bessel_i0_scaled, bessel_j0,
                          delta_q1, gaussian_q, inv_besselj0_envelope,
                          marcum_q1)
@@ -190,6 +191,21 @@ class TestEnvelopeInverse:
         res = inv_besselj0_envelope(target)
         xs = res.epsilon_star + np.arange(0.0, 200.0, 1e-3)
         assert np.all(np.abs(sp.j0(xs)) <= target + 1e-9)
+
+    def test_zeros_table_slices_equal_fresh_zeros(self):
+        for order in (0, 1):
+            for count in (1, 5, 32, 33, 100, 3000, 40):
+                got = specfun._bessel_zeros(order, count)
+                assert np.array_equal(got, sp.jn_zeros(order, count))
+                assert not got.flags.writeable
+
+    def test_zeros_table_leaves_results_bitwise(self, monkeypatch):
+        targets = np.concatenate([np.linspace(0.02, 0.99, 25),
+                                  [0.403, 0.402, 0.01, 0.005]])
+        cached = [inv_besselj0_envelope(t) for t in targets]
+        monkeypatch.setattr(specfun, "_bessel_zeros",
+                            lambda order, count: sp.jn_zeros(order, count))
+        assert [inv_besselj0_envelope(t) for t in targets] == cached
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
