@@ -5,14 +5,12 @@ fading, with a Monte-Carlo oracle validating every analytic expression."""
 # set before the submodule imports: the cli and validation modules read it
 __version__ = "0.1.0"
 
-from .analytic import (OutageReport, QuadratureSettings, joint_cdf, joint_pdf,
-                       outage_approx, outage_exact, outage_mrc,
-                       outage_n2_closed_form, outage_port_reduction)
+from .analytic import (QuadratureSettings, joint_cdf, joint_pdf, outage_approx,
+                       outage_exact, outage_mrc, outage_n2_closed_form)
 from .bounds import BoundConstants, bound_constants, outage_upper_bound, \
     per_port_bound_factor
-from .channel import (AvgSnr, ChannelDraw, CorrelationProfile,
-                      DopplerTraceConfig, FasConfig, correlation_profile,
-                      draw_channels, envelope_trace, port_displacements)
+from .channel import (CorrelationProfile, DopplerTraceConfig, FasConfig,
+                      correlation_profile, envelope_trace, port_displacements)
 from .design import (DesignAnswer, DesignQuery, min_ports_for_size,
                      min_ports_general, min_ports_homogeneous, min_size,
                      required_mu_and_size)
@@ -21,15 +19,13 @@ from .specfun import (EnvelopeInverseResult, bessel_i0_scaled, bessel_j0,
                       delta_q1, gaussian_q, inv_besselj0_envelope, marcum_q1)
 
 __all__ = [
-    "AvgSnr", "BoundConstants", "ChannelDraw", "CorrelationProfile", "DesignAnswer",
-    "DesignQuery", "DopplerTraceConfig", "EnvelopeInverseResult", "FasConfig",
-    "McEstimate", "McSettings", "OutageReport", "QuadratureSettings",
-    "bessel_i0_scaled", "bessel_j0", "bound_constants", "correlation_profile",
-    "delta_q1", "draw_channels", "envelope_trace", "gaussian_q",
-    "inv_besselj0_envelope", "joint_cdf", "joint_pdf", "marcum_q1",
-    "mc_outage_fas", "mc_outage_mrc", "min_ports_for_size", "min_ports_general",
-    "min_ports_homogeneous", "min_size", "outage_approx", "outage_exact",
-    "outage_mrc", "outage_n2_closed_form", "outage_port_reduction",
-    "outage_upper_bound", "per_port_bound_factor", "port_displacements",
-    "required_mu_and_size",
+    "BoundConstants", "CorrelationProfile", "DesignAnswer", "DesignQuery",
+    "DopplerTraceConfig", "EnvelopeInverseResult", "FasConfig", "McEstimate",
+    "McSettings", "QuadratureSettings", "bessel_i0_scaled", "bessel_j0",
+    "bound_constants", "correlation_profile", "delta_q1", "envelope_trace",
+    "gaussian_q", "inv_besselj0_envelope", "joint_cdf", "joint_pdf",
+    "marcum_q1", "mc_outage_fas", "mc_outage_mrc", "min_ports_for_size",
+    "min_ports_general", "min_ports_homogeneous", "min_size", "outage_approx",
+    "outage_exact", "outage_mrc", "outage_n2_closed_form", "outage_upper_bound",
+    "per_port_bound_factor", "port_displacements", "required_mu_and_size",
 ]

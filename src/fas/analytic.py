@@ -1,21 +1,21 @@
 """Closed-form and quadrature evaluators for the port-envelope statistics.
 
 Covers the joint pdf/cdf of the correlated envelopes, the exact outage
-probability (single finite integral), its closed-form approximation, the
-per-port outage reduction, and the L-branch MRC baseline.
+probability (single finite integral), its closed-form approximation, and
+the L-branch MRC baseline.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special as sp
 from scipy.integrate import quad
 
-from .channel import DEGENERATE_MU, CorrelationProfile, FasConfig, correlation_profile
-from .specfun import delta_q1, marcum_q1
+from .channel import CorrelationProfile, FasConfig, active_mu, correlation_profile
+from .specfun import delta_q1
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,6 @@ class QuadratureSettings:
 DEFAULT_QUADRATURE = QuadratureSettings()
 
 
-@dataclass(frozen=True)
-class OutageReport:
-    """Exact/approximate/bounded/MC outage values for one configuration."""
-
-    exact: float
-    approx: float
-    upper_bound: Optional[float] = None
-    mc_estimate: Optional[float] = None
-    mc_half_width_95: Optional[float] = None
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
@@ -56,10 +45,6 @@ class QuadratureError(RuntimeError):
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 def _quad(f, lo: float, hi: float, q: QuadratureSettings) -> float:
@@ -88,6 +73,22 @@ def _port_cdf_product(a2: np.ndarray, b2: np.ndarray, t: float) -> float:
     return float(np.prod(sp.chndtr(b2, 2.0, a2 * t)))
 
 
+def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq,
+                  q: QuadratureSettings) -> float:
+    """P[|g_1|^2 < r1_sq and |g_k|^2 < rk_sq for k >= 2] (sigma = 1).
+
+    Conditioned on t = |g_1|^2, port k is Rician, so the probability is
+    int_0^r1_sq e^-t prod_k P1(a_k sqrt(t), b_k) dt with a_k^2 =
+    2 mu_k^2/(1 - mu_k^2) and b_k^2 = 2 rk_sq/(1 - mu_k^2); rk_sq is one
+    squared radius per port k >= 2, or a scalar shared by all of them.
+    """
+    one_minus = 1.0 - mu[1:] ** 2
+    a2 = 2.0 * mu[1:] ** 2 / one_minus
+    b2 = 2.0 * rk_sq / one_minus
+    return _quad(lambda t: math.exp(-t) * _port_cdf_product(a2, b2, t),
+                 0.0, r1_sq, q)
+
+
 def _validated_mu(profile: CorrelationProfile) -> np.ndarray:
     mu = profile.mu
     if np.any(np.abs(mu[1:]) >= 1.0):
@@ -95,26 +96,28 @@ def _validated_mu(profile: CorrelationProfile) -> np.ndarray:
     return mu
 
 
-def joint_pdf(profile: CorrelationProfile, r: Sequence[float]) -> float:
+def joint_pdf(profile: CorrelationProfile, r) -> float | np.ndarray:
     """Joint density of the N port envelopes at the point r (sigma = 1).
 
     Product of a Rayleigh factor for the reference port and conditional
     Rician factors for the rest; evaluated with the scaled I0 so large
-    correlation cannot overflow.
+    correlation cannot overflow.  r holds one envelope per port along its
+    last axis; a 1-D r gives a float, a stack of points an array.
     """
     mu = _validated_mu(profile)
     r = np.asarray(r, dtype=float)
-    if r.shape != mu.shape:
+    if r.shape[-1:] != mu.shape:
         raise ValueError("r must supply one envelope per port")
     if np.any(r < 0):
         raise ValueError("envelopes must be nonnegative")
-    r1 = r[0]
+    r1 = r[..., :1]
     one_minus = 1.0 - mu ** 2
     # exponent and Bessel argument combined: exp(-u) I0(z) = ive(0,z) exp(z-u)
     z = 2.0 * np.abs(mu) * r1 * r / one_minus
     expo = -(r ** 2 + mu ** 2 * r1 ** 2) / one_minus + z
     factors = 2.0 * r / one_minus * sp.ive(0, z) * np.exp(expo)
-    return float(np.prod(factors))
+    density = np.prod(factors, axis=-1)
+    return float(density) if r.ndim == 1 else density
 
 
 def joint_cdf(profile: CorrelationProfile, r: Sequence[float],
@@ -126,17 +129,7 @@ def joint_cdf(profile: CorrelationProfile, r: Sequence[float],
         raise ValueError("r must supply one envelope per port")
     if np.any(r < 0):
         raise ValueError("envelopes must be nonnegative")
-    one_minus = 1.0 - mu[1:] ** 2
-    a2 = 2.0 * mu[1:] ** 2 / one_minus
-    b2 = 2.0 * r[1:] ** 2 / one_minus
-    return _quad(lambda t: math.exp(-t) * _port_cdf_product(a2, b2, t),
-                 0.0, r[0] ** 2, q)
-
-
-def _active_mu(mu: np.ndarray) -> np.ndarray:
-    """Ports statistically identical to port 1 contribute nothing; drop them."""
-    mu = np.asarray(mu, dtype=float)
-    return mu[np.abs(mu) <= DEGENERATE_MU]
+    return _cdf_integral(mu, r[0] ** 2, r[1:] ** 2, q)
 
 
 def outage_exact_profile(mu: Sequence[float], snr_ratio: float,
@@ -144,13 +137,8 @@ def outage_exact_profile(mu: Sequence[float], snr_ratio: float,
     """Exact selection outage for an explicit correlation profile."""
     if snr_ratio <= 0:
         raise ValueError("snr_ratio must be positive")
-    mu = _active_mu(np.asarray(mu, dtype=float))
     x = float(snr_ratio)
-    one_minus = 1.0 - mu[1:] ** 2
-    a2 = 2.0 * mu[1:] ** 2 / one_minus
-    b2 = 2.0 * x / one_minus
-    return _quad(lambda t: math.exp(-t) * _port_cdf_product(a2, b2, t),
-                 0.0, x, q)
+    return _cdf_integral(active_mu(mu), x, x, q)
 
 
 def outage_exact(config: FasConfig,
@@ -193,34 +181,6 @@ def outage_approx(config: FasConfig) -> float:
     """Sum-form approximation; tight for strong correlation or stringent
     targets, and deliberately not clamped when it goes negative."""
     return outage_approx_profile(correlation_profile(config).mu, config.snr_ratio)
-
-
-def outage_port_reduction(config: FasConfig,
-                          q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Outage decrease contributed by the last port:
-    p_out(N) = p_out(N-1) - reduction."""
-    if config.n_ports < 2:
-        raise ValueError("port reduction needs n_ports >= 2")
-    mu = correlation_profile(config).mu
-    x = float(config.snr_ratio)
-    mu_last = mu[-1]
-    if abs(mu_last) > DEGENERATE_MU:
-        # a port identical to the reference adds nothing
-        return 0.0
-    head = _active_mu(mu[:-1])
-    one_minus = 1.0 - head[1:] ** 2
-    a2 = 2.0 * head[1:] ** 2 / one_minus
-    b2 = 2.0 * x / one_minus
-    a_last = math.sqrt(2.0 * mu_last ** 2 / (1.0 - mu_last ** 2))
-    b_last = math.sqrt(2.0 * x / (1.0 - mu_last ** 2))
-
-    def integrand(t: float) -> float:
-        # the last port's factor is the upper tail Q1; marcum_q1 keeps it
-        # accurate where 1 - chndtr would cancel
-        return (math.exp(-t) * marcum_q1(a_last * math.sqrt(t), b_last)
-                * _port_cdf_product(a2, b2, t))
-
-    return _quad(integrand, 0.0, x, q)
 
 
 def outage_mrc(branches: int, snr_ratio: float) -> float:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DEGENERATE_MU, FasConfig, correlation_profile
+from .channel import FasConfig, active_mu, correlation_profile
 
 DEFAULT_KAPPA = 2.0
 
@@ -75,8 +75,7 @@ def per_port_bound_factor(mu_k: float, snr_ratio: float,
 def outage_upper_bound_profile(mu: Sequence[float], snr_ratio: float,
                                constants: BoundConstants) -> float:
     """Bound for an explicit profile; degenerate ports are skipped."""
-    mu = np.asarray(mu, dtype=float)
-    mu = mu[np.abs(mu) <= DEGENERATE_MU]
+    mu = active_mu(mu)
     factors = per_port_bound_factors(mu[1:], snr_ratio, constants)
     return -math.expm1(-snr_ratio) * float(np.prod(factors))
 
@@ -85,32 +84,3 @@ def outage_upper_bound(config: FasConfig, constants: BoundConstants) -> float:
     """Upper bound on the exact outage probability for one configuration."""
     return outage_upper_bound_profile(correlation_profile(config).mu,
                                       config.snr_ratio, constants)
-
-
-def optimize_kappa(config: FasConfig, lo: float = 1.0 + 1e-6,
-                   hi: float = 10.0, tol: float = 1e-6) -> BoundConstants:
-    """Golden-section search for the kappa minimizing the bound.
-
-    Any kappa > 1 yields a valid bound, so the tightest one is free to use.
-    """
-    if not (1.0 < lo < hi):
-        raise ValueError("need 1 < lo < hi")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def objective(k: float) -> float:
-        return outage_upper_bound(config, bound_constants(k))
-
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    return bound_constants((a + b) / 2.0)

@@ -18,6 +18,18 @@ SPEED_OF_LIGHT = 299_792_458.0
 DEGENERATE_MU = 1.0 - 1e-9
 
 
+def active_mu(mu) -> np.ndarray:
+    """The profile mu without its degenerate ports, which contribute nothing.
+
+    A NaN entry or one with |mu_k| > 1 raises ValueError instead of being
+    dropped as degenerate.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(np.abs(mu) <= 1.0):
+        raise ValueError(f"|mu_k| must be <= 1 and not NaN, got {mu.tolist()}")
+    return mu[np.abs(mu) <= DEGENERATE_MU]
+
+
 @dataclass(frozen=True)
 class FasConfig:
     """Independent variables of one experiment.
@@ -38,34 +50,6 @@ class FasConfig:
             raise ValueError(f"size_wavelengths must be > 0, got {self.size_wavelengths}")
         if not (self.snr_ratio > 0):
             raise ValueError(f"snr_ratio must be > 0, got {self.snr_ratio}")
-
-
-@dataclass(frozen=True)
-class AvgSnr:
-    """Mean received SNR decomposition: gamma = sigma_sq * theta.
-
-    theta: transmit-power-to-noise ratio.
-    sigma_sq: mean-square channel gain per port.
-    """
-
-    theta: float
-    sigma_sq: float = 1.0
-
-    def __post_init__(self):
-        if not (self.theta > 0):
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if not (self.sigma_sq > 0):
-            raise ValueError(f"sigma_sq must be > 0, got {self.sigma_sq}")
-
-    @property
-    def gamma(self) -> float:
-        return self.sigma_sq * self.theta
-
-    def snr_ratio(self, threshold: float) -> float:
-        """The ratio gamma_th / gamma that every outage formula consumes."""
-        if not (threshold > 0):
-            raise ValueError(f"threshold must be > 0, got {threshold}")
-        return threshold / self.gamma
 
 
 @dataclass(frozen=True)
@@ -94,14 +78,6 @@ class CorrelationProfile:
     @property
     def n_ports(self) -> int:
         return int(self.mu.size)
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the N port gains (sigma normalized to 1)."""
-
-    gains: np.ndarray
-    common_part: complex
 
 
 def port_displacements(config: FasConfig) -> np.ndarray:
@@ -138,9 +114,9 @@ def correlation_discrepancy(profile: CorrelationProfile) -> np.ndarray:
     return model - jakes
 
 
-def _draw_components(profile: CorrelationProfile, rng: np.random.Generator,
-                     n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gains, common) for n draws; gains has shape (n, N).
+def draw_channels_batch(profile: CorrelationProfile, rng: np.random.Generator,
+                        n: int) -> np.ndarray:
+    """n stacked realizations of all ports, shape (n, N).
 
     Consumption order is fixed (x0, y0, then the per-port x block, then the
     per-port y block) so a given stream state always produces the same draw.
@@ -152,24 +128,12 @@ def _draw_components(profile: CorrelationProfile, rng: np.random.Generator,
     y0 = rng.standard_normal(n) * scale
     common = x0 + 1j * y0
     if n_ports == 1:
-        return common[:, None], common
+        return common[:, None]
     xk = rng.standard_normal((n, n_ports - 1)) * scale
     yk = rng.standard_normal((n, n_ports - 1)) * scale
     root = np.sqrt(1.0 - mu[1:] ** 2)
     g = (root * xk + mu[1:] * x0[:, None]) + 1j * (root * yk + mu[1:] * y0[:, None])
-    return np.concatenate([common[:, None], g], axis=1), common
-
-
-def draw_channels(profile: CorrelationProfile, rng: np.random.Generator) -> ChannelDraw:
-    """One correlated Rayleigh realization of all ports."""
-    gains, common = _draw_components(profile, rng, 1)
-    return ChannelDraw(gains=gains[0], common_part=complex(common[0]))
-
-
-def draw_channels_batch(profile: CorrelationProfile, rng: np.random.Generator,
-                        n: int) -> np.ndarray:
-    """n stacked realizations, shape (n, N)."""
-    return _draw_components(profile, rng, n)[0]
+    return np.concatenate([common[:, None], g], axis=1)
 
 
 @dataclass(frozen=True)

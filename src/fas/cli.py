@@ -92,6 +92,11 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _design_ports(text: str) -> int:
+    """No design solver answers for fewer than two ports."""
+    return _int_at_least(text, 2)
+
+
 def _mc_trials(text: str) -> int:
     return _int_at_least(text, mc.MIN_TRIALS)
 
@@ -289,11 +294,10 @@ def cmd_design(args, parser) -> int:
             results["min_size_wl"] = _answer_dict(answer)
             if not answer.feasible:
                 guards.append(answer.guard_report)
-        if args.n_ports >= 2:
-            answer = design.required_mu_and_size(query)
-            results["required_mu"] = _answer_dict(answer)
-            if not answer.feasible:
-                guards.append(answer.guard_report)
+        answer = design.required_mu_and_size(query)
+        results["required_mu"] = _answer_dict(answer)
+        if not answer.feasible:
+            guards.append(answer.guard_report)
     elif args.size_wl is not None:
         answer = design.min_ports_for_size(args.size_wl, query)
         results["min_ports"] = _answer_dict(answer)
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mrc-l", type=_positive_int, default=2)
     p.add_argument("--snr-db", type=_finite_float, default=0.0)
     p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
-    p.add_argument("--n-ports", type=int, default=None)
+    p.add_argument("--n-ports", type=_design_ports, default=None)
     p.add_argument("--size-wl", type=_positive_float, default=None)
     p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
                    help=_SWEEP_HELP)

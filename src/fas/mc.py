@@ -57,6 +57,17 @@ def _partition(trials: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _chunks(settings: McSettings):
+    """(rng, n) pieces of the trial budget, in a fixed order: each logical
+    worker's share of the trials from its own stream, at most _CHUNK at once."""
+    for rng, count in zip(worker_streams(settings.seed, settings.workers),
+                          _partition(settings.trials, settings.workers)):
+        while count > 0:
+            n = min(count, _CHUNK)
+            yield rng, n
+            count -= n
+
+
 def _estimate(failures: int, trials: int) -> McEstimate:
     p = failures / trials
     hw = 1.96 * math.sqrt(p * (1.0 - p) / trials)
@@ -74,15 +85,10 @@ def mc_outage_fas(config: FasConfig, settings: McSettings,
         profile = correlation_profile(config)
     threshold = config.snr_ratio
     failures = 0
-    for rng, count in zip(worker_streams(settings.seed, settings.workers),
-                          _partition(settings.trials, settings.workers)):
-        remaining = count
-        while remaining > 0:
-            n = min(remaining, _CHUNK)
-            g = draw_channels_batch(profile, rng, n)
-            power = np.abs(g) ** 2
-            failures += int(np.count_nonzero(power.max(axis=1) < threshold))
-            remaining -= n
+    for rng, n in _chunks(settings):
+        g = draw_channels_batch(profile, rng, n)
+        power = np.abs(g) ** 2
+        failures += int(np.count_nonzero(power.max(axis=1) < threshold))
     return _estimate(failures, settings.trials)
 
 
@@ -92,15 +98,10 @@ def mc_outage_mrc(branches: int, snr_ratio: float,
     if branches < 1:
         raise ValueError("branches must be >= 1")
     failures = 0
-    for rng, count in zip(worker_streams(settings.seed, settings.workers),
-                          _partition(settings.trials, settings.workers)):
-        remaining = count
-        while remaining > 0:
-            n = min(remaining, _CHUNK)
-            h = rng.standard_normal((n, 2 * branches)) * np.sqrt(0.5)
-            total = np.sum(h * h, axis=1)
-            failures += int(np.count_nonzero(total < snr_ratio))
-            remaining -= n
+    for rng, n in _chunks(settings):
+        h = rng.standard_normal((n, 2 * branches)) * np.sqrt(0.5)
+        total = np.sum(h * h, axis=1)
+        failures += int(np.count_nonzero(total < snr_ratio))
     return _estimate(failures, settings.trials)
 
 
@@ -147,22 +148,15 @@ def _cell_probabilities(profile: CorrelationProfile,
                         edges: np.ndarray) -> np.ndarray:
     """Per-cell mass of the two-port joint density via tensor Gauss-Legendre."""
     nodes, weights = np.polynomial.legendre.leggauss(12)
-    n = edges.size - 1
-    probs = np.empty((n, n))
-    for i in range(n):
-        a1, b1 = edges[i], edges[i + 1]
-        x1 = 0.5 * (b1 - a1) * nodes + 0.5 * (b1 + a1)
-        w1 = 0.5 * (b1 - a1) * weights
-        for j in range(n):
-            a2, b2 = edges[j], edges[j + 1]
-            x2 = 0.5 * (b2 - a2) * nodes + 0.5 * (b2 + a2)
-            w2 = 0.5 * (b2 - a2) * weights
-            acc = 0.0
-            for u, wu in zip(x1, w1):
-                for v, wv in zip(x2, w2):
-                    acc += wu * wv * joint_pdf(profile, (u, v))
-            probs[i, j] = acc
-    return probs
+    lo, hi = edges[:-1], edges[1:]
+    x = 0.5 * (hi - lo) * nodes[:, None] + 0.5 * (hi + lo)  # (12, bins)
+    w = 0.5 * (hi - lo) * weights[:, None]
+    # node pair (u, v) of cell (i, j) at [u, v, i, j]
+    u, v = x[:, None, :, None], x[None, :, None, :]
+    pdf = joint_pdf(profile, np.stack(np.broadcast_arrays(u, v), axis=-1))
+    terms = w[:, None, :, None] * w[None, :, None, :] * pdf
+    # a sum over the leading axis adds the node pairs in order, one at a time
+    return terms.reshape(-1, lo.size, lo.size).sum(axis=0)
 
 
 def mc_joint_density_check(profile: CorrelationProfile, settings: McSettings,
@@ -176,15 +170,10 @@ def mc_joint_density_check(profile: CorrelationProfile, settings: McSettings,
         raise ValueError("density check is defined for two-port profiles")
     edges = np.linspace(0.0, grid.r_max, grid.bins + 1)
     observed = np.zeros((grid.bins, grid.bins))
-    for rng, count in zip(worker_streams(settings.seed, settings.workers),
-                          _partition(settings.trials, settings.workers)):
-        remaining = count
-        while remaining > 0:
-            n = min(remaining, _CHUNK)
-            g = np.abs(draw_channels_batch(profile, rng, n))
-            hist, _, _ = np.histogram2d(g[:, 0], g[:, 1], bins=(edges, edges))
-            observed += hist
-            remaining -= n
+    for rng, n in _chunks(settings):
+        g = np.abs(draw_channels_batch(profile, rng, n))
+        hist, _, _ = np.histogram2d(g[:, 0], g[:, 1], bins=(edges, edges))
+        observed += hist
 
     expected = _cell_probabilities(profile, edges) * settings.trials
     outside_expected = settings.trials - expected.sum()

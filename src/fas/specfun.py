@@ -18,9 +18,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.optimize import brentq
 
-# Default tolerances; overridable by callers that need looser/tighter targets.
-J0_REL_TOL = 1e-12
-MARCUM_ABS_TOL = 1e-10
+# brentq tolerance on the crossing found by inv_besselj0_envelope
 ENVELOPE_XTOL = 1e-9
 
 # Beyond this the exp(-(b-a)^2/2) prefactor underflows and Q1 (or 1-Q1) is 0

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fas.analytic import (DEFAULT_QUADRATURE, OutageReport, QuadratureError,
+from fas.analytic import (DEFAULT_QUADRATURE, QuadratureError,
                           QuadratureSettings, _port_cdf_product, _quad,
-                          db_to_linear, joint_cdf, joint_pdf, linear_to_db,
-                          outage_approx, outage_approx_profile, outage_exact,
+                          db_to_linear, joint_cdf, joint_pdf, outage_approx,
+                          outage_approx_profile, outage_exact,
                           outage_exact_profile, outage_mrc,
-                          outage_n2_closed_form, outage_port_reduction)
+                          outage_n2_closed_form)
 from fas.channel import CorrelationProfile, FasConfig, correlation_profile
 from fas.mc import McSettings, mc_outage_fas
 from fas.specfun import marcum_q1
@@ -22,9 +22,10 @@ def profile_of(mu):
 
 
 class TestDbConversion:
-    def test_round_trip(self):
-        for db in (-10.0, 0.0, 3.0, 10.0):
-            assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+    def test_known_values(self):
+        for db, linear in ((-10.0, 0.1), (0.0, 1.0), (3.0, 1.9952623149688795),
+                           (10.0, 10.0)):
+            assert db_to_linear(db) == pytest.approx(linear, rel=1e-15)
 
     def test_zero_db_is_unity(self):
         assert db_to_linear(0.0) == 1.0
@@ -150,6 +151,12 @@ class TestOutageExact:
         want = outage_exact_profile(base, 1.0)
         assert abs(got - want) < 1e-6
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -1.5])
+    def test_rejects_invalid_port_instead_of_dropping_it(self, bad):
+        # neither NaN nor |mu| > 1 may pass for a degenerate port
+        with pytest.raises(ValueError):
+            outage_exact_profile([0.0, bad, 0.5], 1.0)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.filterwarnings("ignore:The maximum number of subdivisions")
     def test_quadrature_failure_raises(self):
@@ -213,26 +220,6 @@ class TestOutageApprox:
     def test_unclamped_negative_regime(self):
         c = FasConfig(n_ports=50, size_wavelengths=0.5, snr_ratio=1.0)
         assert outage_approx(c) < 0.0
-
-
-class TestOutagePortReduction:
-    def test_telescopes_exact_values(self):
-        for n, w in ((3, 0.5), (5, 1.5)):
-            c = FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=1.0)
-            mu = correlation_profile(c).mu
-            drop = outage_port_reduction(c)
-            assert drop > 0.0
-            want = outage_exact_profile(mu[:-1], 1.0) - outage_exact_profile(mu, 1.0)
-            assert drop == pytest.approx(want, abs=1e-8)
-
-    def test_degenerate_last_port_contributes_nothing(self):
-        c = FasConfig(n_ports=2, size_wavelengths=1e-9, snr_ratio=1.0)
-        assert outage_port_reduction(c) == 0.0
-
-    def test_needs_two_ports(self):
-        with pytest.raises(ValueError):
-            outage_port_reduction(FasConfig(n_ports=1, size_wavelengths=1.0,
-                                            snr_ratio=1.0))
 
 
 class TestOutageMrc:
@@ -351,13 +338,3 @@ class TestEightBranchCrossingAtW5:
         assert abs(est.p_hat - exact) <= 3.0 * se
         # the simulated outage sits clearly above the 8-branch MRC level
         assert est.p_hat - est.half_width_95 > outage_mrc(8, 1.0)
-
-
-class TestOutageReport:
-    def test_bound_dominates_exact(self):
-        from fas.bounds import bound_constants, outage_upper_bound
-        c = FasConfig(n_ports=5, size_wavelengths=1.0, snr_ratio=1.0)
-        report = OutageReport(exact=outage_exact(c), approx=outage_approx(c),
-                              upper_bound=outage_upper_bound(c, bound_constants()))
-        assert 0.0 <= report.exact <= 1.0
-        assert report.exact <= report.upper_bound + 1e-12

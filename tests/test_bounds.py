@@ -5,7 +5,7 @@ import pytest
 
 from fas.analytic import outage_exact
 from fas.bounds import (DEFAULT_KAPPA, BoundConstants, ConstantsError,
-                        bound_constants, optimize_kappa, outage_upper_bound,
+                        bound_constants, outage_upper_bound,
                         outage_upper_bound_profile, per_port_bound_factor,
                         per_port_bound_factors)
 from fas.channel import DEGENERATE_MU, FasConfig, correlation_profile
@@ -188,21 +188,7 @@ class TestOutageUpperBound:
         without = outage_upper_bound_profile([0.0, 0.5], 1.0, constants)
         assert with_degenerate == without
 
-
-class TestOptimizeKappa:
-    def test_never_looser_than_default(self):
-        c = FasConfig(n_ports=10, size_wavelengths=0.5, snr_ratio=1.0)
-        best = optimize_kappa(c)
-        assert outage_upper_bound(c, best) <= \
-            outage_upper_bound(c, bound_constants()) + 1e-9
-
-    def test_result_still_valid_bound(self):
-        c = FasConfig(n_ports=5, size_wavelengths=1.0, snr_ratio=1.0)
-        best = optimize_kappa(c)
-        assert best.kappa > 1.0
-        assert outage_exact(c) <= outage_upper_bound(c, best) + 1e-12
-
-    def test_rejects_bad_bracket(self):
-        c = FasConfig(n_ports=3, size_wavelengths=1.0, snr_ratio=1.0)
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -1.5])
+    def test_rejects_invalid_port_instead_of_dropping_it(self, bad):
         with pytest.raises(ValueError):
-            optimize_kappa(c, lo=0.5, hi=2.0)
+            outage_upper_bound_profile([0.0, bad, 0.5], 1.0, bound_constants())

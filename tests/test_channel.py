@@ -5,9 +5,8 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
-from fas.channel import (AvgSnr, ChannelDraw, CorrelationProfile,
-                         DopplerTraceConfig, FasConfig, correlation_discrepancy,
-                         correlation_profile, draw_channels,
+from fas.channel import (CorrelationProfile, DopplerTraceConfig, FasConfig,
+                         correlation_discrepancy, correlation_profile,
                          draw_channels_batch, envelope_trace,
                          port_displacements)
 
@@ -33,24 +32,6 @@ class TestFasConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             FasConfig(**kwargs)
-
-
-class TestAvgSnr:
-    def test_gamma_product(self):
-        snr = AvgSnr(theta=5.0, sigma_sq=2.0)
-        assert snr.gamma == 10.0
-        assert snr.snr_ratio(1.0) == pytest.approx(0.1)
-
-    def test_unit_sigma_default(self):
-        assert AvgSnr(theta=3.0).gamma == 3.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            AvgSnr(theta=0.0)
-        with pytest.raises(ValueError):
-            AvgSnr(theta=1.0, sigma_sq=-1.0)
-        with pytest.raises(ValueError):
-            AvgSnr(theta=1.0).snr_ratio(0.0)
 
 
 class TestPortDisplacements:
@@ -123,23 +104,24 @@ class TestDrawChannels:
     def test_deterministic_for_fixed_seed(self):
         c = FasConfig(n_ports=4, size_wavelengths=1.0, snr_ratio=1.0)
         p = correlation_profile(c)
-        d1 = draw_channels(p, rng(123))
-        d2 = draw_channels(p, rng(123))
-        assert isinstance(d1, ChannelDraw)
-        assert np.array_equal(d1.gains, d2.gains)
-        assert d1.common_part == d2.common_part
+        g1 = draw_channels_batch(p, rng(123), 50)
+        g2 = draw_channels_batch(p, rng(123), 50)
+        assert g1.shape == (50, 4)
+        assert np.array_equal(g1, g2)
 
     def test_fully_correlated_ports_collapse(self):
         p = CorrelationProfile(mu=np.array([0.0, 1.0, 1.0]),
                                displacements=np.array([0.0, 0.0, 0.0]))
-        d = draw_channels(p, rng(5))
-        assert d.gains[1] == d.gains[0]
-        assert d.gains[2] == d.gains[0]
+        g = draw_channels_batch(p, rng(5), 50)
+        assert np.array_equal(g[:, 1], g[:, 0])
+        assert np.array_equal(g[:, 2], g[:, 0])
 
     def test_reference_gain_is_common_part(self):
+        # port 1 is the common pair (x0, y0): the stream's first 2n normals
         c = FasConfig(n_ports=3, size_wavelengths=0.5, snr_ratio=1.0)
-        d = draw_channels(correlation_profile(c), rng(9))
-        assert d.gains[0] == d.common_part
+        g = draw_channels_batch(correlation_profile(c), rng(9), 50)
+        normals = rng(9).standard_normal(100) * np.sqrt(0.5)
+        assert np.array_equal(g[:, 0], normals[:50] + 1j * normals[50:])
 
     def test_energy_normalization(self):
         c = FasConfig(n_ports=5, size_wavelengths=1.0, snr_ratio=1.0)

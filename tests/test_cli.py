@@ -63,6 +63,9 @@ class TestArgumentHandling:
         ["design", "--size-wl", "1", "--snr-db", "inf"],
         ["design", "--n-ports", "10", "--snr-db", "inf"],
         ["design", "--n-ports", "10", "--snr-db", "nan"],
+        ["design", "--n-ports", "0"],
+        ["design", "--n-ports=-5"],
+        ["design", "--n-ports", "1"],
     ])
     def test_out_of_range_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

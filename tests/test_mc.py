@@ -143,7 +143,7 @@ class TestJointDensityCheck:
                                   displacements=np.array([0.0, 0.1]))
 
         from fas.channel import draw_channels_batch
-        from fas.mc import _cell_probabilities, _partition, _CHUNK
+        from fas.mc import _cell_probabilities
 
         settings = McSettings(trials=200_000, seed=14)
         edges = np.linspace(0.0, 2.5, 13)
@@ -157,6 +157,28 @@ class TestJointDensityCheck:
         from scipy import special as sp
         critical = float(sp.chdtri(int(keep.sum()) - 1, 0.01))
         assert stat > critical
+
+    def test_cell_masses_match_scalar_pdf_loop(self):
+        # the grid of test_mismatched_profile_rejected, one joint_pdf call
+        # per Gauss-Legendre node pair
+        from fas.analytic import joint_pdf
+        from fas.mc import _cell_probabilities
+
+        test = CorrelationProfile(mu=np.array([0.0, 0.5]),
+                                  displacements=np.array([0.0, 0.1]))
+        edges = np.linspace(0.0, 2.5, 13)
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        half = 0.5 * np.diff(edges)
+        x = half[:, None] * nodes + (edges[:-1] + half)[:, None]
+        w = half[:, None] * weights
+        want = np.zeros((12, 12))
+        for i in range(12):
+            for j in range(12):
+                for u, wu in zip(x[i], w[i]):
+                    for v, wv in zip(x[j], w[j]):
+                        want[i, j] += wu * wv * joint_pdf(test, (u, v))
+        got = _cell_probabilities(test, edges)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_requires_two_ports(self):
         p = CorrelationProfile(mu=np.array([0.0, 0.3, 0.3]),
