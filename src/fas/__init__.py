@@ -16,13 +16,13 @@ from .design import (DesignAnswer, DesignQuery, min_ports_for_size,
                      required_mu_and_size)
 from .mc import McEstimate, McSettings, mc_outage_fas, mc_outage_mrc
 from .specfun import (EnvelopeInverseResult, bessel_i0_scaled, bessel_j0,
-                      delta_q1, gaussian_q, inv_besselj0_envelope, marcum_q1)
+                      gaussian_q, inv_besselj0_envelope, marcum_q1)
 
 __all__ = [
     "BoundConstants", "CorrelationProfile", "DesignAnswer", "DesignQuery",
     "DopplerTraceConfig", "EnvelopeInverseResult", "FasConfig", "McEstimate",
     "McSettings", "QuadratureSettings", "bessel_i0_scaled", "bessel_j0",
-    "bound_constants", "correlation_profile", "delta_q1", "envelope_trace",
+    "bound_constants", "correlation_profile", "envelope_trace",
     "gaussian_q", "inv_besselj0_envelope", "joint_cdf", "joint_pdf",
     "marcum_q1", "mc_outage_fas", "mc_outage_mrc", "min_ports_for_size",
     "min_ports_general", "min_ports_homogeneous", "min_size", "outage_approx",

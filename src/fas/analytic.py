@@ -15,7 +15,6 @@ from scipy import special as sp
 from scipy.integrate import quad
 
 from .channel import CorrelationProfile, FasConfig, active_mu, correlation_profile
-from .specfun import delta_q1
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,7 @@ class QuadratureSettings:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
@@ -147,34 +146,37 @@ def outage_exact(config: FasConfig,
     return outage_exact_profile(correlation_profile(config).mu, config.snr_ratio, q)
 
 
-def outage_n2_closed_form(mu2: float, snr_ratio: float) -> float:
-    """Two-port outage in closed form through the Marcum Q difference."""
-    if not abs(mu2) < 1:
-        raise ValueError(f"|mu2| must be < 1, got {mu2}")
-    if snr_ratio <= 0:
-        raise ValueError("snr_ratio must be positive")
-    x = float(snr_ratio)
-    base = math.exp(-x)
-    alpha = math.sqrt(2.0 * x / (1.0 - mu2 ** 2))
-    beta = math.sqrt(2.0 * mu2 ** 2 * x / (1.0 - mu2 ** 2))
-    return 1.0 - base - base * delta_q1(alpha, beta)
+def _marcum_difference(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Q1(a, b) - Q1(b, a) elementwise from a^2 and b^2, as two cdfs
+    chndtr(a^2, 2, b^2) - chndtr(b^2, 2, a^2), since 1 - Q1(a, b) =
+    chndtr(b^2, 2, a^2).  NaN where chndtr fails: on overflow, and for
+    a^2 >= ~4e10 within ~1e-8 of the diagonal."""
+    return sp.chndtr(a2, 2.0, b2) - sp.chndtr(b2, 2.0, a2)
 
 
 def outage_approx_profile(mu: Sequence[float], snr_ratio: float) -> float:
-    """Closed-form outage approximation; may go negative for large N."""
-    if snr_ratio <= 0:
-        raise ValueError("snr_ratio must be positive")
-    mu = np.asarray(mu, dtype=float)
-    if np.any(np.abs(mu[1:]) >= 1.0):
-        raise ValueError("approximation requires |mu_k| < 1")
+    """Closed-form outage approximation; may go negative for large N.
+
+    1 - e^-x - e^-x sum_k [Q1(a_k, b_k) - Q1(b_k, a_k)] over the ports
+    k >= 2, with a_k^2 = 2x/(1 - mu_k^2) and b_k = |mu_k| a_k.  A port whose
+    difference is not finite contributes 0: that needs x >= 42, where its
+    term is below 3e-19, or an overflowing a_k^2, where e^-x is 0."""
+    if not snr_ratio > 0:
+        raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")
     x = float(snr_ratio)
-    base = math.exp(-x)
-    total = 0.0
-    for m in mu[1:]:
-        alpha = math.sqrt(2.0 * x / (1.0 - m ** 2))
-        beta = math.sqrt(2.0 * m ** 2 * x / (1.0 - m ** 2))
-        total += delta_q1(alpha, beta)
-    return 1.0 - base - base * total
+    mu = active_mu(mu)[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = 2.0 * x / (1.0 - mu ** 2)
+        delta = _marcum_difference(a2, mu ** 2 * a2)
+    return float(-math.expm1(-x) - math.exp(-x) * np.sum(delta[np.isfinite(delta)]))
+
+
+def outage_n2_closed_form(mu2: float, snr_ratio: float) -> float:
+    """Two-port outage in closed form, exact for N = 2: the approximation's
+    Marcum Q difference for the profile [0, mu2]."""
+    if not abs(mu2) < 1:
+        raise ValueError(f"|mu2| must be < 1, got {mu2}")
+    return outage_approx_profile((0.0, mu2), snr_ratio)
 
 
 def outage_approx(config: FasConfig) -> float:

@@ -147,10 +147,12 @@ class DopplerTraceConfig:
     n_scatterers: int = 64
 
     def __post_init__(self):
-        if self.speed_mps < 0:
-            raise ValueError("speed_mps must be nonnegative")
-        if self.carrier_hz <= 0 or self.duration_s <= 0 or self.sample_rate_hz <= 0:
-            raise ValueError("carrier_hz, duration_s and sample_rate_hz must be > 0")
+        if not (0 <= self.speed_mps < np.inf):
+            raise ValueError("speed_mps must be finite and nonnegative")
+        if not all(0 < v < np.inf for v in
+                   (self.carrier_hz, self.duration_s, self.sample_rate_hz)):
+            raise ValueError("carrier_hz, duration_s and sample_rate_hz must "
+                             "be finite and > 0")
         if self.n_scatterers < 8:
             raise ValueError("n_scatterers must be >= 8")
         if self.sample_rate_hz <= 2.0 * self.max_doppler_hz:

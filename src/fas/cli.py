@@ -92,6 +92,10 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0)  # numpy seeds are nonnegative
+
+
 def _design_ports(text: str) -> int:
     """No design solver answers for fewer than two ports."""
     return _int_at_least(text, 2)
@@ -136,8 +140,20 @@ _SWEEP_HELP = ("start:stop:step; a negative start needs the = form, "
                "e.g. --sweep-snr-db=-20:10:1")
 
 
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    """The fixed point and the one swept variable of a sweep command."""
+    parser.add_argument("--n-ports", type=_positive_int, default=10)
+    parser.add_argument("--size-wl", type=_positive_float, default=0.5)
+    parser.add_argument("--snr-db", type=_finite_float, default=0.0)
+    parser.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
+    for flag, kind in (("--sweep-n", _int_range), ("--sweep-w", _float_range),
+                       ("--sweep-snr-db", _float_range)):
+        parser.add_argument(flag, type=kind, default=None, metavar="A:B:S",
+                            help=_SWEEP_HELP)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_seed, default=42)
     parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
@@ -172,16 +188,11 @@ def _sweep_points(args, parser) -> tuple[str, list]:
 
 
 def _sweep_config(variable: str, value, args) -> FasConfig:
-    n = args.n_ports
-    w = args.size_wl
-    x = analytic.db_to_linear(args.snr_db)
-    if variable == "n_ports":
-        n = int(value)
-    elif variable == "size_wl":
-        w = float(value)
-    else:
-        x = analytic.db_to_linear(float(value))
-    return FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=x)
+    point = {"n_ports": args.n_ports, "size_wl": args.size_wl,
+             "snr_db": args.snr_db, variable: value}
+    return FasConfig(n_ports=int(point["n_ports"]),
+                     size_wavelengths=float(point["size_wl"]),
+                     snr_ratio=analytic.db_to_linear(float(point["snr_db"])))
 
 
 def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
@@ -360,33 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("outage-curve", help="exact/approx/bound outage sweep")
-    p.add_argument("--n-ports", type=_positive_int, default=10)
-    p.add_argument("--size-wl", type=_positive_float, default=0.5)
-    p.add_argument("--snr-db", type=_finite_float, default=0.0)
-    p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
+    _add_sweep(p)
     p.add_argument("--trials", type=_trials, default=0,
                    help="MC trials per point, >= 1000 (0 disables MC)")
-    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
-                   help=_SWEEP_HELP)
-    p.add_argument("--sweep-w", type=_float_range, default=None, metavar="A:B:S",
-                   help=_SWEEP_HELP)
-    p.add_argument("--sweep-snr-db", type=_float_range, default=None, metavar="A:B:S",
-                   help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_outage_curve)
 
     p = sub.add_parser("bounds-compare", help="sweep with MRC reference levels")
-    p.add_argument("--n-ports", type=_positive_int, default=10)
-    p.add_argument("--size-wl", type=_positive_float, default=0.5)
-    p.add_argument("--snr-db", type=_finite_float, default=0.0)
-    p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
+    _add_sweep(p)
     p.add_argument("--mrc-l", type=_mrc_list, default=[2, 5, 8])
-    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
-                   help=_SWEEP_HELP)
-    p.add_argument("--sweep-w", type=_float_range, default=None, metavar="A:B:S",
-                   help=_SWEEP_HELP)
-    p.add_argument("--sweep-snr-db", type=_float_range, default=None, metavar="A:B:S",
-                   help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_bounds_compare)
 
@@ -404,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envelope", help="time-selective fading trace CSV")
     p.add_argument("--n-ports", type=_positive_int, default=100)
     p.add_argument("--size-wl", type=_positive_float, default=2.0)
-    p.add_argument("--freq-ghz", type=float, default=5.0)
-    p.add_argument("--speed-kmh", type=float, default=30.0)
-    p.add_argument("--duration-s", type=float, default=10.0)
-    p.add_argument("--rate-hz", type=float, default=1000.0)
-    p.add_argument("--scatterers", type=int, default=64)
+    p.add_argument("--freq-ghz", type=_positive_float, default=5.0)
+    p.add_argument("--speed-kmh", type=_finite_float, default=30.0)
+    p.add_argument("--duration-s", type=_positive_float, default=10.0)
+    p.add_argument("--rate-hz", type=_positive_float, default=1000.0)
+    p.add_argument("--scatterers", type=_positive_int, default=64)
     p.add_argument("--mrc-l", type=_positive_int, default=2)
     _add_common(p)
     p.set_defaults(func=cmd_envelope)
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the cross-validation suite")
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
     p.add_argument("--trials", type=_mc_trials, default=200_000)
-    p.add_argument("--quad-abs-tol", type=float, default=1e-10)
+    p.add_argument("--quad-abs-tol", type=_positive_float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 

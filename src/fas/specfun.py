@@ -1,8 +1,8 @@
 """Special functions underpinning the outage analysis.
 
-Provides J0/I0 kernels, the first-order Marcum Q-function, its antisymmetric
-difference, the Gaussian tail Q, and the envelope inverse of J0 (smallest
-argument beyond which |J0| stays at or below a target level).
+Provides J0/I0 kernels, the first-order Marcum Q-function, the Gaussian
+tail Q, and the envelope inverse of J0 (smallest argument beyond which |J0|
+stays at or below a target level).
 
 All functions are pure.  The only module state is a grow-only table of
 J0/J1 zeros, which caches values and changes no result.  The Marcum Q
@@ -101,15 +101,6 @@ def marcum_q1(a: float, b: float) -> float:
     gap = a - b
     cross = _i0e(a * b) * math.exp(-0.5 * gap * gap) if gap < _GAP_CUTOFF else 0.0
     return min(1.0, 1.0 - _q1_upper(b, a) + float(cross))
-
-
-def delta_q1(alpha: float, beta: float) -> float:
-    """Q1(alpha, beta) - Q1(beta, alpha); antisymmetric, zero on the diagonal."""
-    alpha = _check_finite(alpha, "alpha")
-    beta = _check_finite(beta, "beta")
-    if alpha == beta:
-        return 0.0
-    return marcum_q1(alpha, beta) - marcum_q1(beta, alpha)
 
 
 # First zeros of J0 and J1, grown on demand.  jn_zeros(k, n) is a

@@ -8,10 +8,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from . import __version__, analytic, bounds, mc
 from .channel import FasConfig
 from .specfun import marcum_q1
+
+# Chance that mc_vs_exact fails a correct estimator, over its whole grid.
+MC_FAMILY_LEVEL = 1e-6
 
 GRID_PRESETS = {
     "quick": {"n": (1, 2, 3, 5), "w": (0.5, 2.0), "x": (1.0,)},
@@ -105,16 +109,22 @@ def check_mc_vs_exact(settings: ValidationSettings) -> dict:
     q = analytic.QuadratureSettings(abs_tol=settings.quad_abs_tol)
     mc_settings = mc.McSettings(trials=settings.trials, seed=settings.seed,
                                 workers=settings.workers)
+    configs = _grid_configs(settings.grid)
+    # Sidak: the per-point two-sided level that holds the chance of any
+    # false alarm over the grid at MC_FAMILY_LEVEL, correlated or not
+    per_point = -math.expm1(math.log1p(-MC_FAMILY_LEVEL) / len(configs))
+    z_max = float(-special.ndtri(0.5 * per_point))
     failures = []
-    for config in _grid_configs(settings.grid):
+    for config in configs:
         exact = analytic.outage_exact(config, q)
         est = mc.mc_outage_fas(config, mc_settings)
         se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / settings.trials)
-        if abs(est.p_hat - exact) > 3.0 * se:
+        if abs(est.p_hat - exact) > z_max * se:
             failures.append({"n": config.n_ports, "w": config.size_wavelengths,
                              "x": config.snr_ratio,
                              "exact": repr(exact), "mc": repr(est.p_hat)})
-    return {"pass": not failures, "mismatches": failures}
+    return {"pass": not failures, "mismatches": failures,
+            "family_level": repr(MC_FAMILY_LEVEL), "z_threshold": repr(z_max)}
 
 
 def check_bound_ordering(settings: ValidationSettings) -> dict:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from fas.analytic import (DEFAULT_QUADRATURE, QuadratureError,
-                          QuadratureSettings, _port_cdf_product, _quad,
-                          db_to_linear, joint_cdf, joint_pdf, outage_approx,
-                          outage_approx_profile, outage_exact,
-                          outage_exact_profile, outage_mrc,
+                          QuadratureSettings, _marcum_difference,
+                          _port_cdf_product, _quad, db_to_linear, joint_cdf,
+                          joint_pdf, outage_approx, outage_approx_profile,
+                          outage_exact, outage_exact_profile, outage_mrc,
                           outage_n2_closed_form)
-from fas.channel import CorrelationProfile, FasConfig, correlation_profile
+from fas.channel import (DEGENERATE_MU, CorrelationProfile, FasConfig,
+                         correlation_profile)
 from fas.mc import McSettings, mc_outage_fas
 from fas.specfun import marcum_q1
 
@@ -151,11 +152,15 @@ class TestOutageExact:
         want = outage_exact_profile(base, 1.0)
         assert abs(got - want) < 1e-6
 
-    @pytest.mark.parametrize("bad", [math.nan, 1.5, -1.5])
-    def test_rejects_invalid_port_instead_of_dropping_it(self, bad):
+    @pytest.mark.parametrize("outage, bad", [
+        pytest.param(outage, bad, id=prefix + str(bad))
+        for prefix, outage in (("", outage_exact_profile),
+                               ("approx-", outage_approx_profile))
+        for bad in (math.nan, 1.5, -1.5)])
+    def test_rejects_invalid_port_instead_of_dropping_it(self, outage, bad):
         # neither NaN nor |mu| > 1 may pass for a degenerate port
         with pytest.raises(ValueError):
-            outage_exact_profile([0.0, bad, 0.5], 1.0)
+            outage([0.0, bad, 0.5], 1.0)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.filterwarnings("ignore:The maximum number of subdivisions")
@@ -197,6 +202,90 @@ class TestOutageN2ClosedForm:
     def test_rejects_unit_mu(self):
         with pytest.raises(ValueError):
             outage_n2_closed_form(1.0, 1.0)
+
+    @pytest.mark.parametrize("x, rel", [(1e-8, 1e-7), (1e-6, 1e-9)])
+    def test_small_snr_relative_accuracy(self, x, rel):
+        # both terms of each Marcum difference are cdfs, so the difference
+        # keeps its digits as x -> 0, where the outage is O(x^2)
+        tight = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
+        for mu2 in (0.3, -0.6, 0.9):
+            exact = outage_exact_profile([0.0, mu2], x, tight)
+            assert outage_n2_closed_form(mu2, x) == pytest.approx(
+                exact, rel=rel, abs=0.0)
+
+
+class TestMarcumDifference:
+    """Q1(a, b) - Q1(b, a), the one kernel of the approximation and of the
+    N = 2 closed form."""
+
+    def test_diagonal_is_zero(self):
+        for s in (0.0, 0.25, 9.0, 400.0):
+            assert _marcum_difference(np.array(s), np.array(s)) == 0.0
+        # a fully correlated port (a = b) adds nothing to the approximation
+        for x in (0.5, 3.0, 20.0):
+            assert outage_approx_profile([0.0, 0.4, 1.0, -1.0], x) == \
+                outage_approx_profile([0.0, 0.4], x)
+
+    def test_antisymmetry(self):
+        rng = np.random.default_rng(3)
+        a2, b2 = rng.uniform(0.0, 100.0, (2, 50))
+        assert np.array_equal(_marcum_difference(a2, b2),
+                              -_marcum_difference(b2, a2))
+
+    def test_independent_port_special_case(self):
+        # mu = 0: Q1(sqrt(2x), 0) - Q1(0, sqrt(2x)) = 1 - e^-x
+        for x in (0.3, 10.0):
+            want = (-math.expm1(-x)) ** 2
+            assert outage_n2_closed_form(0.0, x) == pytest.approx(
+                want, rel=1e-14, abs=0.0)
+
+    def test_against_quadrature_oracle(self):
+        # mu = 0.5 at x = 1.5 gives a = 2, b = 1
+        delta = reference.marcum_q1_quad(2, 1) - reference.marcum_q1_quad(1, 2)
+        assert 0.0 < delta < 1.0
+        want = 1.0 - math.exp(-1.5) * (1.0 + delta)
+        assert outage_n2_closed_form(0.5, 1.5) == pytest.approx(want,
+                                                                abs=1e-12)
+
+    def test_finite_below_x_40(self):
+        # chndtr's NaN rule is never needed on the non-degenerate domain
+        # for x <= 40, where e^-x is still above 4e-18
+        x = np.logspace(-3.0, math.log10(40.0), 60)[:, None]
+        one_minus = np.logspace(math.log10(2e-9), 0.0, 120)
+        a2 = 2.0 * x / one_minus
+        b2 = (1.0 - one_minus) * a2
+        assert np.all(np.isfinite(_marcum_difference(a2, b2)))
+
+    @pytest.mark.parametrize("x", [50.0, 100.0, 745.0, 1e3, 1e300])
+    def test_large_snr_matches_marcum_loop(self, x):
+        mu = [0.0, 0.5, -0.999, 0.999999, 1.0 - 1e-8, -(1.0 - 2e-9),
+              DEGENERATE_MU]
+        if x == 1e300:
+            mu = mu[:5]  # the loop's a^2 overflows closer to |mu| = 1
+        assert outage_approx_profile(mu, x) == pytest.approx(
+            reference.outage_approx_marcum(mu, x), abs=1e-15)
+        # a port the kernel cannot evaluate has a negligible term
+        mu = np.asarray(mu[1:])
+        a2 = 2.0 * x / (1.0 - mu ** 2)
+        lost = ~np.isfinite(_marcum_difference(a2, mu ** 2 * a2))
+        for m in mu[lost]:
+            assert reference.outage_approx_marcum([0.0, m], x) == 1.0
+
+    def test_matches_marcum_loop_on_curve_points(self):
+        for n in (5, 20, 100):
+            for w in (0.5, 1.0, 5.0):
+                mu = correlation_profile(FasConfig(n, w, 1.0)).mu
+                for x in (0.01, 1.0, 10.0):
+                    assert outage_approx_profile(mu, x) == pytest.approx(
+                        reference.outage_approx_marcum(mu, x), abs=1e-13)
+
+    def test_rejects_nan_snr(self):
+        for outage in (lambda x: outage_approx_profile([0.0, 0.5], x),
+                       lambda x: outage_n2_closed_form(0.5, x)):
+            with pytest.raises(ValueError):
+                outage(math.nan)
+            with pytest.raises(ValueError):
+                outage(0.0)
 
 
 class TestOutageApprox:

@@ -183,6 +183,16 @@ class TestDopplerTraceConfig:
             DopplerTraceConfig(speed_mps=1.0, carrier_hz=5e9, duration_s=1.0,
                                sample_rate_hz=1000.0, n_scatterers=4)
 
+    @pytest.mark.parametrize("field", ["speed_mps", "carrier_hz", "duration_s",
+                                       "sample_rate_hz"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_nan_infinite_and_negative_values(self, field, bad):
+        values = dict(speed_mps=1.0, carrier_hz=5e9, duration_s=1.0,
+                      sample_rate_hz=1000.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            DopplerTraceConfig(**values)
+
 
 class TestEnvelopeTrace:
     def test_zero_speed_is_static(self):

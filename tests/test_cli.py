@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from fas.analytic import db_to_linear, outage_mrc
-from fas.cli import main
+from fas.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -66,12 +67,38 @@ class TestArgumentHandling:
         ["design", "--n-ports", "0"],
         ["design", "--n-ports=-5"],
         ["design", "--n-ports", "1"],
+        ["envelope", "--speed-kmh", "nan"],
+        ["envelope", "--speed-kmh=-1"],
+        ["envelope", "--freq-ghz", "inf"],
+        ["envelope", "--duration-s", "nan"],
+        ["envelope", "--rate-hz", "0"],
+        ["envelope", "--scatterers", "0"],
+        ["validate", "--quad-abs-tol", "0"],
+        ["validate", "--quad-abs-tol", "nan"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--seed=-1"],
+        ["bounds-compare", "--sweep-n", "1:3:1", "--seed=-1"],
+        ["design", "--n-ports", "10", "--seed=-1"],
+        ["envelope", "--seed=-1"],
+        ["validate", "--seed=-1"],
     ])
     def test_out_of_range_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+
+def test_no_option_parses_with_bare_float_or_int():
+    # a bare float accepts nan and inf, a bare int any sign: every numeric
+    # option needs a checking type so that bad values are usage errors
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    bare = [(sub.prog, action.dest)
+            for sub in (parser, *subparsers.choices.values())
+            for action in sub._actions if action.type in (float, int)]
+    assert len(subparsers.choices) == 5
+    assert bare == []
 
 
 class TestOutputSinks:

