@@ -134,8 +134,8 @@ def joint_cdf(profile: CorrelationProfile, r: Sequence[float],
 def outage_exact_profile(mu: Sequence[float], snr_ratio: float,
                          q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Exact selection outage for an explicit correlation profile."""
-    if snr_ratio <= 0:
-        raise ValueError("snr_ratio must be positive")
+    if not snr_ratio > 0:
+        raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")
     x = float(snr_ratio)
     return _cdf_integral(active_mu(mu), x, x, q)
 
@@ -190,6 +190,6 @@ def outage_mrc(branches: int, snr_ratio: float) -> float:
     fading: the regularized lower incomplete gamma P(L, x)."""
     if int(branches) != branches or branches < 1:
         raise ValueError(f"branches must be an integer >= 1, got {branches}")
-    if snr_ratio <= 0:
-        raise ValueError("snr_ratio must be positive")
+    if not snr_ratio > 0:
+        raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")
     return float(sp.gammainc(branches, snr_ratio))

@@ -182,16 +182,30 @@ class EnvelopeTrace:
 
 _ENV_FLOOR = 1e-150  # keeps log10 finite on astronomically deep fades
 
+_SOS_BLOCK = 128  # samples per block of the sum-of-sinusoids product
 
-def _sos_process(rng: np.random.Generator, f_m: float, t: np.ndarray,
-                 n_scatterers: int) -> np.ndarray:
-    """Sum-of-sinusoids Gaussian process, variance 1/2, Jakes spectrum."""
+
+def _sos_process(rng: np.random.Generator, f_m: float, n_samples: int,
+                 sample_rate_hz: float, n_scatterers: int) -> np.ndarray:
+    """Sum-of-sinusoids Gaussian process, variance 1/2, Jakes spectrum,
+    sampled at t_n = n / sample_rate_hz for n < n_samples.
+
+    With t = (kB + b) / f_s, sum_m cos(w_m t + p_m) is the real part of a
+    (blocks x scatterers) @ (scatterers x B) complex product of
+    e^{i w_m kB/f_s} and e^{i (w_m b/f_s + p_m)}: M cosines per block, not
+    M * B.  Each block start is taken from kB/f_s directly, not by repeated
+    multiplication by a rotation, so rounding does not accumulate from block
+    to block.
+    """
     theta = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
     phase = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
     freqs = 2.0 * np.pi * f_m * np.cos(theta)
-    out = np.zeros_like(t)
-    for w, p in zip(freqs, phase):
-        out += np.cos(w * t + p)
+    n_blocks = -(-n_samples // _SOS_BLOCK)
+    starts = np.arange(n_blocks) * _SOS_BLOCK / sample_rate_hz
+    offsets = np.arange(_SOS_BLOCK) / sample_rate_hz
+    head = np.exp(1j * np.outer(starts, freqs))
+    tail = np.exp(1j * (np.outer(freqs, offsets) + phase[:, None]))
+    out = (head @ tail).real.ravel()[:n_samples]
     return out / np.sqrt(n_scatterers)
 
 
@@ -205,19 +219,23 @@ def envelope_trace(config: FasConfig, doppler: DopplerTraceConfig,
     """
     profile = correlation_profile(config)
     f_m = doppler.max_doppler_hz
-    n_samples = int(round(doppler.duration_s * doppler.sample_rate_hz))
-    t = np.arange(n_samples) / doppler.sample_rate_hz
+    fs = doppler.sample_rate_hz
+    n_samples = int(round(doppler.duration_s * fs))
+    t = np.arange(n_samples) / fs
     m = doppler.n_scatterers
 
-    x0 = _sos_process(rng, f_m, t, m)
-    y0 = _sos_process(rng, f_m, t, m)
+    def process():
+        return _sos_process(rng, f_m, n_samples, fs, m)
+
+    x0 = process()
+    y0 = process()
     mu = profile.mu
     gains = np.empty((n_samples, mu.size), dtype=complex)
     gains[:, 0] = x0 + 1j * y0
     for k in range(1, mu.size):
         root = np.sqrt(1.0 - mu[k] ** 2)
-        xk = _sos_process(rng, f_m, t, m)
-        yk = _sos_process(rng, f_m, t, m)
+        xk = process()
+        yk = process()
         gains[:, k] = (root * xk + mu[k] * x0) + 1j * (root * yk + mu[k] * y0)
 
     env = np.maximum(np.abs(gains), _ENV_FLOOR)
@@ -226,8 +244,8 @@ def envelope_trace(config: FasConfig, doppler: DopplerTraceConfig,
 
     mrc_sq = np.zeros(n_samples)
     for _ in range(mrc_branches):
-        hx = _sos_process(rng, f_m, t, m)
-        hy = _sos_process(rng, f_m, t, m)
+        hx = process()
+        hy = process()
         mrc_sq += hx ** 2 + hy ** 2
     mrc_db = 10.0 * np.log10(np.maximum(mrc_sq, _ENV_FLOOR ** 2))
 

@@ -32,11 +32,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: TextIO, comments: list[str], header: list[str],
-               rows: list[list]) -> None:
+def _write_head(out: TextIO, comments: list[str], header: list[str]) -> None:
     for line in comments:
         out.write(f"# {line}\n")
     out.write(",".join(header) + "\n")
+
+
+def _write_csv(out: TextIO, comments: list[str], header: list[str],
+               rows: list[list]) -> None:
+    _write_head(out, comments, header)
     for row in rows:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -338,17 +342,18 @@ def cmd_envelope(args, parser) -> int:
     trace = envelope_trace(config, doppler, rng, mrc_branches=args.mrc_l)
     header = ["t_norm"] + [f"port_{k + 1}_db" for k in range(args.n_ports)]
     header += ["fas_db", "mrc_db"]
-    rows = [
-        [trace.t_norm[i], *trace.port_db[i], trace.fas_db[i], trace.mrc_db[i]]
-        for i in range(trace.t_norm.size)
-    ]
+    table = np.column_stack([trace.t_norm, trace.port_db, trace.fas_db,
+                             trace.mrc_db])
     with _output(args.out) as out:
-        _write_csv(out, [
+        _write_head(out, [
             f"fas {__version__} envelope trace",
             f"n_ports={args.n_ports} size_wl={args.size_wl} freq_ghz={args.freq_ghz} "
             f"speed_kmh={args.speed_kmh} rate_hz={args.rate_hz} mrc_l={args.mrc_l}",
             f"seed={args.seed}",
-        ], header, rows)
+        ], header)
+        # repr of a Python float is _fmt's shortest round-trip text
+        for row in table:
+            out.write(",".join(map(repr, row.tolist())) + "\n")
     return 0
 
 
@@ -375,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_trials, default=0,
                    help="MC trials per point, >= 1000 (0 disables MC)")
     _add_common(p)
-    p.set_defaults(func=cmd_outage_curve)
+    p.set_defaults(func=cmd_outage_curve, parser=p)
 
     p = sub.add_parser("bounds-compare", help="sweep with MRC reference levels")
     _add_sweep(p)
     p.add_argument("--mrc-l", type=_mrc_list, default=[2, 5, 8])
     _add_common(p)
-    p.set_defaults(func=cmd_bounds_compare)
+    p.set_defaults(func=cmd_bounds_compare, parser=p)
 
     p = sub.add_parser("design", help="minimum N / minimum size solvers")
     p.add_argument("--mrc-l", type=_positive_int, default=2)
@@ -392,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
                    help=_SWEEP_HELP)
     _add_common(p)
-    p.set_defaults(func=cmd_design)
+    p.set_defaults(func=cmd_design, parser=p)
 
     p = sub.add_parser("envelope", help="time-selective fading trace CSV")
     p.add_argument("--n-ports", type=_positive_int, default=100)
@@ -404,22 +409,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scatterers", type=_positive_int, default=64)
     p.add_argument("--mrc-l", type=_positive_int, default=2)
     _add_common(p)
-    p.set_defaults(func=cmd_envelope)
+    p.set_defaults(func=cmd_envelope, parser=p)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
     p.add_argument("--trials", type=_mc_trials, default=200_000)
     p.add_argument("--quad-abs-tol", type=_positive_float, default=1e-10)
     _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, parser=p)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    # the subcommand's own parser, so that usage errors name the subcommand
+    return args.func(args, args.parser)
 
 
 def entrypoint() -> None:  # pragma: no cover - console script shim

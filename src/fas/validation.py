@@ -32,6 +32,21 @@ class ValidationSettings:
     workers: int = 1
     quad_abs_tol: float = 1e-10
 
+    def __post_init__(self):
+        if self.grid not in GRID_PRESETS:
+            raise ValueError(f"grid must be one of {sorted(GRID_PRESETS)}, "
+                             f"got {self.grid!r}")
+        if not self.trials >= mc.MIN_TRIALS:
+            raise ValueError(f"trials must be >= {mc.MIN_TRIALS}, got {self.trials}")
+        if not self.workers >= 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # a NaN tolerance never stops adaptive_simpson's bisection
+        if not (0 < self.quad_abs_tol < math.inf):
+            raise ValueError("quad_abs_tol must be finite and > 0, "
+                             f"got {self.quad_abs_tol}")
+
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      abs_tol: float, max_depth: int = 30) -> float:

@@ -259,3 +259,18 @@ def outage_approx_marcum(mu, x: float) -> float:
         if alpha != beta:
             total += marcum_q1(alpha, beta) - marcum_q1(beta, alpha)
     return 1.0 - base - base * total
+
+
+def sos_process_loop(rng, f_m: float, n_samples: int, sample_rate_hz: float,
+                     n_scatterers: int) -> np.ndarray:
+    """The sum-of-sinusoids process as the package evaluated it before its
+    blocked matmul: one pass of n_samples cosines per scatterer, drawing
+    every theta and then every phase, as `fas.channel._sos_process` does."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
+    phase = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
+    freqs = 2.0 * np.pi * f_m * np.cos(theta)
+    t = np.arange(n_samples) / sample_rate_hz
+    out = np.zeros_like(t)
+    for w, p in zip(freqs, phase):
+        out += np.cos(w * t + p)
+    return out / np.sqrt(n_scatterers)

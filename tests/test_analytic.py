@@ -178,6 +178,11 @@ class TestOutageExact:
         with pytest.raises(ValueError):
             outage_exact_profile([0.0, 0.5], 0.0)
 
+    def test_rejects_nan_snr(self):
+        # a `<= 0` check lets NaN through to the quadrature
+        with pytest.raises(ValueError, match="snr_ratio must be positive"):
+            outage_exact_profile([0.0, 0.5], math.nan)
+
 
 class TestOutageN2ClosedForm:
     def test_independent_ports(self):
@@ -342,6 +347,11 @@ class TestOutageMrc:
             outage_mrc(0, 1.0)
         with pytest.raises(ValueError):
             outage_mrc(2, 0.0)
+
+    def test_rejects_nan_snr(self):
+        # a `<= 0` check lets NaN through, and gammainc returns NaN
+        with pytest.raises(ValueError, match="snr_ratio must be positive"):
+            outage_mrc(2, math.nan)
 
 
 class TestPortCdfKernel:

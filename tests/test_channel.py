@@ -5,6 +5,7 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
+from fas import channel
 from fas.channel import (CorrelationProfile, DopplerTraceConfig, FasConfig,
                          correlation_discrepancy, correlation_profile,
                          draw_channels_batch, envelope_trace,
@@ -239,3 +240,52 @@ class TestEnvelopeTrace:
                                sample_rate_hz=500.0)
         trace = envelope_trace(c, d, rng(11))
         assert np.array_equal(trace.fas_db, trace.port_db.max(axis=1))
+
+
+def plain_state(generator):
+    """The generator's bit_generator.state with its arrays as lists, so two
+    states compare with ==."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(generator.bit_generator.state)
+
+
+class TestSosKernel:
+    """The blocked-matmul sum of sinusoids against the per-scatterer loop it
+    replaced (`reference.sos_process_loop`)."""
+
+    @pytest.mark.parametrize("n_samples", [
+        0, 1, 5, channel._SOS_BLOCK - 1, channel._SOS_BLOCK,
+        channel._SOS_BLOCK + 1, 7 * channel._SOS_BLOCK + 33])
+    def test_matches_loop_at_any_sample_count(self, n_samples):
+        fast_rng, loop_rng = rng(3), rng(3)
+        got = channel._sos_process(fast_rng, 139.0, n_samples, 1000.0, 16)
+        want = reference.sos_process_loop(loop_rng, 139.0, n_samples, 1000.0,
+                                          16)
+        assert got.shape == want.shape == (n_samples,)
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+        assert plain_state(fast_rng) == plain_state(loop_rng)
+
+    @pytest.mark.parametrize("n_ports, duration_s, scatterers", [
+        (100, 10.0, 64),   # the CLI's default trace: 10,000 samples
+        (4, 60.0, 16),     # 60,000 samples: still within 1e-10 at the end
+        (3, 0.3005, 16),   # 301 samples, not a multiple of the block
+        (3, 0.05, 16),     # 50 samples, shorter than one block
+    ])
+    def test_trace_matches_loop_and_rng_consumption(self, monkeypatch,
+                                                    n_ports, duration_s,
+                                                    scatterers):
+        c = FasConfig(n_ports=n_ports, size_wavelengths=2.0, snr_ratio=1.0)
+        d = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
+                               duration_s=duration_s, sample_rate_hz=1000.0,
+                               n_scatterers=scatterers)
+        fast_rng, loop_rng = rng(7), rng(7)
+        fast = envelope_trace(c, d, fast_rng)
+        monkeypatch.setattr(channel, "_sos_process", reference.sos_process_loop)
+        loop = envelope_trace(c, d, loop_rng)
+        n_samples = int(round(duration_s * 1000.0))
+        assert fast.gains.shape == loop.gains.shape == (n_samples, n_ports)
+        assert np.max(np.abs(fast.gains - loop.gains)) < 1e-10
+        assert plain_state(fast_rng) == plain_state(loop_rng)

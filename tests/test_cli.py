@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fas import __version__
 from fas.analytic import db_to_linear, outage_mrc
+from fas.channel import DopplerTraceConfig, FasConfig, envelope_trace
 from fas.cli import build_parser, main
 
 
@@ -86,6 +88,25 @@ class TestArgumentHandling:
             main(argv)
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, prog", [
+        (["envelope", "--scatterers", "4"], "fas envelope"),
+        (["envelope", "--speed-kmh=-1"], "fas envelope"),
+        (["envelope", "--rate-hz", "10"], "fas envelope"),
+        (["outage-curve", "--sweep-n", "1:3:1", "--sweep-w", "1:2:1"],
+         "fas outage-curve"),
+        (["bounds-compare"], "fas bounds-compare"),
+        (["design"], "fas design"),
+    ])
+    def test_command_error_names_its_subcommand(self, argv, prog, capsys):
+        # errors raised after parsing name the subcommand and show its usage
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{prog}: error:" in err
+        assert err.startswith(f"usage: {prog} ")
 
 
 def test_no_option_parses_with_bare_float_or_int():
@@ -258,6 +279,36 @@ class TestEnvelope:
         for row in rows[:20]:
             ports = [float(v) for v in row[1:6]]
             assert float(row[6]) == pytest.approx(max(ports), abs=1e-12)
+
+    def test_cells_are_shortest_round_trip_of_trace(self, tmp_path, capsys):
+        argv = ["envelope", "--n-ports", "3", "--size-wl", "1.5",
+                "--duration-s", "0.3", "--rate-hz", "500", "--scatterers", "16",
+                "--seed", "5"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        config = FasConfig(n_ports=3, size_wavelengths=1.5, snr_ratio=1.0)
+        doppler = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
+                                     duration_s=0.3, sample_rate_hz=500.0,
+                                     n_scatterers=16)
+        trace = envelope_trace(config, doppler,
+                               np.random.Generator(np.random.Philox(5)))
+        want = np.column_stack([trace.t_norm, trace.port_db, trace.fas_db,
+                                trace.mrc_db])
+        lines = out.splitlines()
+        assert lines[:4] == [
+            f"# fas {__version__} envelope trace",
+            "# n_ports=3 size_wl=1.5 freq_ghz=5.0 speed_kmh=30.0 "
+            "rate_hz=500.0 mrc_l=2",
+            "# seed=5",
+            "t_norm,port_1_db,port_2_db,port_3_db,fas_db,mrc_db",
+        ]
+        cells = [line.split(",") for line in lines[4:]]
+        assert len(cells) == 150
+        assert cells == [[repr(float(v)) for v in row] for row in want]
+        path = tmp_path / "trace.csv"
+        path.write_text(out)
+        got = np.loadtxt(path, delimiter=",", skiprows=4)
+        assert np.array_equal(got, want)
 
     def test_nyquist_violation_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -30,6 +30,28 @@ class TestAdaptiveSimpson:
         assert abs(loose - tight) > 1e-4
 
 
+class TestValidationSettings:
+    @pytest.mark.parametrize("field, bad", [
+        ("grid", "huge"),
+        ("trials", mc.MIN_TRIALS - 1),
+        ("trials", math.nan),
+        ("workers", 0),
+        ("seed", -1),
+        ("quad_abs_tol", 0.0),
+        ("quad_abs_tol", -1e-10),
+        ("quad_abs_tol", math.nan),
+        ("quad_abs_tol", math.inf),
+    ])
+    def test_rejects_invalid_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ValidationSettings(**{field: bad})
+
+    def test_accepts_smallest_valid_values(self):
+        s = ValidationSettings(grid="full", trials=mc.MIN_TRIALS, workers=1,
+                               seed=0, quad_abs_tol=10.0)
+        assert s.trials == mc.MIN_TRIALS
+
+
 class TestChecks:
     def settings(self):
         return ValidationSettings(grid="quick", trials=50_000, seed=42)
