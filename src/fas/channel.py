@@ -155,6 +155,10 @@ class DopplerTraceConfig:
                              "be finite and > 0")
         if self.n_scatterers < 8:
             raise ValueError("n_scatterers must be >= 8")
+        samples = self.duration_s * self.sample_rate_hz
+        if not (samples < np.inf and self.n_samples >= 1):
+            raise ValueError("duration_s * sample_rate_hz must be finite and "
+                             f">= 1 sample once rounded, got {samples!r}")
         if self.sample_rate_hz <= 2.0 * self.max_doppler_hz:
             raise ValueError(
                 f"sample_rate_hz={self.sample_rate_hz} violates Nyquist for "
@@ -167,6 +171,10 @@ class DopplerTraceConfig:
     @property
     def max_doppler_hz(self) -> float:
         return self.speed_mps / self.wavelength_m
+
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.duration_s * self.sample_rate_hz))
 
 
 @dataclass(frozen=True)
@@ -220,7 +228,7 @@ def envelope_trace(config: FasConfig, doppler: DopplerTraceConfig,
     profile = correlation_profile(config)
     f_m = doppler.max_doppler_hz
     fs = doppler.sample_rate_hz
-    n_samples = int(round(doppler.duration_s * fs))
+    n_samples = doppler.n_samples
     t = np.arange(n_samples) / fs
     m = doppler.n_scatterers
 

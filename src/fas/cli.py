@@ -45,75 +45,53 @@ def _write_csv(out: TextIO, comments: list[str], header: list[str],
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _parse_range(text: str, integer: bool):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-    try:
-        if integer:
-            start, stop, step = (int(p) for p in parts)
-        else:
-            start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("need start <= stop and step > 0")
-    if integer:
-        return list(range(start, stop + 1, step))
-    values = np.arange(start, stop + step * 0.5, step)
-    return [float(v) for v in values]
+def _parse_range(kind: type):
+    """Type for a start:stop:step flag: the ascending list of `kind` values."""
+    def start_stop_step(text: str) -> list:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(
+                f"expected start:stop:step, got {text!r}")
+        try:
+            start, stop, step = (kind(p) for p in parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if step <= 0 or stop < start:
+            raise argparse.ArgumentTypeError("need start <= stop and step > 0")
+        if kind is int:
+            return list(range(start, stop + 1, step))
+        values = np.arange(start, stop + step * 0.5, step)
+        if not values.size:  # stop + step / 2 rounds back to start
+            raise argparse.ArgumentTypeError("sweep value list is empty")
+        return [float(v) for v in values]
+    return start_stop_step
 
 
-def _int_range(text: str):
-    return _parse_range(text, integer=True)
-
-
-def _float_range(text: str):
-    return _parse_range(text, integer=False)
+def _int_at_least(minimum: int):
+    """Type for an integer flag whose value must be >= minimum."""
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _mrc_list(text: str):
-    try:
-        values = [int(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if not values or any(v < 1 for v in values):
+    values = [_int_at_least(1)(p) for p in text.split(",") if p]
+    if not values:
         raise argparse.ArgumentTypeError("branch counts must be integers >= 1")
     return values
 
 
-def _int_at_least(text: str, minimum: int) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _seed(text: str) -> int:
-    return _int_at_least(text, 0)  # numpy seeds are nonnegative
-
-
-def _design_ports(text: str) -> int:
-    """No design solver answers for fewer than two ports."""
-    return _int_at_least(text, 2)
-
-
-def _mc_trials(text: str) -> int:
-    return _int_at_least(text, mc.MIN_TRIALS)
-
-
 def _trials(text: str) -> int:
     """0 disables Monte Carlo; any other count must meet McSettings' floor."""
-    if _int_at_least(text, 0) == 0:
+    if _int_at_least(0)(text) == 0:
         return 0
-    return _mc_trials(text)
+    return _int_at_least(mc.MIN_TRIALS)(text)
 
 
 def _finite_float(text: str) -> float:
@@ -146,19 +124,21 @@ _SWEEP_HELP = ("start:stop:step; a negative start needs the = form, "
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
     """The fixed point and the one swept variable of a sweep command."""
-    parser.add_argument("--n-ports", type=_positive_int, default=10)
+    parser.add_argument("--n-ports", type=_int_at_least(1), default=10)
     parser.add_argument("--size-wl", type=_positive_float, default=0.5)
     parser.add_argument("--snr-db", type=_finite_float, default=0.0)
     parser.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
-    for flag, kind in (("--sweep-n", _int_range), ("--sweep-w", _float_range),
-                       ("--sweep-snr-db", _float_range)):
-        parser.add_argument(flag, type=kind, default=None, metavar="A:B:S",
-                            help=_SWEEP_HELP)
+    sweep = parser.add_mutually_exclusive_group(required=True)
+    for flag, kind in (("--sweep-n", int), ("--sweep-w", float),
+                       ("--sweep-snr-db", float)):
+        sweep.add_argument(flag, type=_parse_range(kind), metavar="A:B:S",
+                           help=_SWEEP_HELP)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed, default=42)
-    parser.add_argument("--workers", type=_positive_int, default=1)
+    # numpy seeds are nonnegative
+    parser.add_argument("--seed", type=_int_at_least(0), default=42)
+    parser.add_argument("--workers", type=_int_at_least(1), default=1)
     parser.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
 
@@ -175,14 +155,10 @@ def _output(path: Optional[str]):
 
 
 def _sweep_points(args, parser) -> tuple[str, list]:
-    chosen = [(name, values) for name, values in
-              [("n_ports", args.sweep_n), ("size_wl", args.sweep_w),
-               ("snr_db", args.sweep_snr_db)] if values is not None]
-    if len(chosen) != 1:
-        parser.error("exactly one of --sweep-n / --sweep-w / --sweep-snr-db is required")
-    name, values = chosen[0]
-    if not values:
-        parser.error("sweep value list is empty")
+    """The swept variable and its values; argparse admits exactly one."""
+    name, values = next((name, values) for name, values in
+                        [("n_ports", args.sweep_n), ("size_wl", args.sweep_w),
+                         ("snr_db", args.sweep_snr_db)] if values is not None)
     # ranges ascend, so the start is the smallest value
     if name == "n_ports" and values[0] < 1:
         parser.error("--sweep-n values must be >= 1")
@@ -199,75 +175,55 @@ def _sweep_config(variable: str, value, args) -> FasConfig:
                      snr_ratio=analytic.db_to_linear(float(point["snr_db"])))
 
 
+def _run_sweep(args, parser, fixed: str, run: str, extra_header: list[str],
+               extra_cells) -> int:
+    """Exact, approximate and bound outage at each sweep point, as CSV, then
+    the command's own `extra_cells(config, exact, approx)`; `fixed` ends the
+    fixed-point comment and `run` is the last comment line."""
+    variable, values = _sweep_points(args, parser)
+    constants = bounds.bound_constants(args.kappa)
+    rows = []
+    for value in values:
+        config = _sweep_config(variable, value, args)
+        exact = analytic.outage_exact(config)
+        approx = analytic.outage_approx(config)
+        ub = bounds.outage_upper_bound(config, constants)
+        rows.append([value, exact, approx, ub,
+                     *extra_cells(config, exact, approx)])
+    with _output(args.out) as out:
+        _write_csv(out, [
+            f"fas {__version__} {args.command}",
+            f"sweep={variable} fixed: n_ports={args.n_ports} size_wl={args.size_wl} "
+            f"snr_db={args.snr_db} kappa={args.kappa}{fixed}",
+            run,
+        ], [variable, "exact", "approx", "upper_bound", *extra_header], rows)
+    return 0
+
+
 def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
-    if args.trials <= 0:
-        return None, None
-    planned = mc.plan_trials(exact, args.trials)
+    planned = mc.plan_trials(exact, args.trials) if args.trials else None
     if planned is None:
-        return None, None  # MC skipped, analytic only
+        return None, None  # MC off, or skipped: analytic only
     est = mc.mc_outage_fas(config, mc.McSettings(
         trials=planned, seed=args.seed, workers=args.workers))
     return est.p_hat, est.half_width_95
 
 
 def cmd_outage_curve(args, parser) -> int:
-    variable, values = _sweep_points(args, parser)
-    constants = bounds.bound_constants(args.kappa)
-    rows = []
-    for value in values:
-        config = _sweep_config(variable, value, args)
-        exact = analytic.outage_exact(config)
-        approx = analytic.outage_approx(config)
-        ub = bounds.outage_upper_bound(config, constants)
-        mc_p, mc_ci = _mc_columns(config, exact, args)
-        rows.append([value, exact, approx, ub, mc_p, mc_ci])
-    with _output(args.out) as out:
-        _write_csv(out, [
-            f"fas {__version__} outage-curve",
-            f"sweep={variable} fixed: n_ports={args.n_ports} size_wl={args.size_wl} "
-            f"snr_db={args.snr_db} kappa={args.kappa}",
-            f"seed={args.seed} trials={args.trials} workers={args.workers}",
-        ], [variable, "exact", "approx", "upper_bound", "mc", "mc_ci"], rows)
-    return 0
+    return _run_sweep(
+        args, parser, "",
+        f"seed={args.seed} trials={args.trials} workers={args.workers}",
+        ["mc", "mc_ci"],
+        lambda config, exact, approx: _mc_columns(config, exact, args))
 
 
 def cmd_bounds_compare(args, parser) -> int:
-    variable, values = _sweep_points(args, parser)
-    constants = bounds.bound_constants(args.kappa)
-    mrc_levels = {}
-    rows = []
-    for value in values:
-        config = _sweep_config(variable, value, args)
-        for branches in args.mrc_l:
-            mrc_levels[branches] = analytic.outage_mrc(branches, config.snr_ratio)
-        exact = analytic.outage_exact(config)
-        approx = analytic.outage_approx(config)
-        ub = bounds.outage_upper_bound(config, constants)
-        row = [value, exact, approx, ub, 1 if approx < 0 else 0]
-        row.extend(mrc_levels[branches] for branches in args.mrc_l)
-        rows.append(row)
-    header = [variable, "exact", "approx", "upper_bound", "approx_out_of_regime"]
-    header.extend(f"mrc_{branches}" for branches in args.mrc_l)
-    with _output(args.out) as out:
-        _write_csv(out, [
-            f"fas {__version__} bounds-compare",
-            f"sweep={variable} fixed: n_ports={args.n_ports} size_wl={args.size_wl} "
-            f"snr_db={args.snr_db} kappa={args.kappa} mrc_l={args.mrc_l}",
-            f"seed={args.seed}",
-        ], header, rows)
-    return 0
-
-
-def _design_json(args, results: dict, guards: list[str]) -> str:
-    doc = {
-        "config": {"mrc_l": args.mrc_l, "snr_db": args.snr_db,
-                   "kappa": args.kappa, "n_ports": args.n_ports,
-                   "size_wl": args.size_wl},
-        "results": results,
-        "guards": guards,
-        "version": __version__,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _run_sweep(
+        args, parser, f" mrc_l={args.mrc_l}", f"seed={args.seed}",
+        ["approx_out_of_regime", *(f"mrc_{b}" for b in args.mrc_l)],
+        lambda config, exact, approx: [
+            1 if approx < 0 else 0,
+            *(analytic.outage_mrc(b, config.snr_ratio) for b in args.mrc_l)])
 
 
 def _answer_dict(answer: design.DesignAnswer) -> dict:
@@ -285,16 +241,11 @@ def cmd_design(args, parser) -> int:
     constants = bounds.bound_constants(args.kappa)
     x = analytic.db_to_linear(args.snr_db)
     query = design.DesignQuery(mrc_branches=args.mrc_l, snr_ratio=x,
-                               constants=constants, n_ports=args.n_ports,
-                               size_wavelengths=args.size_wl)
-    guards: list[str] = []
+                               constants=constants, n_ports=args.n_ports)
     if args.sweep_n is not None:
-        rows = []
-        for n, answer in design.min_size_frontier(query, args.sweep_n):
-            if answer.feasible:
-                rows.append([n, answer.value, 1, ""])
-            else:
-                rows.append([n, None, 0, answer.guard_report])
+        # an infeasible answer has no value, a feasible one no guard report
+        rows = [[n, answer.value, int(answer.feasible), answer.guard_report]
+                for n, answer in design.min_size_frontier(query, args.sweep_n)]
         with _output(args.out) as out:
             _write_csv(out, [
                 f"fas {__version__} design frontier",
@@ -305,24 +256,22 @@ def cmd_design(args, parser) -> int:
     results: dict = {}
     if args.n_ports is not None:
         if args.n_ports >= 4:
-            answer = design.min_size(query)
-            results["min_size_wl"] = _answer_dict(answer)
-            if not answer.feasible:
-                guards.append(answer.guard_report)
-        answer = design.required_mu_and_size(query)
-        results["required_mu"] = _answer_dict(answer)
-        if not answer.feasible:
-            guards.append(answer.guard_report)
-    elif args.size_wl is not None:
-        answer = design.min_ports_for_size(args.size_wl, query)
-        results["min_ports"] = _answer_dict(answer)
-        if not answer.feasible:
-            guards.append(answer.guard_report)
+            results["min_size_wl"] = _answer_dict(design.min_size(query))
+        results["required_mu"] = _answer_dict(design.required_mu_and_size(query))
     else:
-        parser.error("design needs --n-ports, --size-wl, or --sweep-n")
-    text = _design_json(args, results, guards)
+        results["min_ports"] = _answer_dict(
+            design.min_ports_for_size(args.size_wl, query))
+    doc = {
+        "config": {"mrc_l": args.mrc_l, "snr_db": args.snr_db,
+                   "kappa": args.kappa, "n_ports": args.n_ports,
+                   "size_wl": args.size_wl},
+        "results": results,
+        "guards": [r["guard_report"] for r in results.values()
+                   if not r["feasible"]],
+        "version": __version__,
+    }
     with _output(args.out) as out:
-        out.write(text + "\n")
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -348,7 +297,8 @@ def cmd_envelope(args, parser) -> int:
         _write_head(out, [
             f"fas {__version__} envelope trace",
             f"n_ports={args.n_ports} size_wl={args.size_wl} freq_ghz={args.freq_ghz} "
-            f"speed_kmh={args.speed_kmh} rate_hz={args.rate_hz} mrc_l={args.mrc_l}",
+            f"speed_kmh={args.speed_kmh} duration_s={args.duration_s} "
+            f"rate_hz={args.rate_hz} scatterers={args.scatterers} mrc_l={args.mrc_l}",
             f"seed={args.seed}",
         ], header)
         # repr of a Python float is _fmt's shortest round-trip text
@@ -389,31 +339,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds_compare, parser=p)
 
     p = sub.add_parser("design", help="minimum N / minimum size solvers")
-    p.add_argument("--mrc-l", type=_positive_int, default=2)
+    p.add_argument("--mrc-l", type=_int_at_least(1), default=2)
     p.add_argument("--snr-db", type=_finite_float, default=0.0)
     p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
-    p.add_argument("--n-ports", type=_design_ports, default=None)
-    p.add_argument("--size-wl", type=_positive_float, default=None)
-    p.add_argument("--sweep-n", type=_int_range, default=None, metavar="A:B:S",
-                   help=_SWEEP_HELP)
+    query = p.add_mutually_exclusive_group(required=True)
+    # no design solver answers for fewer than two ports
+    query.add_argument("--n-ports", type=_int_at_least(2))
+    query.add_argument("--size-wl", type=_positive_float)
+    query.add_argument("--sweep-n", type=_parse_range(int), metavar="A:B:S",
+                       help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_design, parser=p)
 
     p = sub.add_parser("envelope", help="time-selective fading trace CSV")
-    p.add_argument("--n-ports", type=_positive_int, default=100)
+    p.add_argument("--n-ports", type=_int_at_least(1), default=100)
     p.add_argument("--size-wl", type=_positive_float, default=2.0)
     p.add_argument("--freq-ghz", type=_positive_float, default=5.0)
     p.add_argument("--speed-kmh", type=_finite_float, default=30.0)
     p.add_argument("--duration-s", type=_positive_float, default=10.0)
     p.add_argument("--rate-hz", type=_positive_float, default=1000.0)
-    p.add_argument("--scatterers", type=_positive_int, default=64)
-    p.add_argument("--mrc-l", type=_positive_int, default=2)
+    p.add_argument("--scatterers", type=_int_at_least(1), default=64)
+    p.add_argument("--mrc-l", type=_int_at_least(1), default=2)
     _add_common(p)
     p.set_defaults(func=cmd_envelope, parser=p)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
-    p.add_argument("--trials", type=_mc_trials, default=200_000)
+    p.add_argument("--trials", type=_int_at_least(mc.MIN_TRIALS),
+                   default=200_000)
     p.add_argument("--quad-abs-tol", type=_positive_float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_validate, parser=p)

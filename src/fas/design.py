@@ -8,7 +8,7 @@ the name of the violated guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -36,7 +36,6 @@ class DesignQuery:
     mrc_branches: int
     snr_ratio: float
     constants: BoundConstants
-    size_wavelengths: Optional[float] = None
     n_ports: Optional[int] = None
 
     def __post_init__(self):
@@ -185,8 +184,5 @@ def min_size_frontier(query: DesignQuery, n_values: Sequence[int]):
             out.append((int(n), DesignAnswer(value=None, feasible=False,
                                              guard_report=GUARD_TOO_FEW_PORTS)))
             continue
-        q = DesignQuery(mrc_branches=query.mrc_branches,
-                        snr_ratio=query.snr_ratio, constants=query.constants,
-                        n_ports=int(n))
-        out.append((int(n), min_size(q)))
+        out.append((int(n), min_size(replace(query, n_ports=int(n)))))
     return out

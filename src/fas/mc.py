@@ -105,8 +105,7 @@ def mc_outage_mrc(branches: int, snr_ratio: float,
     return _estimate(failures, settings.trials)
 
 
-def plan_trials(p_analytic: float, base_trials: int,
-                cap: int = TRIALS_CAP) -> Optional[int]:
+def plan_trials(p_analytic: float, base_trials: int) -> Optional[int]:
     """Trial count for an honest error bar at depth p_analytic.
 
     Returns None when even the cap cannot deliver the target number of
@@ -117,7 +116,7 @@ def plan_trials(p_analytic: float, base_trials: int,
     if p_analytic <= 0:
         return None
     needed = math.ceil(TARGET_FAILURES / p_analytic)
-    if needed > cap:
+    if needed > TRIALS_CAP:
         return None
     return max(base_trials, needed)
 

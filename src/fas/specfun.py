@@ -1,8 +1,7 @@
 """Special functions underpinning the outage analysis.
 
-Provides J0/I0 kernels, the first-order Marcum Q-function, the Gaussian
-tail Q, and the envelope inverse of J0 (smallest argument beyond which |J0|
-stays at or below a target level).
+Provides the first-order Marcum Q-function and the envelope inverse of J0
+(smallest argument beyond which |J0| stays at or below a target level).
 
 All functions are pure.  The only module state is a grow-only table of
 J0/J1 zeros, which caches values and changes no result.  The Marcum Q
@@ -47,24 +46,6 @@ def _check_finite(x, name: str) -> float:
     return x
 
 
-def bessel_j0(x: float) -> float:
-    """Zero-order Bessel function of the first kind."""
-    return float(sp.j0(_check_finite(x, "x")))
-
-
-def bessel_i0_scaled(x: float) -> float:
-    """exp(-x) * I0(x); strictly decreasing on [0, inf), values in (0, 1]."""
-    x = _check_finite(x, "x")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return _i0e(x)
-
-
-def gaussian_q(x: float) -> float:
-    """Complementary Gaussian cdf Q(x) = P[N(0,1) > x]."""
-    return float(0.5 * sp.erfc(_check_finite(x, "x") / math.sqrt(2.0)))
-
-
 def _q1_upper(a: float, b: float) -> float:
     # Series for 0 < a <= b: Q1 = exp(-(b-a)^2/2) * sum_k (a/b)^k ive(k, ab).
     # Every term is positive, so there is no cancellation.
@@ -73,8 +54,8 @@ def _q1_upper(a: float, b: float) -> float:
         return 0.0
     z = a * b
     if z > _SERIES_Z_MAX:
-        # huge a*b with a close to b: Gaussian-tail asymptotic
-        return min(1.0, math.sqrt(b / a) * gaussian_q(gap))
+        # huge a*b with a close to b: Gaussian-tail asymptotic sqrt(b/a) Q(gap)
+        return min(1.0, math.sqrt(b / a) * 0.5 * math.erfc(gap / math.sqrt(2)))
     n_terms = int(9.3 * math.sqrt(z)) + 61
     k = np.arange(n_terms)
     s = float(np.sum((a / b) ** k * sp.ive(k, z)))

@@ -111,12 +111,6 @@ def marcum_q1_mpmath(a: float, b: float, dps: int = 50):
                                     for k, r in enumerate(ratios) if k)
 
 
-def gaussian_q_quad(x: float) -> float:
-    v, _ = quad(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
-                x, x + 50.0, epsabs=1e-15, limit=200)
-    return v
-
-
 def n2_joint_pdf(mu2: float, r1: float, r2: float) -> float:
     """Two-port joint density, written out directly (sigma = 1)."""
     om = 1.0 - mu2 ** 2

@@ -184,6 +184,18 @@ class TestDopplerTraceConfig:
             DopplerTraceConfig(speed_mps=1.0, carrier_hz=5e9, duration_s=1.0,
                                sample_rate_hz=1000.0, n_scatterers=4)
 
+    def test_sample_count(self):
+        def doppler(duration_s):
+            return DopplerTraceConfig(speed_mps=1.0, carrier_hz=5e9,
+                                      duration_s=duration_s,
+                                      sample_rate_hz=1000.0)
+        assert doppler(1.0).n_samples == 1000
+        assert doppler(0.0006).n_samples == 1
+        with pytest.raises(ValueError, match=">= 1 sample once rounded"):
+            doppler(0.0004)
+        with pytest.raises(ValueError, match="must be finite"):
+            doppler(1e306)  # the product overflows to inf
+
     @pytest.mark.parametrize("field", ["speed_mps", "carrier_hz", "duration_s",
                                        "sample_rate_hz"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

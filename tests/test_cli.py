@@ -82,6 +82,7 @@ class TestArgumentHandling:
         ["design", "--n-ports", "10", "--seed=-1"],
         ["envelope", "--seed=-1"],
         ["validate", "--seed=-1"],
+        ["envelope", "--duration-s", "0.0004"],
     ])
     def test_out_of_range_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -98,6 +99,9 @@ class TestArgumentHandling:
          "fas outage-curve"),
         (["bounds-compare"], "fas bounds-compare"),
         (["design"], "fas design"),
+        (["envelope", "--duration-s", "0.0004"], "fas envelope"),
+        (["design", "--n-ports", "10", "--size-wl", "2"], "fas design"),
+        (["design", "--size-wl", "2", "--sweep-n", "4:8:4"], "fas design"),
     ])
     def test_command_error_names_its_subcommand(self, argv, prog, capsys):
         # errors raised after parsing name the subcommand and show its usage
@@ -115,11 +119,18 @@ def test_no_option_parses_with_bare_float_or_int():
     parser = build_parser()
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
-    bare = [(sub.prog, action.dest)
-            for sub in (parser, *subparsers.choices.values())
-            for action in sub._actions if action.type in (float, int)]
+    actions = [(sub.prog, action)
+               for sub in (parser, *subparsers.choices.values())
+               for action in sub._actions]
+    bare = [(prog, action.dest) for prog, action in actions
+            if action.type in (float, int)]
+    # every option that takes a number, so that none escapes the check:
+    # outage-curve 10, bounds-compare 10, design 8, envelope 10, validate 4
+    typed = [(prog, action.dest) for prog, action in actions
+             if action.type not in (None, str)]
     assert len(subparsers.choices) == 5
     assert bare == []
+    assert len(typed) == 42
 
 
 class TestOutputSinks:
@@ -197,6 +208,20 @@ class TestOutageCurve:
 
 
 class TestBoundsCompare:
+    @pytest.mark.parametrize("sweep", [["--sweep-n", "1:12:1"],
+                                       ["--sweep-w", "0.1:2:0.3"],
+                                       ["--sweep-snr-db=-20:10:5"]])
+    def test_shares_outage_cells_with_outage_curve(self, sweep, capsys):
+        # one sweep, two commands: exact, approx and upper_bound text-equal
+        def cells(*argv):
+            header, rows = parse_csv(run_cli(capsys, *argv, *sweep,
+                                             "--size-wl", "0.7")[1])
+            return [row[:4] for row in rows], header[:4]
+        curve = cells("outage-curve")
+        assert curve == cells("bounds-compare", "--mrc-l", "3")
+        assert curve[1][1:] == ["exact", "approx", "upper_bound"]
+        assert len(curve[0]) >= 7
+
     def test_mrc_levels_and_crossing(self, capsys):
         _, out = run_cli(capsys, "bounds-compare", "--sweep-n", "1:12:1",
                          "--size-wl", "0.2", "--snr-db", "0",
@@ -298,7 +323,7 @@ class TestEnvelope:
         assert lines[:4] == [
             f"# fas {__version__} envelope trace",
             "# n_ports=3 size_wl=1.5 freq_ghz=5.0 speed_kmh=30.0 "
-            "rate_hz=500.0 mrc_l=2",
+            "duration_s=0.3 rate_hz=500.0 scatterers=16 mrc_l=2",
             "# seed=5",
             "t_norm,port_1_db,port_2_db,port_3_db,fas_db,mrc_db",
         ]
@@ -309,6 +334,15 @@ class TestEnvelope:
         path.write_text(out)
         got = np.loadtxt(path, delimiter=",", skiprows=4)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("flag, a, b", [("--duration-s", "0.05", "0.06"),
+                                            ("--scatterers", "16", "32")])
+    def test_comments_name_every_trace_flag(self, flag, a, b, capsys):
+        # two traces that differ in one flag must say so in their comments
+        def comments(value):
+            _, out = run_cli(capsys, "envelope", "--n-ports", "2", flag, value)
+            return [l for l in out.splitlines() if l.startswith("#")]
+        assert comments(a) != comments(b)
 
     def test_nyquist_violation_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from fas.analytic import outage_mrc
 from fas.bounds import bound_constants, outage_upper_bound_profile, \
@@ -14,15 +15,14 @@ from fas.design import (GUARD_COMPLEX_MU, GUARD_FACTOR_RANGE,
                         MuSizeResult, min_ports_for_size, min_ports_general,
                         min_ports_homogeneous, min_size, min_size_frontier,
                         required_mu_and_size)
-from fas.specfun import bessel_j0, inv_besselj0_envelope
+from fas.specfun import inv_besselj0_envelope
 
 import reference
 
 
-def query(branches=2, x=1.0, kappa=2.0, n_ports=None, size=None):
+def query(branches=2, x=1.0, kappa=2.0, n_ports=None):
     return DesignQuery(mrc_branches=branches, snr_ratio=x,
-                       constants=bound_constants(kappa), n_ports=n_ports,
-                       size_wavelengths=size)
+                       constants=bound_constants(kappa), n_ports=n_ports)
 
 
 def wide_profile_mu(n, w=5.0):
@@ -218,7 +218,7 @@ class TestRequiredMuAndSize:
         assert d_star == pytest.approx(want, abs=1e-9)
         # beyond d*, |J0| of the separation stays at or below mu*
         for extra in np.linspace(0.0, 5.0, 100):
-            assert abs(bessel_j0(2.0 * math.pi * (d_star + extra))) \
+            assert abs(j0(2.0 * math.pi * (d_star + extra))) \
                 <= mu_star + 1e-9
 
     @pytest.mark.parametrize("branches, x", [(1, 1e-10), (1, 0.1), (1, 1.0),

@@ -5,60 +5,69 @@ import pytest
 from scipy import special as sp
 
 from fas import specfun
-from fas.specfun import (EnvelopeInverseResult, bessel_i0_scaled, bessel_j0,
-                         gaussian_q, inv_besselj0_envelope, marcum_q1)
+from fas.channel import FasConfig, correlation_profile
+from fas.specfun import EnvelopeInverseResult, inv_besselj0_envelope, marcum_q1
 
 import reference
 
 
+def two_port_mu(x: float) -> tuple[float, float]:
+    """(eps, mu_2) of a two-port profile whose separation 2*pi*W is near x;
+    mu_2 = J0(eps) as the package evaluates it."""
+    profile = correlation_profile(
+        FasConfig(n_ports=2, size_wavelengths=x / (2.0 * math.pi),
+                  snr_ratio=1.0))
+    return 2.0 * math.pi * profile.displacements[1], float(profile.mu[1])
+
+
 class TestBesselJ0:
+    """J0 through the port correlations mu_k = J0(2*pi*d_k)."""
+
     def test_at_zero(self):
-        assert bessel_j0(0.0) == 1.0
+        # a vanishing separation is J0(0) = 1 to working precision
+        assert two_port_mu(1e-300)[1] == 1.0
 
     def test_half_wavelength_decorrelation(self):
         # the first zero sits near 0.38 wavelengths of separation
-        assert abs(bessel_j0(2.0 * math.pi * 0.38)) < 0.02
+        assert abs(two_port_mu(2.0 * math.pi * 0.38)[1]) < 0.02
 
     def test_first_zero_location(self):
         # frozen from the ascending-series bisection oracle
         zero = reference.j0_zero_by_bisection()
         assert zero == pytest.approx(2.404825557695773, abs=1e-12)
-        assert abs(bessel_j0(2.404825557695773)) < 1e-10
+        assert abs(two_port_mu(2.404825557695773)[1]) < 1e-10
 
     def test_matches_series_oracle(self):
-        for x in np.linspace(-8.0, 8.0, 33):
-            want = reference.j0_series(x)
-            assert bessel_j0(x) == pytest.approx(want, abs=1e-13, rel=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            bessel_j0(float("nan"))
-        with pytest.raises(ValueError):
-            bessel_j0(float("inf"))
+        for x in np.linspace(0.25, 8.0, 32):
+            eps, mu = two_port_mu(x)
+            want = reference.j0_series(eps)
+            assert mu == pytest.approx(want, abs=1e-13, rel=1e-12)
 
 
 class TestBesselI0Scaled:
+    """The scaled I0 behind the Marcum reflection identity."""
+
     def test_at_zero(self):
-        assert bessel_i0_scaled(0.0) == 1.0
+        assert specfun._i0e(0.0) == 1.0
 
     def test_at_one(self):
         want = math.exp(-1.0) * reference.i0_series(1.0)
-        assert bessel_i0_scaled(1.0) == pytest.approx(0.46576, abs=1e-5)
-        assert bessel_i0_scaled(1.0) == pytest.approx(want, rel=1e-12)
+        assert specfun._i0e(1.0) == pytest.approx(0.46576, abs=1e-5)
+        assert specfun._i0e(1.0) == pytest.approx(want, rel=1e-12)
 
     def test_large_argument_decay(self):
-        v = bessel_i0_scaled(1e6)
-        assert 0.0 < v < 1e-3
+        # either side of the switch to the asymptotic expansion
+        for z in (1e6, 1e8, 1e8 * (1 + 1e-15), 1e12):
+            v = specfun._i0e(z)
+            assert 0.0 < v < 1e-3
+            assert v == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * z),
+                                      rel=1e-6)
 
     def test_strictly_decreasing_in_unit_range(self):
         xs = np.linspace(0.0, 40.0, 200)
-        vals = [bessel_i0_scaled(x) for x in xs]
+        vals = [specfun._i0e(x) for x in xs]
         assert all(0.0 < v <= 1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bessel_i0_scaled(-0.1)
 
 
 class TestMarcumQ1:
@@ -113,6 +122,14 @@ class TestMarcumQ1:
         assert gaps[-1] == pytest.approx(0.5 * sp.i0e(256.0), abs=1e-13)
         assert gaps[-1] < 0.013
 
+    def test_gaussian_tail_beyond_series_range(self):
+        # a*b > 1e8: Q1(a, b) ~ sqrt(b/a) Q(b - a), with Q(1) = 0.158655...
+        a = 2e4
+        assert marcum_q1(a, a + 1.0) == pytest.approx(0.158655, abs=1e-5)
+        assert marcum_q1(a + 1.0, a) == pytest.approx(1 - 0.158655, abs=2e-5)
+        assert marcum_q1(a, a) == pytest.approx(0.5, abs=1e-4)
+        assert 0.0 < marcum_q1(a, a + 10.0) < 1e-20
+
     def test_ratio_upper_bound(self):
         # Q1(a,b) < (1/sqrt(1+2ab)) * b/(b-a) for 0 <= a < b <= 20
         rng = np.random.default_rng(11)
@@ -141,19 +158,6 @@ def test_marcum_integral_identity():
         rhs = (math.exp(-b * b / a2) * marcum_q1(math.sqrt(c * a2), a * b / math.sqrt(a2))
                - math.exp(-c) * marcum_q1(a * math.sqrt(c), b))
         assert lhs == pytest.approx(rhs, abs=1e-8)
-
-
-class TestGaussianQ:
-    def test_symmetry_point(self):
-        assert gaussian_q(0.0) == 0.5
-
-    def test_deep_tail(self):
-        assert gaussian_q(10.0) < 1e-20
-
-    def test_frozen_value(self):
-        assert gaussian_q(1.0) == pytest.approx(0.158655, abs=1e-6)
-        assert gaussian_q(1.0) == pytest.approx(reference.gaussian_q_quad(1.0),
-                                                abs=1e-13)
 
 
 class TestEnvelopeInverse:
