@@ -70,8 +70,8 @@ class CorrelationProfile:
             raise ValueError("profile must contain at least one port")
         if mu[0] != 0.0:
             raise ValueError("mu[0] is the reference port and must be 0")
-        if np.any(np.abs(mu) > 1.0):
-            raise ValueError("|mu_k| must not exceed 1")
+        if not np.all(np.abs(mu) <= 1.0):
+            raise ValueError("|mu_k| must not exceed 1 or be NaN")
         if d[0] != 0.0 or np.any(np.diff(d) < 0):
             raise ValueError("displacements must start at 0 and be nondecreasing")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import math
 import sys
 from typing import Optional, Sequence, TextIO
@@ -20,6 +21,8 @@ import numpy as np
 from . import __version__, analytic, bounds, design, mc
 from .channel import DopplerTraceConfig, FasConfig, envelope_trace
 from .validation import GRID_PRESETS, ValidationSettings, run_validation
+
+_log = logging.getLogger("fas")
 
 
 def _fmt(value) -> str:
@@ -204,6 +207,12 @@ def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
     planned = mc.plan_trials(exact, args.trials) if args.trials else None
     if planned is None:
         return None, None  # MC off, or skipped: analytic only
+    if planned > 10 * args.trials:
+        _log.warning("Monte Carlo at n_ports=%d size_wl=%g snr_db=%g plans "
+                     "%d trials, %.0fx --trials %d", config.n_ports,
+                     config.size_wavelengths,
+                     10.0 * math.log10(config.snr_ratio), planned,
+                     planned / args.trials, args.trials)
     est = mc.mc_outage_fas(config, mc.McSettings(
         trials=planned, seed=args.seed, workers=args.workers))
     return est.p_hat, est.half_width_95
@@ -243,6 +252,9 @@ def cmd_design(args, parser) -> int:
     query = design.DesignQuery(mrc_branches=args.mrc_l, snr_ratio=x,
                                constants=constants, n_ports=args.n_ports)
     if args.sweep_n is not None:
+        # ranges ascend; no design solver answers for fewer than two ports
+        if args.sweep_n[0] < 2:
+            parser.error("--sweep-n values must be >= 2")
         # an infeasible answer has no value, a feasible one no guard report
         rows = [[n, answer.value, int(answer.feasible), answer.guard_report]
                 for n, answer in design.min_size_frontier(query, args.sweep_n)]

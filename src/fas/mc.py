@@ -78,29 +78,47 @@ def mc_outage_fas(config: FasConfig, settings: McSettings,
                   profile: Optional[CorrelationProfile] = None) -> McEstimate:
     """Empirical P[max_k |g_k|^2 < snr_ratio] over correlated port draws.
 
+    Trials are decided by sequential rejection: draw |g_1|^2 ~ Exp(1) for
+    every trial, then each further port for the trials still below the
+    threshold only, until none is left.  Every port's own component is
+    circularly symmetric and independent of g_1, so g_1 is taken real
+    (a rotation of all ports by its phase leaves their magnitudes' joint
+    law unchanged), and with a_0 = sqrt(2|g_1|^2), n_1 and n_2 standard
+    normals and r_k = sqrt(1 - mu_k^2), port k stays below x when
+    (r_k n_1 + mu_k a_0)^2 + (r_k n_2)^2 < 2x.
+
     A profile override replaces the geometry-derived correlation, which is
     how forced independent-port checks are run.
     """
     if profile is None:
         profile = correlation_profile(config)
+    mu = profile.mu[1:]
+    root = np.sqrt(1.0 - mu ** 2)
     threshold = config.snr_ratio
     failures = 0
     for rng, n in _chunks(settings):
-        g = draw_channels_batch(profile, rng, n)
-        power = np.abs(g) ** 2
-        failures += int(np.count_nonzero(power.max(axis=1) < threshold))
+        power = rng.standard_exponential(n)
+        a0 = np.sqrt(2.0 * power[power < threshold])
+        for m, r in zip(mu, root):
+            if not a0.size:
+                break
+            z = rng.standard_normal((2, a0.size))
+            re = r * z[0] + m * a0
+            im = r * z[1]
+            a0 = a0[re * re + im * im < 2.0 * threshold]
+        failures += a0.size
     return _estimate(failures, settings.trials)
 
 
 def mc_outage_mrc(branches: int, snr_ratio: float,
                   settings: McSettings) -> McEstimate:
-    """Empirical L-branch MRC outage over i.i.d. complex Gaussian branches."""
+    """Empirical L-branch MRC outage: the sum of L i.i.d. Exp(1) branch
+    powers |h_l|^2 falls below snr_ratio."""
     if branches < 1:
         raise ValueError("branches must be >= 1")
     failures = 0
     for rng, n in _chunks(settings):
-        h = rng.standard_normal((n, 2 * branches)) * np.sqrt(0.5)
-        total = np.sum(h * h, axis=1)
+        total = rng.standard_exponential((n, branches)).sum(axis=1)
         failures += int(np.count_nonzero(total < snr_ratio))
     return _estimate(failures, settings.trials)
 

@@ -268,3 +268,20 @@ def sos_process_loop(rng, f_m: float, n_samples: int, sample_rate_hz: float,
     for w, p in zip(freqs, phase):
         out += np.cos(w * t + p)
     return out / np.sqrt(n_scatterers)
+
+
+def mc_outage_fas_full_draw(config, settings, profile=None):
+    """The Monte-Carlo outage as the package estimated it before sequential
+    rejection: every port of every trial drawn as a complex number through
+    `fas.channel.draw_channels_batch`, over the same `fas.mc._chunks`
+    pieces, and a trial counted when its largest port power is below x."""
+    from fas.channel import correlation_profile, draw_channels_batch
+    from fas.mc import _chunks, _estimate
+
+    if profile is None:
+        profile = correlation_profile(config)
+    failures = 0
+    for rng, n in _chunks(settings):
+        power = np.abs(draw_channels_batch(profile, rng, n)) ** 2
+        failures += int(np.count_nonzero(power.max(axis=1) < config.snr_ratio))
+    return _estimate(failures, settings.trials)

@@ -85,6 +85,12 @@ class TestCorrelationProfile:
             CorrelationProfile(mu=np.array([0.0, 0.2]),
                                displacements=np.array([0.0]))
 
+    def test_rejects_nan_mu(self):
+        # a NaN port would reject every Monte-Carlo trial, reading p = 0
+        with pytest.raises(ValueError, match="NaN"):
+            CorrelationProfile(mu=np.array([0.0, np.nan]),
+                               displacements=np.array([0.0, 1.0]))
+
 
 class TestCorrelationDiscrepancy:
     def test_zero_against_reference_port(self):

@@ -1,12 +1,17 @@
 import argparse
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fas import __version__
-from fas.analytic import db_to_linear, outage_mrc
+from fas import __version__, cli, mc
+from fas.analytic import db_to_linear, outage_exact, outage_mrc
 from fas.channel import DopplerTraceConfig, FasConfig, envelope_trace
 from fas.cli import build_parser, main
 
@@ -102,6 +107,8 @@ class TestArgumentHandling:
         (["envelope", "--duration-s", "0.0004"], "fas envelope"),
         (["design", "--n-ports", "10", "--size-wl", "2"], "fas design"),
         (["design", "--size-wl", "2", "--sweep-n", "4:8:4"], "fas design"),
+        (["design", "--sweep-n=-8:4:4"], "fas design"),
+        (["design", "--sweep-n", "1:5:1"], "fas design"),
     ])
     def test_command_error_names_its_subcommand(self, argv, prog, capsys):
         # errors raised after parsing name the subcommand and show its usage
@@ -197,6 +204,42 @@ class TestOutageCurve:
         for row in rows:
             p = float(row[i_mc])
             assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("snr_db, warned", [(-8.0, True), (0.0, False)])
+    def test_warns_of_a_trial_plan_far_above_trials(self, snr_db, warned,
+                                                    caplog, monkeypatch):
+        # a point of --sweep-snr-db=-10:5:1 --n-ports 8 --size-wl 1
+        # --trials 100000; at -8 dB the plan is 140,604,982 trials
+        monkeypatch.setattr(mc, "mc_outage_fas", lambda config, settings:
+                            mc.McEstimate(0.5, 0.0, settings.trials))
+        config = FasConfig(n_ports=8, size_wavelengths=1.0,
+                           snr_ratio=db_to_linear(snr_db))
+        args = argparse.Namespace(trials=100_000, seed=42, workers=1)
+        with caplog.at_level(logging.WARNING, logger="fas"):
+            cli._mc_columns(config, outage_exact(config), args)
+        records = [r for r in caplog.records if r.name == "fas"]
+        if not warned:
+            assert records == []
+            return
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert records[0].getMessage() == (
+            "Monte Carlo at n_ports=8 size_wl=1 snr_db=-8 plans 140604982 "
+            "trials, 1406x --trials 100000")
+
+    def test_plan_warning_goes_to_stderr_only(self, capsys):
+        # -5 dB at N = 8, W = 1 plans 1,308,946 trials for --trials 1000
+        argv = ["outage-curve", "--sweep-snr-db=-5:-5:1", "--n-ports", "8",
+                "--size-wl", "1", "--trials", "1000"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-m", "fas.cli", *argv],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == 0
+        assert run.stderr == ("Monte Carlo at n_ports=8 size_wl=1 snr_db=-5 "
+                              "plans 1308946 trials, 1309x --trials 1000\n")
+        _, out = run_cli(capsys, *argv)
+        assert run.stdout == out
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
-from fas.analytic import outage_exact, outage_mrc
+from fas.analytic import outage_exact, outage_exact_profile, outage_mrc
 from fas.channel import CorrelationProfile, FasConfig, correlation_profile
-from fas.mc import (TARGET_FAILURES, TRIALS_CAP, ChiSquareResult,
+from fas.mc import (_CHUNK, TARGET_FAILURES, TRIALS_CAP, ChiSquareResult,
                     HistogramSpec, McEstimate, McSettings,
                     mc_joint_density_check, mc_outage_fas, mc_outage_mrc,
                     plan_trials, worker_streams)
+
+import reference
 
 
 def within(est: McEstimate, truth: float, sigmas: float = 3.0) -> bool:
@@ -79,6 +82,66 @@ class TestMcOutageFas:
         want = 1.96 * math.sqrt(est.p_hat * (1.0 - est.p_hat) / est.trials)
         assert est.half_width_95 == pytest.approx(want, rel=1e-12)
         assert est.trials == 10_000
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bit_reproducible_at_one_trial_past_a_chunk(self, workers):
+        c = FasConfig(n_ports=6, size_wavelengths=1.0, snr_ratio=2.0)
+        s = McSettings(trials=_CHUNK + 1, seed=15, workers=workers)
+        assert mc_outage_fas(c, s) == mc_outage_fas(c, s)
+
+    def test_fully_correlated_ports_add_nothing(self):
+        # a port with |mu_k| = 1 is port 1 itself, or its negative
+        one = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=0.7)
+        twins = CorrelationProfile(mu=np.array([0.0, 1.0, -1.0, 1.0]),
+                                   displacements=np.arange(4.0))
+        s = McSettings(trials=100_000, seed=16)
+        assert mc_outage_fas(one, s, profile=twins) == mc_outage_fas(one, s)
+
+    def test_no_survivor_gives_zero(self):
+        c = FasConfig(n_ports=8, size_wavelengths=1.0, snr_ratio=1e-12)
+        est = mc_outage_fas(c, McSettings(trials=100_000, seed=17))
+        assert (est.p_hat, est.half_width_95) == (0.0, 0.0)
+
+    def test_every_trial_below_a_high_threshold(self):
+        c = FasConfig(n_ports=8, size_wavelengths=1.0, snr_ratio=50.0)
+        est = mc_outage_fas(c, McSettings(trials=100_000, seed=18))
+        assert (est.p_hat, est.half_width_95) == (1.0, 0.0)
+
+
+class TestAgainstFullDraw:
+    # Sequential rejection against the estimator it replaced (every port
+    # drawn as a complex number) and the exact outage, on independent
+    # streams.  Sidak: the per-comparison z that holds the chance of any
+    # false alarm over the 24 comparisons at 1e-4.
+    TRIALS = 200_000
+    Z = float(-sp.ndtri(0.5 * -math.expm1(math.log1p(-1e-4) / 24)))
+
+    @pytest.mark.parametrize("mu, x", [
+        (correlation_profile(FasConfig(5, 0.5, 1.0)).mu, 1.0),
+        # W = 0.05: every mu_k above 0.97
+        (correlation_profile(FasConfig(10, 0.05, 1.0)).mu, 0.1),
+        (correlation_profile(FasConfig(10, 0.05, 1.0)).mu, 1.0),
+        # W = 1 has ports with mu_k < 0
+        (correlation_profile(FasConfig(20, 1.0, 1.0)).mu, 1.0),
+        ([0.0, -0.6, -0.3, 0.5, -0.9], 0.5),
+        (correlation_profile(FasConfig(3, 5.0, 1.0)).mu, 10.0),
+        (correlation_profile(FasConfig(40, 0.5, 1.0)).mu, 2.0),
+        (correlation_profile(FasConfig(40, 5.0, 1.0)).mu, 3.0),
+    ])
+    def test_agrees_with_full_draw_and_exact(self, mu, x):
+        mu = np.asarray(mu, dtype=float)
+        c = FasConfig(n_ports=mu.size, size_wavelengths=1.0, snr_ratio=x)
+        profile = CorrelationProfile(mu=mu, displacements=np.arange(mu.size,
+                                                                    dtype=float))
+        exact = outage_exact_profile(mu, x)
+        se = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        new = mc_outage_fas(c, McSettings(trials=self.TRIALS, seed=19),
+                            profile=profile)
+        old = reference.mc_outage_fas_full_draw(
+            c, McSettings(trials=self.TRIALS, seed=20), profile=profile)
+        assert abs(new.p_hat - exact) <= self.Z * se
+        assert abs(old.p_hat - exact) <= self.Z * se
+        assert abs(new.p_hat - old.p_hat) <= self.Z * math.sqrt(2.0) * se
 
 
 class TestMcOutageMrc:
