@@ -217,7 +217,6 @@ class TestJointDensityCheck:
         keep = expected >= 5.0
         stat = float(np.sum((observed[keep] - expected[keep]) ** 2
                             / expected[keep]))
-        from scipy import special as sp
         critical = float(sp.chdtri(int(keep.sum()) - 1, 0.01))
         assert stat > critical
 
