@@ -96,24 +96,6 @@ def correlation_profile(config: FasConfig) -> CorrelationProfile:
     return CorrelationProfile(mu=mu, displacements=d)
 
 
-def correlation_discrepancy(profile: CorrelationProfile) -> np.ndarray:
-    """Model-vs-Jakes correlation gap between port pairs (k, l), k,l >= 2.
-
-    The single-common-factor construction gives inter-port correlation
-    mu_k * mu_l for k, l >= 2, while the Jakes model prescribes J0 of their
-    separation.  Returns the matrix of differences as a diagnostic; the
-    discrepancy is intrinsic to the analyzed model.
-    """
-    mu = profile.mu
-    d = profile.displacements
-    model = np.outer(mu, mu)
-    model[0, :] = mu
-    model[:, 0] = mu
-    np.fill_diagonal(model, 1.0)
-    jakes = sp.j0(2.0 * np.pi * np.abs(d[:, None] - d[None, :]))
-    return model - jakes
-
-
 def draw_channels_batch(profile: CorrelationProfile, rng: np.random.Generator,
                         n: int) -> np.ndarray:
     """n stacked realizations of all ports, shape (n, N).

@@ -204,14 +204,19 @@ def _run_sweep(args, parser, fixed: str, run: str, extra_header: list[str],
 
 
 def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
-    planned = mc.plan_trials(exact, args.trials) if args.trials else None
+    if not args.trials:
+        return None, None  # MC off: analytic only
+    planned = mc.plan_trials(exact, args.trials)
+    point = (config.n_ports, config.size_wavelengths,
+             10.0 * math.log10(config.snr_ratio))
     if planned is None:
-        return None, None  # MC off, or skipped: analytic only
+        _log.warning("Monte Carlo at n_ports=%d size_wl=%g snr_db=%g skipped: "
+                     "analytic p %.3g needs over %d trials", *point, exact,
+                     mc.TRIALS_CAP)
+        return None, None
     if planned > 10 * args.trials:
         _log.warning("Monte Carlo at n_ports=%d size_wl=%g snr_db=%g plans "
-                     "%d trials, %.0fx --trials %d", config.n_ports,
-                     config.size_wavelengths,
-                     10.0 * math.log10(config.snr_ratio), planned,
+                     "%d trials, %.0fx --trials %d", *point, planned,
                      planned / args.trials, args.trials)
     est = mc.mc_outage_fas(config, mc.McSettings(
         trials=planned, seed=args.seed, workers=args.workers))

@@ -12,11 +12,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy import special as sp
 
 from .analytic import outage_mrc
-from .bounds import (BoundConstants, outage_upper_bound,
-                     per_port_bound_factor, per_port_bound_factors)
-from .channel import FasConfig
+from .bounds import (BoundConstants, per_port_bound_factor,
+                     per_port_bound_factors)
+from .channel import DEGENERATE_MU, FasConfig
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -27,6 +28,12 @@ GUARD_FACTOR_RANGE = "per-port factor outside (0, 1)"
 GUARD_N_EXHAUSTED = "no N <= n_max satisfies the product condition"
 GUARD_PROFILE_EXHAUSTED = "profile exhausted before the product condition held"
 GUARD_TOO_FEW_PORTS = "n_ports < 4 (the size rule needs floor(N/2) >= 2 outer ports)"
+
+# (N, port) cells per block of `min_ports_for_size`'s scan.  Each of the
+# block's float temporaries takes 8 bytes a cell, 128 kB at this cap;
+# blocks of 64 whole rows would take 6-10 MB more peak memory at N = 2000,
+# more than the design benchmark's 5% peak-RSS bound allows.
+_SCAN_BLOCK_CELLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -85,17 +92,38 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
                        n_max: int = 2000) -> DesignAnswer:
     """Smallest N whose geometry-derived bound at this aperture beats MRC.
 
-    The profile changes with N (ports pack denser), so this evaluates the
-    bound afresh for each N instead of consuming a fixed profile prefix.  The
-    bound is not monotone in N, so the scan visits every N from 1 rather than
-    bisecting.
+    The profile changes with N (ports pack denser), so there is no fixed
+    profile prefix to consume.  The bound is not monotone in N either, so
+    the scan visits every N from 1 rather than bisecting.  It takes N in
+    consecutive blocks: one padded (N x port) matrix of mu = J0(2 pi d) and
+    bound factors per block, with the padding and the degenerate ports
+    given a factor of exactly 1, so each row's product is the bound's
+    product for that N.  A block holds no more N values than precede it,
+    and at most about `_SCAN_BLOCK_CELLS` cells: rows shrink as N grows,
+    and the scan's working set stays under a megabyte up to any n_max.
     """
-    target = outage_mrc(query.mrc_branches, query.snr_ratio)
-    for n in range(1, n_max + 1):
-        config = FasConfig(n_ports=n, size_wavelengths=size_wl,
-                           snr_ratio=query.snr_ratio)
-        if outage_upper_bound(config, query.constants) < target:
-            return DesignAnswer(value=n, feasible=True)
+    x = query.snr_ratio
+    FasConfig(n_ports=1, size_wavelengths=size_wl, snr_ratio=x)  # checks W
+    target = outage_mrc(query.mrc_branches, x)
+    single = -math.expm1(-x)
+    if n_max >= 1 and single < target:
+        return DesignAnswer(value=1, feasible=True)
+    n0 = 2
+    while n0 <= n_max:
+        # rows * (n0 + rows) cells at most
+        rows = int((math.sqrt(n0 * n0 + 4 * _SCAN_BLOCK_CELLS) - n0) / 2)
+        rows = max(1, min(n0, rows))
+        n = np.arange(n0, min(n0 + rows, n_max + 1))[:, None]
+        k = np.arange(1, n[-1, 0])  # ports 2..N sit at k/(N-1) * W
+        mu = sp.j0(2.0 * np.pi * (k / (n - 1) * size_wl))
+        masked = (k >= n) | (np.abs(mu) > DEGENERATE_MU)
+        mu[masked] = 0.0
+        factors = per_port_bound_factors(mu, x, query.constants)
+        factors[masked] = 1.0
+        beats = np.flatnonzero(single * np.prod(factors, axis=1) < target)
+        if beats.size:
+            return DesignAnswer(value=n0 + int(beats[0]), feasible=True)
+        n0 += rows
     return DesignAnswer(value=None, feasible=False,
                         guard_report=GUARD_N_EXHAUSTED)
 

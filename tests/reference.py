@@ -203,6 +203,24 @@ def ncx2_cdf_2dof_mpmath(x: float, nc: float, dps: int = 40):
                 return total
 
 
+def correlation_discrepancy(profile) -> np.ndarray:
+    """Model-vs-Jakes correlation gap between port pairs (k, l), k,l >= 2.
+
+    The single-common-factor construction gives inter-port correlation
+    mu_k * mu_l for k, l >= 2, while the Jakes model prescribes J0 of their
+    separation.  Returns the matrix of differences as a diagnostic; the
+    discrepancy is intrinsic to the analyzed model.
+    """
+    mu = profile.mu
+    d = profile.displacements
+    model = np.outer(mu, mu)
+    model[0, :] = mu
+    model[:, 0] = mu
+    np.fill_diagonal(model, 1.0)
+    jakes = sp.j0(2.0 * np.pi * np.abs(d[:, None] - d[None, :]))
+    return model - jakes
+
+
 def per_port_bound_factor_scalar(mu_k: float, snr_ratio: float,
                                  kappa: float, rho: float) -> float:
     """One port's bound factor with math-module scalars, as the package
@@ -237,6 +255,24 @@ def min_ports_sequential(mu, snr_ratio: float, target: float, kappa: float,
         if prod < target:
             return k + 1
     return None
+
+
+def min_ports_for_size_per_n(size_wl: float, query, n_max: int = 2000):
+    """`fas.design.min_ports_for_size` as the package ran it before its
+    blocked scan: a profile and a bound for one N at a time, from N = 1."""
+    from fas.analytic import outage_mrc
+    from fas.bounds import outage_upper_bound
+    from fas.channel import FasConfig
+    from fas.design import GUARD_N_EXHAUSTED, DesignAnswer
+
+    target = outage_mrc(query.mrc_branches, query.snr_ratio)
+    for n in range(1, n_max + 1):
+        config = FasConfig(n_ports=n, size_wavelengths=size_wl,
+                           snr_ratio=query.snr_ratio)
+        if outage_upper_bound(config, query.constants) < target:
+            return DesignAnswer(value=n, feasible=True)
+    return DesignAnswer(value=None, feasible=False,
+                        guard_report=GUARD_N_EXHAUSTED)
 
 
 def outage_approx_marcum(mu, x: float) -> float:

@@ -241,6 +241,25 @@ class TestOutageCurve:
         _, out = run_cli(capsys, *argv)
         assert run.stdout == out
 
+    def test_skip_warning_goes_to_stderr_only(self, capsys):
+        # -10 dB at N = 8, W = 1 (exact 2.5e-8) needs 4e9 trials, above the
+        # cap: the mc cells stay empty, and stderr says why
+        argv = ["outage-curve", "--sweep-snr-db=-10:-10:1", "--n-ports", "8",
+                "--size-wl", "1", "--trials", "100000"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-m", "fas.cli", *argv],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == 0
+        assert run.stderr == ("Monte Carlo at n_ports=8 size_wl=1 snr_db=-10 "
+                              "skipped: analytic p 2.51e-08 needs over "
+                              "1000000000 trials\n")
+        _, out = run_cli(capsys, *argv)
+        assert run.stdout == out
+        _, rows = parse_csv(out)
+        assert rows[-1][-2:] == ["", ""]
+
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"
         code, out = run_cli(capsys, "outage-curve", "--sweep-n", "1:3:1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from scipy.special import j0
 
 from fas.analytic import outage_mrc
 from fas.bounds import bound_constants, outage_upper_bound_profile, \
-    per_port_bound_factor
+    per_port_bound_factor, per_port_bound_factors
 from fas.channel import FasConfig, correlation_profile
+from fas import design
 from fas.design import (GUARD_COMPLEX_MU, GUARD_FACTOR_RANGE,
                         GUARD_LOG_NEGATIVE, GUARD_N_EXHAUSTED,
                         GUARD_PROFILE_EXHAUSTED, GUARD_TOO_FEW_PORTS,
@@ -177,6 +179,91 @@ class TestMinPortsForSize:
                     got = min_ports_for_size(w, q, n_max=n_max)
                     assert got.value == want, (x, w, branches)
                     assert got.feasible == (want is not None)
+
+
+    @pytest.mark.parametrize("w, branches", [
+        (5.0, 2), (5.0, 4), (5.0, 8), (2.0, 2), (2.0, 4), (2.0, 8),
+        (1.0, 2), (1.0, 4), (1.0, 8), (0.5, 2), (0.5, 4), (0.5, 8),
+        (0.2, 2), (0.2, 4), (0.01, 2)])
+    def test_matches_per_n_scan_on_the_benchmark_queries(self, w, branches):
+        # the design benchmark's (W, L) pairs at 0 dB, 1659 and infeasible
+        # included
+        q = query(branches=branches)
+        assert min_ports_for_size(w, q) == \
+            reference.min_ports_for_size_per_n(w, q)
+
+    @pytest.mark.parametrize("cells", [None, 1, 40])
+    def test_matches_per_n_scan_on_a_grid(self, cells, monkeypatch):
+        # answers 4..150 and infeasible ones at n_max = 150; one N per block
+        # (cells = 1), short blocks, and the default
+        if cells is not None:
+            monkeypatch.setattr(design, "_SCAN_BLOCK_CELLS", cells)
+        for w in (0.2, 0.5, 1.0, 2.0, 5.0):
+            for branches in (2, 4, 8):
+                for x in (0.1, 1.0, 3.0):
+                    q = query(branches=branches, x=x)
+                    want = reference.min_ports_for_size_per_n(w, q, 150)
+                    got = min_ports_for_size(w, q, n_max=150)
+                    assert got == want, (w, branches, x)
+
+    @pytest.mark.parametrize("w, branches, x, n, edge", [
+        (1.0, 2, 0.1, 4, "first"), (0.4, 2, 0.1, 7, "last"),
+        (1.2, 2, 1.0, 16, "first"), (10.0, 2, 1.0, 15, "last"),
+        (0.85, 6, 1.0, 128, "first"), (0.9, 6, 1.0, 127, "last"),
+        (2.25, 4, 2.0, 207, "first"), (5.0, 4, 2.0, 206, "last"),
+        (1.1, 4, 2.0, 267, "last")])
+    def test_answer_on_either_side_of_a_block_edge(self, w, branches, x, n,
+                                                   edge, monkeypatch):
+        # the blocks' row counts are read off the factor calls, so a change
+        # of block size that moves these answers off the edges fails here
+        rows = []
+
+        def factors(mu, *args):
+            rows.append(mu.shape[0])
+            return per_port_bound_factors(mu, *args)
+
+        monkeypatch.setattr(design, "per_port_bound_factors", factors)
+        q = query(branches=branches, x=x)
+        want = DesignAnswer(value=n, feasible=True)
+        assert reference.min_ports_for_size_per_n(w, q, n) == want
+        assert min_ports_for_size(w, q) == want
+        first, last = 2 + sum(rows[:-1]), 1 + sum(rows)
+        assert n == (first if edge == "first" else last), (first, last)
+
+    @pytest.mark.parametrize("cells", [None, 40])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 60, 61, 100])
+    def test_n_max_ending_mid_block(self, n_max, cells, monkeypatch):
+        # W = 1 against 4-branch MRC needs N = 61
+        if cells is not None:
+            monkeypatch.setattr(design, "_SCAN_BLOCK_CELLS", cells)
+        q = query(branches=4)
+        assert min_ports_for_size(1.0, q, n_max=n_max) == \
+            reference.min_ports_for_size_per_n(1.0, q, n_max)
+
+    def test_degenerate_ports_add_nothing(self):
+        # at W = 1e-9 every correlated port has J0 = 1.0 in double: all are
+        # dropped as degenerate, leaving the single-port bound for every N
+        q = query(branches=2)
+        answer = min_ports_for_size(1e-9, q, n_max=50)
+        assert answer == reference.min_ports_for_size_per_n(1e-9, q, 50)
+        assert answer.guard_report == GUARD_N_EXHAUSTED
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, float("nan")])
+    def test_rejects_an_aperture_that_is_not_positive(self, w):
+        with pytest.raises(ValueError):
+            min_ports_for_size(w, query())
+
+    def test_scan_memory_stays_bounded(self):
+        # the W = 0.01 scan evaluates every N up to 2000, about 2 M cells;
+        # numpy reports its buffers to tracemalloc
+        min_ports_for_size(0.01, query(branches=2))
+        tracemalloc.start()
+        try:
+            min_ports_for_size(0.01, query(branches=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestRequiredMuAndSize:

@@ -1,4 +1,9 @@
-"""The package's export list."""
+"""The package's export list and import footprint."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import fas
 
 
@@ -14,3 +19,16 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from fas import *", namespace)
     assert set(fas.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone takes about twice the import time of all of fas.cli
+    # and adds tens of MB of resident memory to every command
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fas.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
