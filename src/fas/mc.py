@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy import special as sp
 
-from .analytic import joint_pdf
-from .channel import CorrelationProfile, FasConfig, correlation_profile, \
-    draw_channels_batch
+from .channel import CorrelationProfile, FasConfig, correlation_profile
 
 _CHUNK = 200_000
 
@@ -137,76 +134,3 @@ def plan_trials(p_analytic: float, base_trials: int) -> Optional[int]:
     if needed > TRIALS_CAP:
         return None
     return max(base_trials, needed)
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    r_max: float
-    bins: int
-
-    def __post_init__(self):
-        if self.r_max <= 0 or self.bins < 2:
-            raise ValueError("need r_max > 0 and bins >= 2")
-
-
-@dataclass(frozen=True)
-class ChiSquareResult:
-    statistic: float
-    dof: int
-    p_value: float
-    critical_1pct: float
-
-    @property
-    def rejected_at_1pct(self) -> bool:
-        return self.statistic > self.critical_1pct
-
-
-def _cell_probabilities(profile: CorrelationProfile,
-                        edges: np.ndarray) -> np.ndarray:
-    """Per-cell mass of the two-port joint density via tensor Gauss-Legendre."""
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    lo, hi = edges[:-1], edges[1:]
-    x = 0.5 * (hi - lo) * nodes[:, None] + 0.5 * (hi + lo)  # (12, bins)
-    w = 0.5 * (hi - lo) * weights[:, None]
-    # node pair (u, v) of cell (i, j) at [u, v, i, j]
-    u, v = x[:, None, :, None], x[None, :, None, :]
-    pdf = joint_pdf(profile, np.stack(np.broadcast_arrays(u, v), axis=-1))
-    terms = w[:, None, :, None] * w[None, :, None, :] * pdf
-    # a sum over the leading axis adds the node pairs in order, one at a time
-    return terms.reshape(-1, lo.size, lo.size).sum(axis=0)
-
-
-def mc_joint_density_check(profile: CorrelationProfile, settings: McSettings,
-                           grid: HistogramSpec) -> ChiSquareResult:
-    """Chi-square goodness of fit of (|g_1|, |g_2|) draws vs the joint pdf.
-
-    Cells with expected count below 5 are pooled into one bucket together
-    with the mass outside the histogram window.
-    """
-    if profile.n_ports != 2:
-        raise ValueError("density check is defined for two-port profiles")
-    edges = np.linspace(0.0, grid.r_max, grid.bins + 1)
-    observed = np.zeros((grid.bins, grid.bins))
-    for rng, n in _chunks(settings):
-        g = np.abs(draw_channels_batch(profile, rng, n))
-        hist, _, _ = np.histogram2d(g[:, 0], g[:, 1], bins=(edges, edges))
-        observed += hist
-
-    expected = _cell_probabilities(profile, edges) * settings.trials
-    outside_expected = settings.trials - expected.sum()
-    outside_observed = settings.trials - observed.sum()
-
-    keep = expected >= 5.0
-    obs = observed[keep]
-    exp = expected[keep]
-    pool_obs = observed[~keep].sum() + outside_observed
-    pool_exp = expected[~keep].sum() + outside_expected
-    if pool_exp > 0:
-        obs = np.append(obs, pool_obs)
-        exp = np.append(exp, pool_exp)
-
-    stat = float(np.sum((obs - exp) ** 2 / exp))
-    dof = obs.size - 1
-    return ChiSquareResult(statistic=stat, dof=dof,
-                           p_value=float(sp.chdtrc(dof, stat)),
-                           critical_1pct=float(sp.chdtri(dof, 0.01)))

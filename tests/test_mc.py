@@ -6,12 +6,12 @@ from scipy import special as sp
 
 from fas.analytic import outage_exact, outage_exact_profile, outage_mrc
 from fas.channel import CorrelationProfile, FasConfig, correlation_profile
-from fas.mc import (_CHUNK, TARGET_FAILURES, TRIALS_CAP, ChiSquareResult,
-                    HistogramSpec, McEstimate, McSettings,
-                    mc_joint_density_check, mc_outage_fas, mc_outage_mrc,
-                    plan_trials, worker_streams)
+from fas.mc import (_CHUNK, TARGET_FAILURES, TRIALS_CAP, McEstimate,
+                    McSettings, mc_outage_fas, mc_outage_mrc, plan_trials,
+                    worker_streams)
 
 import reference
+from reference import ChiSquareResult, HistogramSpec, mc_joint_density_check
 
 
 def within(est: McEstimate, truth: float, sigmas: float = 3.0) -> bool:
@@ -206,14 +206,13 @@ class TestJointDensityCheck:
                                   displacements=np.array([0.0, 0.1]))
 
         from fas.channel import draw_channels_batch
-        from fas.mc import _cell_probabilities
 
         settings = McSettings(trials=200_000, seed=14)
         edges = np.linspace(0.0, 2.5, 13)
         rng = worker_streams(settings.seed, 1)[0]
         g = np.abs(draw_channels_batch(gen, rng, settings.trials))
         observed, _, _ = np.histogram2d(g[:, 0], g[:, 1], bins=(edges, edges))
-        expected = _cell_probabilities(test, edges) * settings.trials
+        expected = reference.cell_probabilities(test, edges) * settings.trials
         keep = expected >= 5.0
         stat = float(np.sum((observed[keep] - expected[keep]) ** 2
                             / expected[keep]))
@@ -224,7 +223,6 @@ class TestJointDensityCheck:
         # the grid of test_mismatched_profile_rejected, one joint_pdf call
         # per Gauss-Legendre node pair
         from fas.analytic import joint_pdf
-        from fas.mc import _cell_probabilities
 
         test = CorrelationProfile(mu=np.array([0.0, 0.5]),
                                   displacements=np.array([0.0, 0.1]))
@@ -239,7 +237,7 @@ class TestJointDensityCheck:
                 for u, wu in zip(x[i], w[i]):
                     for v, wv in zip(x[j], w[j]):
                         want[i, j] += wu * wv * joint_pdf(test, (u, v))
-        got = _cell_probabilities(test, edges)
+        got = reference.cell_probabilities(test, edges)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_requires_two_ports(self):

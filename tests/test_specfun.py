@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestMarcumQ1:
 
     def test_relative_accuracy_against_mpmath_series(self):
         # deep tails included: every value down to 1e-300 (Q1(1e-3, 50)
-        # is 1e-543 and is left out), measured worst 3.4e-14
+        # is 1e-543 and is left out), measured worst 1.5e-14
         grid = np.logspace(-3.0, math.log10(50.0), 12)
         checked = 0
         for a in grid:
@@ -109,9 +110,10 @@ class TestMarcumQ1:
         assert checked >= 130
 
     def test_monotonicity_grid(self):
-        # nonincreasing in b, nondecreasing in a
+        # within [0, 1], nonincreasing in b, nondecreasing in a
         grid = np.linspace(0.0, 10.0, 50)
         q = np.array([[marcum_q1(a, b) for b in grid] for a in grid])
+        assert np.all((q >= 0.0) & (q <= 1.0))
         assert np.all(np.diff(q, axis=1) <= 1e-13)
         assert np.all(np.diff(q, axis=0) >= -1e-13)
 
@@ -143,6 +145,69 @@ class TestMarcumQ1:
             marcum_q1(-1.0, 1.0)
         with pytest.raises(ValueError):
             marcum_q1(1.0, float("nan"))
+
+
+class TestMarcumQ1Routes:
+    """The survival-function route inside 1e-3 <= a, b <= 50 down to
+    1e-180, and the series past its edges."""
+
+    def test_underflowing_b_squared_is_one(self):
+        # b^2 underflows to 0, where the sf reads -0.0
+        assert marcum_q1(1.0, 1e-200) == 1.0
+        assert marcum_q1(3.0, 1e-170) == 1.0
+
+    def test_both_sides_of_the_deep_tail_switch(self):
+        # Q1 from 1e-150 to 1e-250; the sf alone is 1.4e-6 off at
+        # Q1(18.698, 50) = 3.56e-215
+        points = [(a, 50.0) for a in (16.3, 17.0, 18.0, 18.697817349205355,
+                                      19.5, 20.5, 21.2, 21.5, 22.0, 23.0,
+                                      23.7)]
+        points += [(1.0, b) for b in (27.5, 29.5, 30.0, 31.0, 33.0, 34.5)]
+        wants = []
+        for a, b in points:
+            want = float(reference.marcum_q1_mpmath(a, b))
+            assert 1e-250 <= want <= 1e-150
+            wants.append(want)
+            assert marcum_q1(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert sum(w >= 1e-180 for w in wants) >= 5
+        assert sum(w < 1e-180 for w in wants) >= 5
+
+    def test_continuous_across_the_domain_edges(self):
+        pairs = []
+        for e in (50.0, 50.0 * (1.0 + 1e-12)):
+            pairs += [(e, 1.0), (e, 30.0), (e, 49.0), (e, 51.0), (e, 60.0),
+                      (1.0, e), (40.0, e), (49.0, e), (51.0, e), (e, e)]
+        for e in (1e-3, 1e-3 * (1.0 - 1e-12)):
+            pairs += [(e, 1e-3), (e, 1.0), (e, 5.0), (1.0, e), (30.0, e),
+                      (50.0, e), (e, e)]
+        for a, b in pairs:
+            want = float(reference.marcum_q1_mpmath(a, b))
+            assert marcum_q1(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_near_zero_arguments(self):
+        # the sf raises OverflowError at the first three and is 2.7% off at
+        # the last, where a^2 is subnormal
+        for a, b in ((30.0, 1e-4), (22.0, 1e-5), (50.0, 1e-155),
+                     (1.909964985666579e-161, 2.361072006386368),
+                     (1.909964985666579e-161, 10.865247365767535)):
+            want = float(reference.marcum_q1_mpmath(a, b))
+            assert marcum_q1(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_series_beyond_the_range(self):
+        # the sf drifts to 2.7e-11 relative here
+        want = float(reference.marcum_q1_mpmath(1000.0, 1008.0))
+        assert marcum_q1(1000.0, 1008.0) == pytest.approx(want, rel=1e-12,
+                                                          abs=0.0)
+
+    def test_no_warning_at_large_arguments(self):
+        a = 2e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in ((a, a + 1.0), (a + 1.0, a), (a, a), (a, a + 10.0)):
+                marcum_q1(*point)
+            # the sf gives up here with a RuntimeWarning and reads 0.00168
+            far = marcum_q1(1e7, 1e7 + 1.0)
+        assert far == pytest.approx(0.158655, abs=1e-4)
 
 
 def test_marcum_integral_identity():
