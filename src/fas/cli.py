@@ -17,12 +17,15 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
+import orjson
 
 from . import __version__, analytic, bounds, design, mc
 from .channel import DopplerTraceConfig, FasConfig, envelope_trace
 from .validation import GRID_PRESETS, ValidationSettings, run_validation
 
 _log = logging.getLogger("fas")
+
+_ROW_BLOCK = 128  # rows per block of the envelope CSV writer
 
 
 def _fmt(value) -> str:
@@ -46,6 +49,27 @@ def _write_csv(out: TextIO, comments: list[str], header: list[str],
     _write_head(out, comments, header)
     for row in rows:
         out.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_float_rows(out: TextIO, table: np.ndarray) -> None:
+    """Write each row of a float64 table as a CSV line of `repr` texts.
+
+    orjson prints the same shortest round-trip digits as `repr` (by Ryu) in
+    a fraction of the time, one block of rows per call.  Its notation differs
+    only outside 1e-4 <= |v| < 1e16 (`1e-5`, `1e16` where `repr` writes
+    `1e-05`, `1e+16`) and for inf and nan (`null`); rows holding a nonzero
+    cell there are formatted with `repr` instead.
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    for start in range(0, len(table), _ROW_BLOCK):
+        block = table[start:start + _ROW_BLOCK]
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        lines = text[2:-2].decode().split("],[")
+        mag = np.abs(block)
+        plain = (block == 0) | ((mag >= 1e-4) & (mag < 1e16))
+        for i in np.flatnonzero(~plain.all(axis=1)):
+            lines[i] = ",".join(map(repr, block[i].tolist()))
+        out.write("\n".join(lines) + "\n")
 
 
 def _parse_range(kind: type):
@@ -318,9 +342,7 @@ def cmd_envelope(args, parser) -> int:
             f"rate_hz={args.rate_hz} scatterers={args.scatterers} mrc_l={args.mrc_l}",
             f"seed={args.seed}",
         ], header)
-        # repr of a Python float is _fmt's shortest round-trip text
-        for row in table:
-            out.write(",".join(map(repr, row.tolist())) + "\n")
+        _write_float_rows(out, table)
     return 0
 
 

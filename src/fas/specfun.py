@@ -51,9 +51,10 @@ _SF_MIN_VALUE = 1e-180
 # to far better than double precision.
 _GAP_CUTOFF = 39.0
 # Largest Bessel argument handled by the series; beyond it the evaluation
-# falls back to the sqrt(b/a)*Q(b-a) tail form (only reachable far outside
-# the a,b <= 50 accuracy contract).  Also the switch point to the asymptotic
-# expansion for the scaled I0, whose library form degrades above ~1e9.
+# falls back to the Q(b-a) + phi(b-a)/(2a) tail form (only reachable far
+# outside the a,b <= 50 accuracy contract).  Also the switch point to the
+# asymptotic expansion for the scaled I0, whose library form degrades above
+# ~1e9.
 _SERIES_Z_MAX = 1e8
 
 
@@ -81,8 +82,11 @@ def _q1_upper(a: float, b: float) -> float:
         return 0.0
     z = a * b
     if z > _SERIES_Z_MAX:
-        # huge a*b with a close to b: Gaussian-tail asymptotic sqrt(b/a) Q(gap)
-        return min(1.0, math.sqrt(b / a) * 0.5 * math.erfc(gap / math.sqrt(2)))
+        # huge a*b with a close to b: Gaussian-tail asymptotic
+        # Q(gap) + phi(gap) / (2a), phi the standard normal density
+        tail = 0.5 * math.erfc(gap / math.sqrt(2))
+        density = math.exp(-0.5 * gap * gap) / math.sqrt(2.0 * math.pi)
+        return min(1.0, tail + density / (2.0 * a))
     n_terms = int(9.3 * math.sqrt(z)) + 61
     k = np.arange(n_terms)
     s = float(np.sum((a / b) ** k * sp.ive(k, z)))

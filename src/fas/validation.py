@@ -217,7 +217,6 @@ def run_validation(settings: ValidationSettings) -> dict:
             "quad_abs_tol": repr(settings.quad_abs_tol),
         },
         "results": results,
-        "guards": [],
         "version": __version__,
         "all_passed": all(r["pass"] for r in results.values()),
     }

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import logging
 import math
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fas import __version__, cli, mc
 from fas.analytic import db_to_linear, outage_exact, outage_mrc
@@ -410,6 +413,43 @@ class TestEnvelope:
         with pytest.raises(SystemExit) as exc:
             main(["envelope", "--rate-hz", "10"])
         assert exc.value.code == 2
+
+
+# Cells where orjson's notation departs from repr, or sits next to where it
+# does: signed zeros, non-finite values, subnormals and both sides of 1e-4
+# and 1e16.
+_EDGE_CELLS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+               2.2250738585072014e-308, 2.225073858507201e-308,
+               1e-5, 1e15, 1e22]
+_EDGE_CELLS += [x for edge in (1e-4, 1e16)
+                for x in (math.nextafter(edge, 0.0), edge,
+                          math.nextafter(edge, math.inf))]
+_EDGE_CELLS += [-v for v in _EDGE_CELLS]
+_ROWS = st.one_of(st.integers(1, 4),
+                  st.sampled_from([cli._ROW_BLOCK - 1, cli._ROW_BLOCK,
+                                   cli._ROW_BLOCK + 1]))
+_CELLS = st.one_of(st.sampled_from(_EDGE_CELLS),
+                   st.floats(width=64),
+                   st.floats(min_value=1e-4, max_value=1e16,
+                             exclude_max=True),
+                   st.floats(min_value=-1e16, max_value=-1e-4,
+                             exclude_min=True))
+
+
+class TestFloatRowWriter:
+    """`cli._write_float_rows`, the envelope writer: orjson blocks with a
+    repr fallback must print every cell exactly as repr does."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(hnp.arrays(np.float64, st.tuples(_ROWS, st.integers(1, 6)),
+                      elements=_CELLS))
+    @example(np.array([_EDGE_CELLS]))
+    @example(np.array(_EDGE_CELLS).reshape(-1, 1))
+    def test_text_is_repr_of_every_cell(self, table):
+        out = io.StringIO()
+        cli._write_float_rows(out, table)
+        assert out.getvalue() == "".join(
+            ",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
 class TestValidate:

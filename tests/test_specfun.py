@@ -125,12 +125,21 @@ class TestMarcumQ1:
         assert gaps[-1] < 0.013
 
     def test_gaussian_tail_beyond_series_range(self):
-        # a*b > 1e8: Q1(a, b) ~ sqrt(b/a) Q(b - a), with Q(1) = 0.158655...
+        # a*b > 1e8: Q1(a, b) ~ Q(b - a) + phi(b - a) / (2a), with
+        # Q(1) = 0.158655...
         a = 2e4
         assert marcum_q1(a, a + 1.0) == pytest.approx(0.158655, abs=1e-5)
         assert marcum_q1(a + 1.0, a) == pytest.approx(1 - 0.158655, abs=2e-5)
-        assert marcum_q1(a, a) == pytest.approx(0.5, abs=1e-4)
         assert 0.0 < marcum_q1(a, a + 10.0) < 1e-20
+        for a in (2e4, 3e4):
+            # Q1(a, a) = (1 + e^{-a^2} I0(a^2)) / 2 exactly
+            assert marcum_q1(a, a) == pytest.approx(
+                0.5 * (1.0 + sp.ive(0, a * a)), rel=1e-10, abs=0.0)
+            for gap in (0.5, 1.0, 2.0):
+                # both sides of the diagonal, the a > b one by reflection
+                for x, y in ((a, a + gap), (a + gap, a)):
+                    assert marcum_q1(x, y) == pytest.approx(
+                        reference.marcum_q1_quad(x, y), rel=1e-8, abs=0.0)
 
     def test_ratio_upper_bound(self):
         # Q1(a,b) < (1/sqrt(1+2ab)) * b/(b-a) for 0 <= a < b <= 20

@@ -111,8 +111,7 @@ class TestRunValidation:
     def test_full_report_shape(self):
         report = run_validation(ValidationSettings(grid="quick",
                                                    trials=20_000, seed=42))
-        assert set(report) == {"config", "results", "guards", "version",
-                               "all_passed"}
+        assert set(report) == {"config", "results", "version", "all_passed"}
         assert set(report["results"]) == set(ALL_CHECKS)
         assert report["all_passed"]
 
