@@ -6,6 +6,7 @@ at 1: every analytic quantity downstream depends only on the SNR ratio.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,27 +176,44 @@ _ENV_FLOOR = 1e-150  # keeps log10 finite on astronomically deep fades
 _SOS_BLOCK = 128  # samples per block of the sum-of-sinusoids product
 
 
+def _phasor_table(freqs: np.ndarray, count: int, spacing: int,
+                  sample_rate_hz: float, phase=0.0) -> np.ndarray:
+    """e^{i (w_m t_n + phase_m)} at t_n = n * spacing / sample_rate_hz for
+    n < count, shape (count, M).
+
+    With n = q s + r and s = ceil(sqrt(count)), each entry is the product of
+    e^{i (w_m q s spacing / f_s + phase_m)} and e^{i w_m r spacing / f_s}:
+    about 2 sqrt(count) complex exponentials per frequency, not count.  Both
+    factors come from their own index, not from a running recurrence, so
+    rounding does not accumulate along the table.
+    """
+    s = math.isqrt(max(count - 1, 0)) + 1
+    n_coarse = -(-count // s)
+    coarse = np.exp(1j * (np.outer(np.arange(n_coarse) * (s * spacing)
+                                   / sample_rate_hz, freqs) + phase))
+    fine = np.exp(1j * np.outer(np.arange(s) * spacing / sample_rate_hz, freqs))
+    return (coarse[:, None, :] * fine).reshape(n_coarse * s, freqs.size)[:count]
+
+
 def _sos_process(rng: np.random.Generator, f_m: float, n_samples: int,
                  sample_rate_hz: float, n_scatterers: int) -> np.ndarray:
     """Sum-of-sinusoids Gaussian process, variance 1/2, Jakes spectrum,
     sampled at t_n = n / sample_rate_hz for n < n_samples.
 
     With t = (kB + b) / f_s, sum_m cos(w_m t + p_m) is the real part of a
-    (blocks x scatterers) @ (scatterers x B) complex product of
-    e^{i w_m kB/f_s} and e^{i (w_m b/f_s + p_m)}: M cosines per block, not
-    M * B.  Each block start is taken from kB/f_s directly, not by repeated
-    multiplication by a rotation, so rounding does not accumulate from block
-    to block.
+    (blocks x scatterers) @ (scatterers x B) complex product H T of
+    e^{i w_m kB/f_s} and e^{i (w_m b/f_s + p_m)}, both from `_phasor_table`.
+    Only that real part, Re H Re T - Im H Im T, is computed: one real
+    product of H's float view (Re, Im per scatterer) with that of T's
+    conjugate (Re, -Im).
     """
     theta = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
     phase = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
     freqs = 2.0 * np.pi * f_m * np.cos(theta)
     n_blocks = -(-n_samples // _SOS_BLOCK)
-    starts = np.arange(n_blocks) * _SOS_BLOCK / sample_rate_hz
-    offsets = np.arange(_SOS_BLOCK) / sample_rate_hz
-    head = np.exp(1j * np.outer(starts, freqs))
-    tail = np.exp(1j * (np.outer(freqs, offsets) + phase[:, None]))
-    out = (head @ tail).real.ravel()[:n_samples]
+    head = _phasor_table(freqs, n_blocks, _SOS_BLOCK, sample_rate_hz)
+    tail = _phasor_table(freqs, _SOS_BLOCK, 1, sample_rate_hz, phase)
+    out = (head.view(float) @ tail.conj().view(float).T).ravel()[:n_samples]
     return out / np.sqrt(n_scatterers)
 
 

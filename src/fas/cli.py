@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -413,8 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use: building the tree costs more than a
+# small command.  Parsing leaves it as it was; no command mutates a default
+# it reads from args (bounds-compare's --mrc-l list is shared by every call).
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     # the subcommand's own parser, so that usage errors name the subcommand
     return args.func(args, args.parser)
 

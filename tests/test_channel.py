@@ -269,13 +269,41 @@ def plain_state(generator):
     return plain(generator.bit_generator.state)
 
 
+class TestPhasorTable:
+    """`channel._phasor_table` against a direct complex exponential."""
+
+    @pytest.mark.parametrize("count, spacing", [
+        (0, 1), (1, 1), (2, 128), (8, 128), (9, 128), (10, 128), (128, 1),
+        (469, 128),     # the 60-s trace's block starts
+        (60_000, 1),    # every sample of the 60-s trace: up to ~5e4 rad
+    ])
+    def test_matches_direct_exp(self, count, spacing):
+        # Dyadic rate, frequencies and phases keep every argument exact in
+        # both forms, so the comparison sees only the factoring, not how
+        # each form rounds w * t + p.
+        gen = np.random.default_rng(5)
+        freqs = gen.integers(-14_000, 14_000, 8) / 16.0  # up to ~875 rad/s
+        phase = gen.integers(0, 402, 8) / 64.0           # [0, 2 pi)
+        rate = 1024.0
+        got = channel._phasor_table(freqs, count, spacing, rate, phase)
+        outer = np.outer(np.arange(count) * spacing / rate, freqs)
+        want = np.exp(1j * (outer + phase))
+        assert got.shape == want.shape == (count, 8)
+        assert np.max(np.abs(outer), initial=0.0) < 5.2e4
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-13
+
+
 class TestSosKernel:
     """The blocked-matmul sum of sinusoids against the per-scatterer loop it
     replaced (`reference.sos_process_loop`)."""
 
     @pytest.mark.parametrize("n_samples", [
         0, 1, 5, channel._SOS_BLOCK - 1, channel._SOS_BLOCK,
-        channel._SOS_BLOCK + 1, 7 * channel._SOS_BLOCK + 33])
+        channel._SOS_BLOCK + 1, 7 * channel._SOS_BLOCK + 33,
+        # 8, 9 and 10 blocks: 3**2 - 1, 3**2 and 3**2 + 1, the edges of the
+        # block-start table's 3 x 3 factoring
+        8 * channel._SOS_BLOCK, 9 * channel._SOS_BLOCK - 7,
+        9 * channel._SOS_BLOCK + 1])
     def test_matches_loop_at_any_sample_count(self, n_samples):
         fast_rng, loop_rng = rng(3), rng(3)
         got = channel._sos_process(fast_rng, 139.0, n_samples, 1000.0, 16)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,38 @@ def test_no_option_parses_with_bare_float_or_int():
     assert len(subparsers.choices) == 5
     assert bare == []
     assert len(typed) == 42
+
+
+def test_main_reuses_one_parser(capsys):
+    # main parses every call with one parser built on first use; each output
+    # must be the one a fresh process prints, usage errors included
+    runs = [
+        (["outage-curve", "--sweep-n", "1:3:1"], 0),
+        (["outage-curve", "--sweep-n", "5:1:1"], 2),
+        (["bounds-compare", "--sweep-n", "1:3:1"], 0),
+        (["design", "--n-ports", "10"], 0),
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    before = cli._shared_parser.cache_info()
+    for argv, code in runs:
+        fresh = subprocess.run([sys.executable, "-m", "fas.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert fresh.returncode == code
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (fresh.stdout, fresh.stderr)
+    after = cli._shared_parser.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == 4
+    assert after.misses <= 1 and after.currsize == 1
+    # the bounds-compare default is one list, shared by every call
+    sub = next(a for a in cli._shared_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices["bounds-compare"].get_default("mrc_l") == [2, 5, 8]
 
 
 class TestOutputSinks:
@@ -408,6 +441,18 @@ class TestEnvelope:
             _, out = run_cli(capsys, "envelope", "--n-ports", "2", flag, value)
             return [l for l in out.splitlines() if l.startswith("#")]
         assert comments(a) != comments(b)
+
+    def test_default_trace_memory_stays_bounded(self, tmp_path):
+        # the trace keeps its (T, N) gains and its CSV table in time order;
+        # a port-major layout or a whole-table temporary would add 8-16 MB.
+        # numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            assert main(["envelope", "--out", str(tmp_path / "t.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * 2**20
 
     def test_nyquist_violation_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
