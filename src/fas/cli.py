@@ -27,6 +27,10 @@ from .validation import GRID_PRESETS, ValidationSettings, run_validation
 _log = logging.getLogger("fas")
 
 _ROW_BLOCK = 128  # rows per block of the envelope CSV writer
+# Most points a sweep flag accepts: each costs an exact outage (about a
+# millisecond), so a larger sweep is a typo whose list of points could
+# exhaust memory.  The count is checked before any list is built.
+_SWEEP_POINTS_MAX = 10 ** 6
 
 
 def _fmt(value) -> str:
@@ -73,19 +77,26 @@ def _write_float_rows(out: TextIO, table: np.ndarray) -> None:
         out.write("\n".join(lines) + "\n")
 
 
-def _parse_range(kind: type):
-    """Type for a start:stop:step flag: the ascending list of `kind` values."""
+def _parse_range(kind: type, first):
+    """Type for a start:stop:step flag: the ascending list of `kind` values.
+    The start is parsed by the flag type `first`, which thereby checks the
+    floor of every value."""
     def start_stop_step(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(
                 f"expected start:stop:step, got {text!r}")
         try:
-            start, stop, step = (kind(p) for p in parts)
+            stop, step = kind(parts[1]), kind(parts[2])
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
+        start = first(parts[0])
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("need start <= stop and step > 0")
+        count = (stop - start) // step + 1  # nan for an infinite span
+        if not count <= _SWEEP_POINTS_MAX:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {_SWEEP_POINTS_MAX} points, got {count:.0f}")
         if kind is int:
             return list(range(start, stop + 1, step))
         values = np.arange(start, stop + step * 0.5, step)
@@ -157,10 +168,11 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-db", type=_finite_float, default=0.0)
     parser.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     sweep = parser.add_mutually_exclusive_group(required=True)
-    for flag, kind in (("--sweep-n", int), ("--sweep-w", float),
-                       ("--sweep-snr-db", float)):
-        sweep.add_argument(flag, type=_parse_range(kind), metavar="A:B:S",
-                           help=_SWEEP_HELP)
+    for flag, kind, first in (("--sweep-n", int, _int_at_least(1)),
+                              ("--sweep-w", float, _positive_float),
+                              ("--sweep-snr-db", float, _finite_float)):
+        sweep.add_argument(flag, type=_parse_range(kind, first),
+                           metavar="A:B:S", help=_SWEEP_HELP)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -182,19 +194,6 @@ def _output(path: Optional[str]):
             yield out
 
 
-def _sweep_points(args, parser) -> tuple[str, list]:
-    """The swept variable and its values; argparse admits exactly one."""
-    name, values = next((name, values) for name, values in
-                        [("n_ports", args.sweep_n), ("size_wl", args.sweep_w),
-                         ("snr_db", args.sweep_snr_db)] if values is not None)
-    # ranges ascend, so the start is the smallest value
-    if name == "n_ports" and values[0] < 1:
-        parser.error("--sweep-n values must be >= 1")
-    if name == "size_wl" and not values[0] > 0:
-        parser.error("--sweep-w values must be > 0")
-    return name, values
-
-
 def _sweep_config(variable: str, value, args) -> FasConfig:
     point = {"n_ports": args.n_ports, "size_wl": args.size_wl,
              "snr_db": args.snr_db, variable: value}
@@ -203,12 +202,15 @@ def _sweep_config(variable: str, value, args) -> FasConfig:
                      snr_ratio=analytic.db_to_linear(float(point["snr_db"])))
 
 
-def _run_sweep(args, parser, fixed: str, run: str, extra_header: list[str],
+def _run_sweep(args, fixed: str, run: str, extra_header: list[str],
                extra_cells) -> int:
     """Exact, approximate and bound outage at each sweep point, as CSV, then
     the command's own `extra_cells(config, exact, approx)`; `fixed` ends the
     fixed-point comment and `run` is the last comment line."""
-    variable, values = _sweep_points(args, parser)
+    # argparse admits exactly one swept variable
+    variable, values = next((name, values) for name, values in
+                            [("n_ports", args.sweep_n), ("size_wl", args.sweep_w),
+                             ("snr_db", args.sweep_snr_db)] if values is not None)
     constants = bounds.bound_constants(args.kappa)
     rows = []
     for value in values:
@@ -250,7 +252,7 @@ def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
 
 def cmd_outage_curve(args, parser) -> int:
     return _run_sweep(
-        args, parser, "",
+        args, "",
         f"seed={args.seed} trials={args.trials} workers={args.workers}",
         ["mc", "mc_ci"],
         lambda config, exact, approx: _mc_columns(config, exact, args))
@@ -258,7 +260,7 @@ def cmd_outage_curve(args, parser) -> int:
 
 def cmd_bounds_compare(args, parser) -> int:
     return _run_sweep(
-        args, parser, f" mrc_l={args.mrc_l}", f"seed={args.seed}",
+        args, f" mrc_l={args.mrc_l}", f"seed={args.seed}",
         ["approx_out_of_regime", *(f"mrc_{b}" for b in args.mrc_l)],
         lambda config, exact, approx: [
             1 if approx < 0 else 0,
@@ -280,11 +282,8 @@ def cmd_design(args, parser) -> int:
     constants = bounds.bound_constants(args.kappa)
     x = analytic.db_to_linear(args.snr_db)
     query = design.DesignQuery(mrc_branches=args.mrc_l, snr_ratio=x,
-                               constants=constants, n_ports=args.n_ports)
+                               constants=constants)
     if args.sweep_n is not None:
-        # ranges ascend; no design solver answers for fewer than two ports
-        if args.sweep_n[0] < 2:
-            parser.error("--sweep-n values must be >= 2")
         # an infeasible answer has no value, a feasible one no guard report
         rows = [[n, answer.value, int(answer.feasible), answer.guard_report]
                 for n, answer in design.min_size_frontier(query, args.sweep_n)]
@@ -298,8 +297,10 @@ def cmd_design(args, parser) -> int:
     results: dict = {}
     if args.n_ports is not None:
         if args.n_ports >= 4:
-            results["min_size_wl"] = _answer_dict(design.min_size(query))
-        results["required_mu"] = _answer_dict(design.required_mu_and_size(query))
+            results["min_size_wl"] = _answer_dict(
+                design.min_size(args.n_ports, query))
+        results["required_mu"] = _answer_dict(
+            design.required_mu_and_size(args.n_ports, query))
     else:
         results["min_ports"] = _answer_dict(
             design.min_ports_for_size(args.size_wl, query))
@@ -386,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     # no design solver answers for fewer than two ports
     query.add_argument("--n-ports", type=_int_at_least(2))
     query.add_argument("--size-wl", type=_positive_float)
-    query.add_argument("--sweep-n", type=_parse_range(int), metavar="A:B:S",
-                       help=_SWEEP_HELP)
+    query.add_argument("--sweep-n", type=_parse_range(int, _int_at_least(2)),
+                       metavar="A:B:S", help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_design, parser=p)
 

@@ -8,8 +8,8 @@ the name of the violated guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import special as sp
@@ -38,12 +38,11 @@ _SCAN_BLOCK_CELLS = 16_384
 
 @dataclass(frozen=True)
 class DesignQuery:
-    """Inputs shared by the solvers; only the fields a solver needs are read."""
+    """Inputs every solver reads: the MRC reference and the bound."""
 
     mrc_branches: int
     snr_ratio: float
     constants: BoundConstants
-    n_ports: Optional[int] = None
 
     def __post_init__(self):
         if int(self.mrc_branches) != self.mrc_branches or self.mrc_branches < 1:
@@ -60,9 +59,15 @@ class MuSizeResult:
 
 @dataclass(frozen=True)
 class DesignAnswer:
+    """A solver's answer; an infeasible one has no value, and its guard
+    report names the guard that tripped."""
+
     value: Union[int, float, MuSizeResult, None]
-    feasible: bool
     guard_report: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return self.value is not None
 
 
 def _mrc_ratio(query: DesignQuery) -> float:
@@ -76,16 +81,16 @@ def min_ports_general(profile_mu: Sequence[float], query: DesignQuery,
     """Smallest prefix length N of the profile whose bound beats MRC."""
     target = _mrc_ratio(query)
     if target > 1.0:
-        return DesignAnswer(value=1, feasible=True)
+        return DesignAnswer(1)
     mu = np.asarray(profile_mu, dtype=float)
     # prod[j] is the product over ports 2..j+2, so N = j + 2
     prod = np.cumprod(per_port_bound_factors(mu[1:n_max], query.snr_ratio,
                                              query.constants))
     below = np.flatnonzero(prod < target)
     if below.size:
-        return DesignAnswer(value=int(below[0]) + 2, feasible=True)
+        return DesignAnswer(int(below[0]) + 2)
     guard = GUARD_N_EXHAUSTED if mu.size > n_max else GUARD_PROFILE_EXHAUSTED
-    return DesignAnswer(value=None, feasible=False, guard_report=guard)
+    return DesignAnswer(None, guard)
 
 
 def min_ports_for_size(size_wl: float, query: DesignQuery,
@@ -107,7 +112,7 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     target = outage_mrc(query.mrc_branches, x)
     single = -math.expm1(-x)
     if n_max >= 1 and single < target:
-        return DesignAnswer(value=1, feasible=True)
+        return DesignAnswer(1)
     n0 = 2
     while n0 <= n_max:
         # rows * (n0 + rows) cells at most
@@ -122,10 +127,9 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
         factors[masked] = 1.0
         beats = np.flatnonzero(single * np.prod(factors, axis=1) < target)
         if beats.size:
-            return DesignAnswer(value=n0 + int(beats[0]), feasible=True)
+            return DesignAnswer(n0 + int(beats[0]))
         n0 += rows
-    return DesignAnswer(value=None, feasible=False,
-                        guard_report=GUARD_N_EXHAUSTED)
+    return DesignAnswer(None, GUARD_N_EXHAUSTED)
 
 
 def min_ports_homogeneous(mu: float, query: DesignQuery,
@@ -135,11 +139,10 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     target = _mrc_ratio(query)
     if target > 1.0:
-        return DesignAnswer(value=1, feasible=True)
+        return DesignAnswer(1)
     factor = per_port_bound_factor(mu, query.snr_ratio, query.constants)
     if not 0.0 < factor < 1.0:
-        return DesignAnswer(value=None, feasible=False,
-                            guard_report=GUARD_FACTOR_RANGE)
+        return DesignAnswer(None, GUARD_FACTOR_RANGE)
     # need factor**(N-1) < target, i.e. N > ln(target)/ln(factor) + 1
     n = math.floor(math.log(target) / math.log(factor)) + 2
     # guard against floating-point edge of the floor
@@ -148,69 +151,49 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
     while factor ** (n - 1) >= target:
         n += 1
         if n > n_max:
-            return DesignAnswer(value=None, feasible=False,
-                                guard_report=GUARD_N_EXHAUSTED)
-    return DesignAnswer(value=n, feasible=True)
+            return DesignAnswer(None, GUARD_N_EXHAUSTED)
+    return DesignAnswer(n)
 
 
-def _mu_star(query: DesignQuery, n_effective: int) -> DesignAnswer:
-    """Required homogeneous correlation for an n_effective-port system."""
-    if n_effective < 2:
-        raise ValueError("need at least 2 effective ports")
+def required_mu_and_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
+    """Homogeneous-profile requirement (mu*, d*) for an n_ports-port system."""
+    if n_ports < 2:
+        raise ValueError("required_mu_and_size needs n_ports >= 2")
     x = query.snr_ratio
     rho, kappa = query.constants.rho, query.constants.kappa
-    root = _mrc_ratio(query) ** (1.0 / (n_effective - 1))
+    root = _mrc_ratio(query) ** (1.0 / (n_ports - 1))
     if root >= 1.0:
         # MRC target no stronger than a single port, or within rounding of
         # it (L = 1, or x so large that both outages round to 1); any
         # correlation works, and 1 - root below would be 0
-        return DesignAnswer(value=MuSizeResult(1.0, 0.0), feasible=True)
+        return DesignAnswer(MuSizeResult(1.0, 0.0))
     log_arg = rho / (1.0 - root)
     if log_arg <= 1.0:
-        return DesignAnswer(value=None, feasible=False,
-                            guard_report=GUARD_LOG_NEGATIVE)
+        return DesignAnswer(None, GUARD_LOG_NEGATIVE)
     radicand = 1.0 - kappa * x / math.log(log_arg)
     if radicand < 0.0:
-        return DesignAnswer(value=None, feasible=False,
-                            guard_report=GUARD_COMPLEX_MU)
+        return DesignAnswer(None, GUARD_COMPLEX_MU)
     mu_star = math.sqrt(radicand)
-    if mu_star >= 1.0:
-        d_star = 0.0
-    else:
-        d_star = inv_besselj0_envelope(mu_star).epsilon_star / (2.0 * math.pi)
-    return DesignAnswer(value=MuSizeResult(mu_star, d_star), feasible=True)
+    d_star = inv_besselj0_envelope(mu_star) / (2.0 * math.pi)  # 0 at mu* = 1
+    return DesignAnswer(MuSizeResult(mu_star, d_star))
 
 
-def required_mu_and_size(query: DesignQuery) -> DesignAnswer:
-    """Homogeneous-profile requirement (mu*, d*) for the given n_ports."""
-    if query.n_ports is None or query.n_ports < 2:
-        raise ValueError("required_mu_and_size needs n_ports >= 2")
-    return _mu_star(query, query.n_ports)
-
-
-def min_size(query: DesignQuery) -> DesignAnswer:
-    """Minimum aperture W (wavelengths) for the given n_ports to beat MRC.
+def min_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
+    """Minimum aperture W (wavelengths) for n_ports ports to beat MRC.
 
     Uses the worst-case argument that the floor(N/2) outer ports are at
     least d* apart; odd N rounds down, which is the conservative direction.
     """
-    if query.n_ports is None or query.n_ports < 4:
+    if n_ports < 4:
         raise ValueError("min_size needs n_ports >= 4")
-    half = query.n_ports // 2
-    answer = _mu_star(query, half)
+    answer = required_mu_and_size(n_ports // 2, query)
     if not answer.feasible:
         return answer
-    return DesignAnswer(value=answer.value.d_star_wavelengths, feasible=True)
+    return DesignAnswer(answer.value.d_star_wavelengths)
 
 
 def min_size_frontier(query: DesignQuery, n_values: Sequence[int]):
     """(N, DesignAnswer) pairs of the minimum-size tradeoff curve; N < 4,
     where min_size does not apply, is reported infeasible."""
-    out = []
-    for n in n_values:
-        if n < 4:
-            out.append((int(n), DesignAnswer(value=None, feasible=False,
-                                             guard_report=GUARD_TOO_FEW_PORTS)))
-            continue
-        out.append((int(n), min_size(replace(query, n_ports=int(n)))))
-    return out
+    return [(int(n), min_size(int(n), query) if n >= 4
+             else DesignAnswer(None, GUARD_TOO_FEW_PORTS)) for n in n_values]

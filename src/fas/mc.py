@@ -107,19 +107,6 @@ def mc_outage_fas(config: FasConfig, settings: McSettings,
     return _estimate(failures, settings.trials)
 
 
-def mc_outage_mrc(branches: int, snr_ratio: float,
-                  settings: McSettings) -> McEstimate:
-    """Empirical L-branch MRC outage: the sum of L i.i.d. Exp(1) branch
-    powers |h_l|^2 falls below snr_ratio."""
-    if branches < 1:
-        raise ValueError("branches must be >= 1")
-    failures = 0
-    for rng, n in _chunks(settings):
-        total = rng.standard_exponential((n, branches)).sum(axis=1)
-        failures += int(np.count_nonzero(total < snr_ratio))
-    return _estimate(failures, settings.trials)
-
-
 def plan_trials(p_analytic: float, base_trials: int) -> Optional[int]:
     """Trial count for an honest error bar at depth p_analytic.
 

@@ -29,7 +29,6 @@ The series serves where the survival function fails:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -52,19 +51,8 @@ _SF_MIN_VALUE = 1e-180
 _GAP_CUTOFF = 39.0
 # Largest Bessel argument handled by the series; beyond it the evaluation
 # falls back to the Q(b-a) + phi(b-a)/(2a) tail form (only reachable far
-# outside the a,b <= 50 accuracy contract).  Also the switch point to the
-# asymptotic expansion for the scaled I0, whose library form degrades above
-# ~1e9.
+# outside the a,b <= 50 accuracy contract).
 _SERIES_Z_MAX = 1e8
-
-
-def _i0e(z: float) -> float:
-    """Scaled I0 that stays finite for arbitrarily large arguments."""
-    if z <= _SERIES_Z_MAX:
-        return float(sp.ive(0, z))
-    # asymptotic expansion; relative error < 1e-22 at the switch point
-    inv = 1.0 / (8.0 * z)
-    return (1.0 + inv + 4.5 * inv * inv) / math.sqrt(2.0 * math.pi * z)
 
 
 def _check_finite(x, name: str) -> float:
@@ -120,7 +108,7 @@ def marcum_q1(a: float, b: float) -> float:
         return _q1_upper(a, b)
     # reflection: Q1(a,b) + Q1(b,a) = 1 + exp(-(a^2+b^2)/2) I0(ab)
     gap = a - b
-    cross = _i0e(a * b) * math.exp(-0.5 * gap * gap) if gap < _GAP_CUTOFF else 0.0
+    cross = sp.i0e(a * b) * math.exp(-0.5 * gap * gap) if gap < _GAP_CUTOFF else 0.0
     return min(1.0, 1.0 - _q1_upper(b, a) + float(cross))
 
 
@@ -140,29 +128,23 @@ def _bessel_zeros(order: int, count: int) -> np.ndarray:
     return table[:count]
 
 
-@dataclass(frozen=True)
-class EnvelopeInverseResult:
-    """Smallest epsilon* with |J0(eps)| <= target for every eps >= epsilon*."""
-
-    epsilon_star: float
-    achieved: bool
-
-
-def inv_besselj0_envelope(target: float) -> EnvelopeInverseResult:
-    """Envelope inverse of J0.
+def inv_besselj0_envelope(target: float) -> float:
+    """Envelope inverse of J0: the smallest eps* with |J0(eps)| <= target
+    for every eps >= eps*.
 
     J0 oscillates, so a naive root of J0(eps) = target does not guarantee the
     envelope property.  The local extrema of J0 sit at the zeros of J1 and
-    their magnitudes decrease monotonically; the answer is the crossing of
-    |J0| with the target on the arc following the last extremum that still
-    exceeds it.
+    their magnitudes strictly decrease (the Sonine-Polya theorem; Watson,
+    *A Treatise on the Theory of Bessel Functions*, 15.31); the answer is the
+    crossing of |J0| with the target on the arc following the last extremum
+    that still exceeds it.
     """
     target = _check_finite(target, "target")
     if target <= 0:
         raise ValueError("target must be positive: the |J0| envelope decays "
                          "like eps**-0.5 and never reaches 0")
     if target >= 1.0:
-        return EnvelopeInverseResult(0.0, True)
+        return 0.0
 
     n = 32
     while True:
@@ -185,9 +167,4 @@ def inv_besselj0_envelope(target: float) -> EnvelopeInverseResult:
         # next zero of J0 (zeros of J0 and J1 interlace)
         lo = float(extrema[first_ok - 1])
         hi = float(_bessel_zeros(0, first_ok + 1)[first_ok])
-    eps = brentq(lambda e: abs(sp.j0(e)) - target, lo, hi, xtol=ENVELOPE_XTOL)
-
-    # certify: every later extremum must also sit at or below the target
-    check = _bessel_zeros(1, first_ok + 50)[first_ok:]
-    achieved = bool(np.all(np.abs(sp.j0(check)) <= target + 1e-12))
-    return EnvelopeInverseResult(float(eps), achieved)
+    return brentq(lambda e: abs(sp.j0(e)) - target, lo, hi, xtol=ENVELOPE_XTOL)

@@ -272,9 +272,8 @@ def min_ports_for_size_per_n(size_wl: float, query, n_max: int = 2000):
         config = FasConfig(n_ports=n, size_wavelengths=size_wl,
                            snr_ratio=query.snr_ratio)
         if outage_upper_bound(config, query.constants) < target:
-            return DesignAnswer(value=n, feasible=True)
-    return DesignAnswer(value=None, feasible=False,
-                        guard_report=GUARD_N_EXHAUSTED)
+            return DesignAnswer(n)
+    return DesignAnswer(None, GUARD_N_EXHAUSTED)
 
 
 def outage_approx_marcum(mu, x: float) -> float:
@@ -322,6 +321,21 @@ def mc_outage_fas_full_draw(config, settings, profile=None):
     for rng, n in _chunks(settings):
         power = np.abs(draw_channels_batch(profile, rng, n)) ** 2
         failures += int(np.count_nonzero(power.max(axis=1) < config.snr_ratio))
+    return _estimate(failures, settings.trials)
+
+
+def mc_outage_mrc(branches: int, snr_ratio: float, settings):
+    """Empirical L-branch MRC outage: the sum of L i.i.d. Exp(1) branch
+    powers |h_l|^2 falls below snr_ratio, over the `fas.mc._chunks` pieces
+    of `settings`."""
+    from fas.mc import _chunks, _estimate
+
+    if branches < 1:
+        raise ValueError("branches must be >= 1")
+    failures = 0
+    for rng, n in _chunks(settings):
+        total = rng.standard_exponential((n, branches)).sum(axis=1)
+        failures += int(np.count_nonzero(total < snr_ratio))
     return _estimate(failures, settings.trials)
 
 

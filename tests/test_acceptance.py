@@ -26,7 +26,7 @@ from fas.analytic import (db_to_linear, outage_exact, outage_exact_profile,
                           outage_mrc, outage_n2_closed_form)
 from fas.bounds import bound_constants, outage_upper_bound
 from fas.channel import DopplerTraceConfig, FasConfig, envelope_trace
-from fas.design import DesignQuery, _mu_star, min_size
+from fas.design import DesignQuery, min_size, required_mu_and_size
 from fas.mc import McSettings, mc_outage_fas
 from fas.specfun import marcum_q1
 from fas.validation import adaptive_simpson
@@ -207,15 +207,14 @@ def test_criterion_7_design_round_trip():
     frontier = []
     recheck_worst = 0.0
     for n in range(4, 301):
-        q = DesignQuery(mrc_branches=2, snr_ratio=1.0, constants=constants,
-                        n_ports=n)
-        answer = min_size(q)
+        q = DesignQuery(mrc_branches=2, snr_ratio=1.0, constants=constants)
+        answer = min_size(n, q)
         if not answer.feasible:
             continue
         frontier.append((n, answer.value))
         half = n // 2
         # recheck: the conservative factor at mu*(W) meets the MRC level
-        mu_star = _mu_star(q, half).value.mu_star
+        mu_star = required_mu_and_size(half, q).value.mu_star
         factor = 1.0 - constants.rho * math.exp(
             -constants.kappa / (1.0 - mu_star ** 2))
         lhs = (1.0 - math.exp(-1.0)) * factor ** (half - 1)
@@ -228,8 +227,8 @@ def test_criterion_7_design_round_trip():
     anchor_hits = []
     for kappa in np.linspace(1.05, 3.0, 40):
         q = DesignQuery(mrc_branches=2, snr_ratio=1.0,
-                        constants=bound_constants(float(kappa)), n_ports=25)
-        answer = min_size(q)
+                        constants=bound_constants(float(kappa)))
+        answer = min_size(25, q)
         if answer.feasible and abs(answer.value - 4.2) <= 0.42:
             anchor_hits.append(round(float(kappa), 3))
     anchor_note = (f"kappa values reproducing W=4.2 at N=25 within 10%: "

@@ -92,6 +92,9 @@ class TestArgumentHandling:
         ["envelope", "--seed=-1"],
         ["validate", "--seed=-1"],
         ["envelope", "--duration-s", "0.0004"],
+        ["outage-curve", "--sweep-w=0.1:1e9:1e-9"],
+        # 10^10 points: rejected before any list of them is built
+        ["outage-curve", "--sweep-n", "1:10000000000:1"],
     ])
     def test_out_of_range_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

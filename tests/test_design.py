@@ -22,9 +22,9 @@ from fas.specfun import inv_besselj0_envelope
 import reference
 
 
-def query(branches=2, x=1.0, kappa=2.0, n_ports=None):
+def query(branches=2, x=1.0, kappa=2.0):
     return DesignQuery(mrc_branches=branches, snr_ratio=x,
-                       constants=bound_constants(kappa), n_ports=n_ports)
+                       constants=bound_constants(kappa))
 
 
 def wide_profile_mu(n, w=5.0):
@@ -155,7 +155,7 @@ class TestMinPortsForSize:
     def test_reference_design_point(self):
         # W = 0.2 wavelengths against 4-branch MRC at x = 1
         answer = min_ports_for_size(0.2, query(branches=4))
-        assert answer == DesignAnswer(value=1659, feasible=True)
+        assert answer == DesignAnswer(1659)
 
     def test_tiny_aperture_exhausts_scan(self):
         answer = min_ports_for_size(0.01, query(branches=2))
@@ -224,7 +224,7 @@ class TestMinPortsForSize:
 
         monkeypatch.setattr(design, "per_port_bound_factors", factors)
         q = query(branches=branches, x=x)
-        want = DesignAnswer(value=n, feasible=True)
+        want = DesignAnswer(n)
         assert reference.min_ports_for_size_per_n(w, q, n) == want
         assert min_ports_for_size(w, q) == want
         first, last = 2 + sum(rows[:-1]), 1 + sum(rows)
@@ -270,13 +270,13 @@ class TestRequiredMuAndSize:
     def test_large_n_mu_star_approaches_one(self):
         # the requirement relaxes only logarithmically, so the approach to 1
         # is slow but strictly monotone
-        vals = [required_mu_and_size(query(n_ports=n)).value.mu_star
+        vals = [required_mu_and_size(n, query()).value.mu_star
                 for n in (50, 200, 1000, 100_000)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert 0.8 < vals[-1] < 1.0
 
     def test_small_n_infeasible_with_named_guard(self):
-        answer = required_mu_and_size(query(n_ports=2))
+        answer = required_mu_and_size(2, query())
         assert not answer.feasible
         assert answer.guard_report in (GUARD_LOG_NEGATIVE, GUARD_COMPLEX_MU)
 
@@ -284,8 +284,8 @@ class TestRequiredMuAndSize:
         # mu* inverts the conservative factor 1 - rho*exp(-kappa x/(1-mu^2)),
         # which meets the MRC level exactly with N-1 ports; the sharper
         # factor with the 1/sqrt(mu) gain then lands at or below that level
-        q = query(n_ports=200)
-        answer = required_mu_and_size(q)
+        q = query()
+        answer = required_mu_and_size(200, q)
         assert answer.feasible
         mu_star = answer.value.mu_star
         c = q.constants
@@ -297,11 +297,11 @@ class TestRequiredMuAndSize:
             <= outage_mrc(2, 1.0) + 1e-9
 
     def test_d_star_consistent_with_envelope_inverse(self):
-        answer = required_mu_and_size(query(n_ports=100))
+        answer = required_mu_and_size(100, query())
         assert answer.feasible
         mu_star = answer.value.mu_star
         d_star = answer.value.d_star_wavelengths
-        want = inv_besselj0_envelope(mu_star).epsilon_star / (2.0 * math.pi)
+        want = inv_besselj0_envelope(mu_star) / (2.0 * math.pi)
         assert d_star == pytest.approx(want, abs=1e-9)
         # beyond d*, |J0| of the separation stays at or below mu*
         for extra in np.linspace(0.0, 5.0, 100):
@@ -314,34 +314,29 @@ class TestRequiredMuAndSize:
         # the MRC level equals the single-port outage (L = 1), or both round
         # to 1 (huge x): mu* = 1, d* = 0, where the root once divided by 0
         for n in (2, 3, 10, 100):
-            answer = required_mu_and_size(query(branches=branches, x=x,
-                                                n_ports=n))
-            assert answer == DesignAnswer(value=MuSizeResult(1.0, 0.0),
-                                          feasible=True)
+            answer = required_mu_and_size(n, query(branches=branches, x=x))
+            assert answer == DesignAnswer(MuSizeResult(1.0, 0.0))
 
     def test_requires_n_ports(self):
         with pytest.raises(ValueError):
-            required_mu_and_size(query())
-        with pytest.raises(ValueError):
-            required_mu_and_size(query(n_ports=1))
+            required_mu_and_size(1, query())
 
 
 class TestMinSize:
     def test_matches_half_port_requirement(self):
-        q = query(n_ports=41)
-        answer = min_size(q)
+        answer = min_size(41, query())
         assert answer.feasible
-        half = required_mu_and_size(query(n_ports=20))
+        half = required_mu_and_size(20, query())
         assert answer.value == pytest.approx(
             half.value.d_star_wavelengths, abs=1e-12)
 
     def test_round_trip_through_homogeneous_rule(self):
         # worst-case floor(N/2)-port profile at mu* still beats MRC
         n = 44
-        answer = min_size(query(n_ports=n))
+        answer = min_size(n, query())
         assert answer.feasible
         half = n // 2
-        mu_star = required_mu_and_size(query(n_ports=half)).value.mu_star
+        mu_star = required_mu_and_size(half, query()).value.mu_star
         q = query()
         bound = outage_upper_bound_profile([0.0] + [mu_star] * (half - 1),
                                            1.0, q.constants)
@@ -359,20 +354,26 @@ class TestMinSize:
             assert not frontier[n].feasible
             assert frontier[n].guard_report == GUARD_TOO_FEW_PORTS
         for n in (4, 5, 6):
-            assert frontier[n] == min_size(query(n_ports=n))
+            assert frontier[n] == min_size(n, query())
 
     def test_infeasible_small_n(self):
-        answer = min_size(query(n_ports=4))
+        answer = min_size(4, query())
         assert not answer.feasible
         assert answer.guard_report in (GUARD_LOG_NEGATIVE, GUARD_COMPLEX_MU)
 
+    def test_zero_size_is_feasible(self):
+        # an L = 1 target takes any correlation: W = 0 is an answer
+        answer = min_size(10, query(branches=1))
+        assert answer == DesignAnswer(0.0)
+        assert answer.feasible
+
     def test_requires_at_least_four_ports(self):
         with pytest.raises(ValueError):
-            min_size(query(n_ports=3))
+            min_size(3, query())
 
     def test_no_nan_in_answers(self):
         for n in range(4, 60):
-            answer = min_size(query(n_ports=n))
+            answer = min_size(n, query())
             if answer.feasible:
                 assert math.isfinite(answer.value)
             else:

@@ -7,11 +7,11 @@ from scipy import special as sp
 from fas.analytic import outage_exact, outage_exact_profile, outage_mrc
 from fas.channel import CorrelationProfile, FasConfig, correlation_profile
 from fas.mc import (_CHUNK, TARGET_FAILURES, TRIALS_CAP, McEstimate,
-                    McSettings, mc_outage_fas, mc_outage_mrc, plan_trials,
-                    worker_streams)
+                    McSettings, mc_outage_fas, plan_trials, worker_streams)
 
 import reference
-from reference import ChiSquareResult, HistogramSpec, mc_joint_density_check
+from reference import (ChiSquareResult, HistogramSpec, mc_joint_density_check,
+                       mc_outage_mrc)
 
 
 def within(est: McEstimate, truth: float, sigmas: float = 3.0) -> bool:
