@@ -7,7 +7,8 @@ at 1: every analytic quantity downstream depends only on the SNR ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import special as sp
@@ -142,6 +143,12 @@ class DopplerTraceConfig:
         if not (samples < np.inf and self.n_samples >= 1):
             raise ValueError("duration_s * sample_rate_hz must be finite and "
                              f">= 1 sample once rounded, got {samples!r}")
+        # Row n's time is the double n / sample_rate_hz, and doubles count
+        # every integer only up to 2**53.  The trace streams, so no
+        # allocation would stop a longer one from running without end.
+        if self.n_samples > 2 ** 53:
+            raise ValueError("duration_s * sample_rate_hz must be at most "
+                             f"2**53 samples, got {samples!r}")
         if self.sample_rate_hz <= 2.0 * self.max_doppler_hz:
             raise ValueError(
                 f"sample_rate_hz={self.sample_rate_hz} violates Nyquist for "
@@ -160,45 +167,40 @@ class DopplerTraceConfig:
         return int(round(self.duration_s * self.sample_rate_hz))
 
 
-@dataclass(frozen=True)
-class EnvelopeTrace:
-    """Time-indexed port envelopes plus selection/MRC references (dB)."""
-
-    t_norm: np.ndarray          # v * t / lambda
-    port_db: np.ndarray         # (T, N)
-    fas_db: np.ndarray          # max-over-ports envelope
-    mrc_db: np.ndarray          # sqrt(sum |h|^2) over independent branches
-    gains: np.ndarray = field(repr=False, default=None)  # (T, N) complex
-
-
 _ENV_FLOOR = 1e-150  # keeps log10 finite on astronomically deep fades
 
 _SOS_BLOCK = 128  # samples per block of the sum-of-sinusoids product
 
+# Bytes of the one row buffer an envelope trace fills per chunk: 79 blocks
+# (10,112 rows) at 100 ports, so the default trace is a single chunk and
+# memory does not grow with the duration.
+_TRACE_BUDGET = 8 * 2**20
+
 
 def _phasor_table(freqs: np.ndarray, count: int, spacing: int,
-                  sample_rate_hz: float, phase=0.0) -> np.ndarray:
-    """e^{i (w_m t_n + phase_m)} at t_n = n * spacing / sample_rate_hz for
-    n < count, shape (count, M).
+                  sample_rate_hz: float, phase=0.0, start: int = 0) -> np.ndarray:
+    """e^{i (w_m t_n + phase_m)} at t_n = (start + n) * spacing / sample_rate_hz
+    for n < count, shape (count, M).
 
     With n = q s + r and s = ceil(sqrt(count)), each entry is the product of
-    e^{i (w_m q s spacing / f_s + phase_m)} and e^{i w_m r spacing / f_s}:
-    about 2 sqrt(count) complex exponentials per frequency, not count.  Both
-    factors come from their own index, not from a running recurrence, so
-    rounding does not accumulate along the table.
+    e^{i (w_m (start + q s) spacing / f_s + phase_m)} and
+    e^{i w_m r spacing / f_s}: about 2 sqrt(count) complex exponentials per
+    frequency, not count.  Both factors come from their own index, not from a
+    running recurrence, so rounding does not accumulate along the table.
     """
     s = math.isqrt(max(count - 1, 0)) + 1
     n_coarse = -(-count // s)
-    coarse = np.exp(1j * (np.outer(np.arange(n_coarse) * (s * spacing)
+    coarse = np.exp(1j * (np.outer((start + np.arange(n_coarse) * s) * spacing
                                    / sample_rate_hz, freqs) + phase))
     fine = np.exp(1j * np.outer(np.arange(s) * spacing / sample_rate_hz, freqs))
     return (coarse[:, None, :] * fine).reshape(n_coarse * s, freqs.size)[:count]
 
 
-def _sos_process(rng: np.random.Generator, f_m: float, n_samples: int,
-                 sample_rate_hz: float, n_scatterers: int) -> np.ndarray:
+def _sos_chunk(freqs: np.ndarray, phase: np.ndarray, start: int,
+               n_blocks: int, sample_rate_hz: float) -> np.ndarray:
     """Sum-of-sinusoids Gaussian process, variance 1/2, Jakes spectrum,
-    sampled at t_n = n / sample_rate_hz for n < n_samples.
+    sampled at t_n = n / sample_rate_hz for the n_blocks * B samples from
+    n = start * B on (B = `_SOS_BLOCK`).
 
     With t = (kB + b) / f_s, sum_m cos(w_m t + p_m) is the real part of a
     (blocks x scatterers) @ (scatterers x B) complex product H T of
@@ -207,56 +209,68 @@ def _sos_process(rng: np.random.Generator, f_m: float, n_samples: int,
     product of H's float view (Re, Im per scatterer) with that of T's
     conjugate (Re, -Im).
     """
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
-    freqs = 2.0 * np.pi * f_m * np.cos(theta)
-    n_blocks = -(-n_samples // _SOS_BLOCK)
-    head = _phasor_table(freqs, n_blocks, _SOS_BLOCK, sample_rate_hz)
+    head = _phasor_table(freqs, n_blocks, _SOS_BLOCK, sample_rate_hz,
+                         start=start)
     tail = _phasor_table(freqs, _SOS_BLOCK, 1, sample_rate_hz, phase)
-    out = (head.view(float) @ tail.conj().view(float).T).ravel()[:n_samples]
-    return out / np.sqrt(n_scatterers)
+    out = (head.view(float) @ tail.conj().view(float).T).ravel()
+    return out / np.sqrt(freqs.size)
 
 
 def envelope_trace(config: FasConfig, doppler: DopplerTraceConfig,
-                   rng: np.random.Generator, mrc_branches: int = 2) -> EnvelopeTrace:
-    """Correlated port envelopes over time, with an L-branch MRC reference.
+                   rng: np.random.Generator,
+                   mrc_branches: int = 2) -> Iterator[np.ndarray]:
+    """Correlated port envelopes over time, with an L-branch MRC reference,
+    as float64 row blocks with the columns t_norm (v t / lambda),
+    port_1_db ... port_N_db, fas_db (the port maximum) and mrc_db.
 
     Each underlying Gaussian component evolves as an independent
     sum-of-sinusoids process whose autocorrelation approaches
     0.5 * J0(2*pi*f_m*tau); the spatial mixing is applied per time sample.
+    Every process's M angles and then M phases are drawn here, in one call,
+    in the order x0, y0, then xk, yk per port, then each MRC branch's pair.
+    The rows are computed as the returned generator is iterated, in chunks
+    of whole `_SOS_BLOCK`-sample blocks that fill at most `_TRACE_BUDGET`
+    bytes.  Every block is a view of one buffer that the next block
+    overwrites: copy a block to keep it.
     """
-    profile = correlation_profile(config)
-    f_m = doppler.max_doppler_hz
+    mu = correlation_profile(config).mu
+    n_proc = 2 * mu.size + 2 * mrc_branches
+    angles = rng.uniform(0.0, 2.0 * np.pi, (n_proc, 2, doppler.n_scatterers))
+    freqs = 2.0 * np.pi * doppler.max_doppler_hz * np.cos(angles[:, 0])
+    return _trace_rows(mu, freqs, angles[:, 1], doppler)
+
+
+def _envelope_db(g: np.ndarray, out: np.ndarray) -> None:
+    """20 log10 |g| into `out`, with |g| floored at `_ENV_FLOOR`."""
+    np.multiply(20.0, np.log10(np.maximum(np.abs(g), _ENV_FLOOR)), out=out)
+
+
+def _trace_rows(mu: np.ndarray, freqs: np.ndarray, phases: np.ndarray,
+                doppler: DopplerTraceConfig) -> Iterator[np.ndarray]:
+    n_ports = mu.size
     fs = doppler.sample_rate_hz
     n_samples = doppler.n_samples
-    t = np.arange(n_samples) / fs
-    m = doppler.n_scatterers
-
-    def process():
-        return _sos_process(rng, f_m, n_samples, fs, m)
-
-    x0 = process()
-    y0 = process()
-    mu = profile.mu
-    gains = np.empty((n_samples, mu.size), dtype=complex)
-    gains[:, 0] = x0 + 1j * y0
-    for k in range(1, mu.size):
-        root = np.sqrt(1.0 - mu[k] ** 2)
-        xk = process()
-        yk = process()
-        gains[:, k] = (root * xk + mu[k] * x0) + 1j * (root * yk + mu[k] * y0)
-
-    env = np.maximum(np.abs(gains), _ENV_FLOOR)
-    port_db = 20.0 * np.log10(env)
-    fas_db = port_db.max(axis=1)
-
-    mrc_sq = np.zeros(n_samples)
-    for _ in range(mrc_branches):
-        hx = process()
-        hy = process()
-        mrc_sq += hx ** 2 + hy ** 2
-    mrc_db = 10.0 * np.log10(np.maximum(mrc_sq, _ENV_FLOOR ** 2))
-
-    t_norm = doppler.speed_mps * t / doppler.wavelength_m
-    return EnvelopeTrace(t_norm=t_norm, port_db=port_db, fas_db=fas_db,
-                         mrc_db=mrc_db, gains=gains)
+    chunk = _SOS_BLOCK * max(1, _TRACE_BUDGET // (8 * (n_ports + 3) * _SOS_BLOCK))
+    buf = np.empty((min(chunk, n_samples), n_ports + 3))
+    for r0 in range(0, n_samples, chunk):
+        table = buf[:min(chunk, n_samples - r0)]
+        rows = len(table)
+        n_blocks = -(-rows // _SOS_BLOCK)
+        # every process over this chunk's rows, one at a time in draw order
+        procs = (_sos_chunk(f, p, r0 // _SOS_BLOCK, n_blocks, fs)[:rows]
+                 for f, p in zip(freqs, phases))
+        t = np.arange(r0, r0 + rows) / fs
+        table[:, 0] = doppler.speed_mps * t / doppler.wavelength_m
+        x0, y0 = next(procs), next(procs)
+        _envelope_db(x0 + 1j * y0, table[:, 1])
+        for k in range(1, n_ports):
+            root = np.sqrt(1.0 - mu[k] ** 2)
+            xk, yk = next(procs), next(procs)
+            _envelope_db((root * xk + mu[k] * x0) + 1j * (root * yk + mu[k] * y0),
+                         table[:, k + 1])
+        table[:, -2] = table[:, 1:-2].max(axis=1)
+        mrc_sq = np.zeros(rows)
+        for hx, hy in zip(procs, procs):  # the MRC branches' pairs remain
+            mrc_sq += hx ** 2 + hy ** 2
+        table[:, -1] = 10.0 * np.log10(np.maximum(mrc_sq, _ENV_FLOOR ** 2))
+        yield table

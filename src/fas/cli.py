@@ -331,11 +331,9 @@ def cmd_envelope(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     rng = np.random.Generator(np.random.Philox(args.seed))
-    trace = envelope_trace(config, doppler, rng, mrc_branches=args.mrc_l)
+    blocks = envelope_trace(config, doppler, rng, mrc_branches=args.mrc_l)
     header = ["t_norm"] + [f"port_{k + 1}_db" for k in range(args.n_ports)]
     header += ["fas_db", "mrc_db"]
-    table = np.column_stack([trace.t_norm, trace.port_db, trace.fas_db,
-                             trace.mrc_db])
     with _output(args.out) as out:
         _write_head(out, [
             f"fas {__version__} envelope trace",
@@ -344,7 +342,8 @@ def cmd_envelope(args, parser) -> int:
             f"rate_hz={args.rate_hz} scatterers={args.scatterers} mrc_l={args.mrc_l}",
             f"seed={args.seed}",
         ], header)
-        _write_float_rows(out, table)
+        for block in blocks:
+            _write_float_rows(out, block)
     return 0
 
 

@@ -296,7 +296,8 @@ def sos_process_loop(rng, f_m: float, n_samples: int, sample_rate_hz: float,
                      n_scatterers: int) -> np.ndarray:
     """The sum-of-sinusoids process as the package evaluated it before its
     blocked matmul: one pass of n_samples cosines per scatterer, drawing
-    every theta and then every phase, as `fas.channel._sos_process` does."""
+    every theta and then every phase, as `fas.channel.envelope_trace` does
+    for each process."""
     theta = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
     phase = rng.uniform(0.0, 2.0 * np.pi, n_scatterers)
     freqs = 2.0 * np.pi * f_m * np.cos(theta)
@@ -305,6 +306,49 @@ def sos_process_loop(rng, f_m: float, n_samples: int, sample_rate_hz: float,
     for w, p in zip(freqs, phase):
         out += np.cos(w * t + p)
     return out / np.sqrt(n_scatterers)
+
+
+def envelope_trace_loop(config, doppler, rng, mrc_branches: int = 2):
+    """The envelope trace as the package composed it before it streamed row
+    chunks: every process over the whole trace from `sos_process_loop`, in
+    the draw order x0, y0, xk and yk per port, then each MRC branch's pair.
+    Returns the (T, N) complex gains and the fas_db and mrc_db columns."""
+    from fas.channel import _ENV_FLOOR, correlation_profile
+
+    f_m = doppler.max_doppler_hz
+    n_samples = doppler.n_samples
+
+    def process():
+        return sos_process_loop(rng, f_m, n_samples, doppler.sample_rate_hz,
+                                doppler.n_scatterers)
+
+    x0 = process()
+    y0 = process()
+    mu = correlation_profile(config).mu
+    gains = np.empty((n_samples, mu.size), dtype=complex)
+    gains[:, 0] = x0 + 1j * y0
+    for k in range(1, mu.size):
+        root = np.sqrt(1.0 - mu[k] ** 2)
+        xk = process()
+        yk = process()
+        gains[:, k] = (root * xk + mu[k] * x0) + 1j * (root * yk + mu[k] * y0)
+    fas_db = 20.0 * np.log10(np.maximum(np.abs(gains), _ENV_FLOOR)).max(axis=1)
+    mrc_sq = np.zeros(n_samples)
+    for _ in range(mrc_branches):
+        hx = process()
+        hy = process()
+        mrc_sq += hx ** 2 + hy ** 2
+    mrc_db = 10.0 * np.log10(np.maximum(mrc_sq, _ENV_FLOOR ** 2))
+    return gains, fas_db, mrc_db
+
+
+def trace_table(config, doppler, rng, mrc_branches: int = 2) -> np.ndarray:
+    """`fas.channel.envelope_trace` as one (T, N + 3) table: each streamed
+    block is copied as it arrives, since the next one overwrites it."""
+    from fas.channel import envelope_trace
+
+    return np.concatenate([block.copy() for block in
+                           envelope_trace(config, doppler, rng, mrc_branches)])
 
 
 def mc_outage_fas_full_draw(config, settings, profile=None):

@@ -200,6 +200,10 @@ class TestDopplerTraceConfig:
             doppler(0.0004)
         with pytest.raises(ValueError, match="must be finite"):
             doppler(1e306)  # the product overflows to inf
+        # row indices stay exact doubles up to 2**53 samples
+        assert doppler(2.0 ** 53 / 1000.0).n_samples == 2 ** 53
+        with pytest.raises(ValueError, match=r"at most 2\*\*53 samples"):
+            doppler(2.0 ** 54 / 1000.0)
 
     @pytest.mark.parametrize("field", ["speed_mps", "carrier_hz", "duration_s",
                                        "sample_rate_hz"])
@@ -212,39 +216,48 @@ class TestDopplerTraceConfig:
             DopplerTraceConfig(**values)
 
 
+def trace_columns(c, d, seed):
+    """t_norm, port_db (T, N), fas_db and mrc_db of the streamed trace."""
+    table = reference.trace_table(c, d, rng(seed))
+    return table[:, 0], table[:, 1:-2], table[:, -2], table[:, -1]
+
+
 class TestEnvelopeTrace:
     def test_zero_speed_is_static(self):
         c = FasConfig(n_ports=8, size_wavelengths=1.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=0.0, carrier_hz=5e9, duration_s=0.5,
                                sample_rate_hz=100.0)
-        trace = envelope_trace(c, d, rng(6))
-        assert np.allclose(trace.port_db, trace.port_db[0], atol=1e-9)
-        assert np.allclose(trace.mrc_db, trace.mrc_db[0], atol=1e-9)
+        _, port_db, _, mrc_db = trace_columns(c, d, 6)
+        assert np.allclose(port_db, port_db[0], atol=1e-9)
+        assert np.allclose(mrc_db, mrc_db[0], atol=1e-9)
 
     def test_deep_fade_spread(self):
         # many closely spaced ports span tens of dB at some instants
         c = FasConfig(n_ports=100, size_wavelengths=2.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
                                duration_s=10.0, sample_rate_hz=1000.0)
-        trace = envelope_trace(c, d, rng(7))
-        spread = trace.port_db.max(axis=1) - trace.port_db.min(axis=1)
+        _, port_db, _, _ = trace_columns(c, d, 7)
+        spread = port_db.max(axis=1) - port_db.min(axis=1)
         assert np.mean(spread >= 30.0) >= 0.01
 
     def test_selection_hardening(self):
         c = FasConfig(n_ports=100, size_wavelengths=2.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
                                duration_s=10.0, sample_rate_hz=1000.0)
-        trace = envelope_trace(c, d, rng(8))
-        assert trace.fas_db.var() < trace.port_db.var(axis=0).min()
+        _, port_db, fas_db, _ = trace_columns(c, d, 8)
+        assert fas_db.var() < port_db.var(axis=0).min()
 
     def test_temporal_autocorrelation(self):
-        # Re{g_1(t)} autocorrelation at lag 1/(4 f_m) tracks 0.5*J0(pi/2)
-        c = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=1.0)
+        # Re{g_1(t)} autocorrelation at lag 1/(4 f_m) tracks 0.5*J0(pi/2);
+        # Re{g_1} is x0, the trace's first process, from rng(10)'s first draws
         d = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
                                duration_s=10.0, sample_rate_hz=2000.0,
                                n_scatterers=256)
-        trace = envelope_trace(c, d, rng(10))
-        re = np.real(trace.gains[:, 0])
+        theta, phase = rng(10).uniform(0.0, 2.0 * np.pi, (2, 256))
+        freqs = 2.0 * np.pi * d.max_doppler_hz * np.cos(theta)
+        n_blocks = -(-d.n_samples // channel._SOS_BLOCK)
+        re = channel._sos_chunk(freqs, phase, 0, n_blocks,
+                                d.sample_rate_hz)[:d.n_samples]
         lag = int(round(d.sample_rate_hz / (4.0 * d.max_doppler_hz)))
         ac = np.mean(re[:-lag] * re[lag:])
         want = 0.5 * sp.j0(2.0 * math.pi * d.max_doppler_hz
@@ -255,8 +268,8 @@ class TestEnvelopeTrace:
         c = FasConfig(n_ports=6, size_wavelengths=1.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=5.0, carrier_hz=5e9, duration_s=0.5,
                                sample_rate_hz=500.0)
-        trace = envelope_trace(c, d, rng(11))
-        assert np.array_equal(trace.fas_db, trace.port_db.max(axis=1))
+        _, port_db, fas_db, _ = trace_columns(c, d, 11)
+        assert np.array_equal(fas_db, port_db.max(axis=1))
 
 
 def plain_state(generator):
@@ -272,12 +285,8 @@ def plain_state(generator):
 class TestPhasorTable:
     """`channel._phasor_table` against a direct complex exponential."""
 
-    @pytest.mark.parametrize("count, spacing", [
-        (0, 1), (1, 1), (2, 128), (8, 128), (9, 128), (10, 128), (128, 1),
-        (469, 128),     # the 60-s trace's block starts
-        (60_000, 1),    # every sample of the 60-s trace: up to ~5e4 rad
-    ])
-    def test_matches_direct_exp(self, count, spacing):
+    @staticmethod
+    def check(count, spacing, start):
         # Dyadic rate, frequencies and phases keep every argument exact in
         # both forms, so the comparison sees only the factoring, not how
         # each form rounds w * t + p.
@@ -285,12 +294,33 @@ class TestPhasorTable:
         freqs = gen.integers(-14_000, 14_000, 8) / 16.0  # up to ~875 rad/s
         phase = gen.integers(0, 402, 8) / 64.0           # [0, 2 pi)
         rate = 1024.0
-        got = channel._phasor_table(freqs, count, spacing, rate, phase)
-        outer = np.outer(np.arange(count) * spacing / rate, freqs)
+        got = channel._phasor_table(freqs, count, spacing, rate, phase,
+                                    start=start)
+        outer = np.outer((start + np.arange(count)) * spacing / rate, freqs)
         want = np.exp(1j * (outer + phase))
         assert got.shape == want.shape == (count, 8)
         assert np.max(np.abs(outer), initial=0.0) < 5.2e4
         assert np.max(np.abs(got - want), initial=0.0) < 1e-13
+
+    @pytest.mark.parametrize("count, spacing", [
+        (0, 1), (1, 1), (2, 128), (8, 128), (9, 128), (10, 128), (128, 1),
+        (469, 128),     # the 60-s trace's block starts
+        (60_000, 1),    # every sample of the 60-s trace: up to ~5e4 rad
+    ])
+    def test_matches_direct_exp(self, count, spacing):
+        self.check(count, spacing, 0)
+
+    @pytest.mark.parametrize("count, spacing, start", [
+        (79, 128, 79),   # the second chunk of the 100-port trace
+        (3, 128, 79),    # a short last chunk
+        (10, 128, 391),
+        (1, 128, 468),   # the 60-s trace's last block
+        (0, 128, 5),
+        (1000, 1, 59_000),
+    ])
+    def test_matches_direct_exp_from_block_offset(self, count, spacing, start):
+        # a later chunk of the trace starts its block table at `start`
+        self.check(count, spacing, start)
 
 
 class TestSosKernel:
@@ -305,10 +335,30 @@ class TestSosKernel:
         8 * channel._SOS_BLOCK, 9 * channel._SOS_BLOCK - 7,
         9 * channel._SOS_BLOCK + 1])
     def test_matches_loop_at_any_sample_count(self, n_samples):
+        self.check(n_samples, 0)
+
+    # within the sample range above, where the loop's own rounding of
+    # w t + p stays below the bound
+    @pytest.mark.parametrize("n_samples, start", [
+        (1, 1), (5, 8), (channel._SOS_BLOCK, 3),
+        (7 * channel._SOS_BLOCK + 33, 1)])
+    def test_matches_loop_from_block_offset(self, n_samples, start):
+        self.check(n_samples, start)
+
+    @staticmethod
+    def check(n_samples, start):
+        # the kernel from block `start` on, against the loop's samples there;
+        # drawing every angle and then every phase in one call consumes the
+        # stream as the loop's two calls do
         fast_rng, loop_rng = rng(3), rng(3)
-        got = channel._sos_process(fast_rng, 139.0, n_samples, 1000.0, 16)
-        want = reference.sos_process_loop(loop_rng, 139.0, n_samples, 1000.0,
-                                          16)
+        theta, phase = fast_rng.uniform(0.0, 2.0 * np.pi, (2, 16))
+        freqs = 2.0 * np.pi * 139.0 * np.cos(theta)
+        n_blocks = -(-n_samples // channel._SOS_BLOCK)
+        got = channel._sos_chunk(freqs, phase, start, n_blocks,
+                                 1000.0)[:n_samples]
+        skip = start * channel._SOS_BLOCK
+        want = reference.sos_process_loop(loop_rng, 139.0, skip + n_samples,
+                                          1000.0, 16)[skip:]
         assert got.shape == want.shape == (n_samples,)
         assert np.max(np.abs(got - want), initial=0.0) < 1e-12
         assert plain_state(fast_rng) == plain_state(loop_rng)
@@ -318,19 +368,43 @@ class TestSosKernel:
         (4, 60.0, 16),     # 60,000 samples: still within 1e-10 at the end
         (3, 0.3005, 16),   # 301 samples, not a multiple of the block
         (3, 0.05, 16),     # 50 samples, shorter than one block
+        (100, 10.5, 16),   # two chunks, the last one ending mid-block
     ])
-    def test_trace_matches_loop_and_rng_consumption(self, monkeypatch,
-                                                    n_ports, duration_s,
+    def test_trace_matches_loop_and_rng_consumption(self, n_ports, duration_s,
                                                     scatterers):
         c = FasConfig(n_ports=n_ports, size_wavelengths=2.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
                                duration_s=duration_s, sample_rate_hz=1000.0,
                                n_scatterers=scatterers)
         fast_rng, loop_rng = rng(7), rng(7)
-        fast = envelope_trace(c, d, fast_rng)
-        monkeypatch.setattr(channel, "_sos_process", reference.sos_process_loop)
-        loop = envelope_trace(c, d, loop_rng)
+        table = reference.trace_table(c, d, fast_rng)
+        gains, fas_db, mrc_db = reference.envelope_trace_loop(c, d, loop_rng)
         n_samples = int(round(duration_s * 1000.0))
-        assert fast.gains.shape == loop.gains.shape == (n_samples, n_ports)
-        assert np.max(np.abs(fast.gains - loop.gains)) < 1e-10
+        assert table.shape == (n_samples, n_ports + 3)
+        assert gains.shape == (n_samples, n_ports)
+        assert np.max(np.abs(envelope(table[:, 1:-2]) - np.abs(gains))) < 1e-10
+        assert np.max(np.abs(envelope(table[:, -2]) - envelope(fas_db))) < 1e-10
+        assert np.max(np.abs(envelope(table[:, -1]) - envelope(mrc_db))) < 1e-10
         assert plain_state(fast_rng) == plain_state(loop_rng)
+
+    def test_chunks_match_one_chunk(self, monkeypatch):
+        # a budget below one block's rows makes every 128-sample block a
+        # chunk of its own
+        c = FasConfig(n_ports=5, size_wavelengths=2.0, snr_ratio=1.0)
+        d = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
+                               duration_s=1.1, sample_rate_hz=1000.0,
+                               n_scatterers=16)
+        whole = reference.trace_table(c, d, rng(9))
+        blocks = [block.shape[0] for block in envelope_trace(c, d, rng(9))]
+        monkeypatch.setattr(channel, "_TRACE_BUDGET", 1)
+        chunked = reference.trace_table(c, d, rng(9))
+        assert blocks == [1100]
+        assert [block.shape[0] for block in envelope_trace(c, d, rng(9))] == \
+            [channel._SOS_BLOCK] * 8 + [76]
+        assert np.array_equal(chunked[:, 0], whole[:, 0])
+        assert np.max(np.abs(envelope(chunked[:, 1:]) - envelope(whole[:, 1:]))) < 1e-10
+
+
+def envelope(db):
+    """The envelope |g| of a dB column."""
+    return 10.0 ** (np.asarray(db) / 20.0)

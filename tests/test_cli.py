@@ -92,6 +92,10 @@ class TestArgumentHandling:
         ["envelope", "--seed=-1"],
         ["validate", "--seed=-1"],
         ["envelope", "--duration-s", "0.0004"],
+        # more samples than doubles count exactly: rejected before any
+        # row is computed
+        ["envelope", "--duration-s", "1e300"],
+        ["envelope", "--duration-s", "1e13"],
         ["outage-curve", "--sweep-w=0.1:1e9:1e-9"],
         # 10^10 points: rejected before any list of them is built
         ["outage-curve", "--sweep-n", "1:10000000000:1"],
@@ -416,10 +420,8 @@ class TestEnvelope:
         doppler = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
                                      duration_s=0.3, sample_rate_hz=500.0,
                                      n_scatterers=16)
-        trace = envelope_trace(config, doppler,
-                               np.random.Generator(np.random.Philox(5)))
-        want = np.column_stack([trace.t_norm, trace.port_db, trace.fas_db,
-                                trace.mrc_db])
+        want = np.concatenate([block.copy() for block in envelope_trace(
+            config, doppler, np.random.Generator(np.random.Philox(5)))])
         lines = out.splitlines()
         assert lines[:4] == [
             f"# fas {__version__} envelope trace",
@@ -445,17 +447,29 @@ class TestEnvelope:
             return [l for l in out.splitlines() if l.startswith("#")]
         assert comments(a) != comments(b)
 
-    def test_default_trace_memory_stays_bounded(self, tmp_path):
-        # the trace keeps its (T, N) gains and its CSV table in time order;
-        # a port-major layout or a whole-table temporary would add 8-16 MB.
+    @staticmethod
+    def traced_peak(argv):
         # numpy reports its buffers to tracemalloc
         tracemalloc.start()
         try:
-            assert main(["envelope", "--out", str(tmp_path / "t.csv")]) == 0
+            assert main(argv) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 34 * 2**20
+        return peak
+
+    def test_default_trace_memory_stays_bounded(self, tmp_path):
+        # the trace streams through one ~8 MB row buffer; a second table
+        # alive at once, or a (T, N) complex array of gains, adds 8-16 MB
+        peak = self.traced_peak(["envelope", "--out", str(tmp_path / "t.csv")])
+        assert peak <= 12 * 2**20
+
+    def test_trace_memory_does_not_grow_with_duration(self, tmp_path):
+        # 40 s is four chunks of the 100-port trace, 10 s is one
+        out = ["--out", str(tmp_path / "t.csv")]
+        short = self.traced_peak(["envelope", "--duration-s", "10"] + out)
+        long = self.traced_peak(["envelope", "--duration-s", "40"] + out)
+        assert long <= short + 2**20
 
     def test_nyquist_violation_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,7 @@
-"""The package's export list and import footprint."""
+"""The package's export list, import footprint, and the names the
+benchmark's traced run hooks."""
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +35,19 @@ def test_cli_import_leaves_out_scipy_stats():
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
+
+
+def test_every_benchmark_hook_resolves():
+    # bench/tracing.py reports every metric of a hook it cannot find as
+    # null, so a hooked function that moves must fail here instead
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = ([(module, func) for module, func, _, _ in tracing.HOOKS]
+             + list(tracing.COUNTED) + [("analytic", "quad")])
+    missing = [f"{module}.{func}" for module, func in names
+               if not callable(getattr(importlib.import_module(f"fas.{module}"),
+                                       func, None))]
+    assert len(names) > 10
+    assert missing == []
