@@ -9,8 +9,8 @@ from .analytic import (QuadratureSettings, joint_cdf, joint_pdf, outage_approx,
                        outage_exact, outage_mrc, outage_n2_closed_form)
 from .bounds import BoundConstants, bound_constants, outage_upper_bound, \
     per_port_bound_factor
-from .channel import (CorrelationProfile, DopplerTraceConfig, FasConfig,
-                      correlation_profile, envelope_trace, port_displacements)
+from .channel import (DopplerTraceConfig, FasConfig, correlation_profile,
+                      envelope_trace, port_displacements)
 from .design import (DesignAnswer, DesignQuery, min_ports_for_size,
                      min_ports_general, min_ports_homogeneous, min_size,
                      required_mu_and_size)
@@ -18,11 +18,11 @@ from .mc import McEstimate, McSettings, mc_outage_fas
 from .specfun import inv_besselj0_envelope, marcum_q1
 
 __all__ = [
-    "BoundConstants", "CorrelationProfile", "DesignAnswer", "DesignQuery",
-    "DopplerTraceConfig", "FasConfig", "McEstimate", "McSettings",
-    "QuadratureSettings", "bound_constants", "correlation_profile",
-    "envelope_trace", "inv_besselj0_envelope", "joint_cdf", "joint_pdf",
-    "marcum_q1", "mc_outage_fas", "min_ports_for_size", "min_ports_general",
+    "BoundConstants", "DesignAnswer", "DesignQuery", "DopplerTraceConfig",
+    "FasConfig", "McEstimate", "McSettings", "QuadratureSettings",
+    "bound_constants", "correlation_profile", "envelope_trace",
+    "inv_besselj0_envelope", "joint_cdf", "joint_pdf", "marcum_q1",
+    "mc_outage_fas", "min_ports_for_size", "min_ports_general",
     "min_ports_homogeneous", "min_size", "outage_approx", "outage_exact",
     "outage_mrc", "outage_n2_closed_form", "outage_upper_bound",
     "per_port_bound_factor", "port_displacements", "required_mu_and_size",

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.integrate import quad
 
-from .channel import CorrelationProfile, FasConfig, active_mu, correlation_profile
+from .channel import FasConfig, active_mu, checked_mu, correlation_profile
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,22 @@ def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq,
                  0.0, r1_sq, q)
 
 
-def _validated_mu(profile: CorrelationProfile) -> np.ndarray:
-    mu = profile.mu
-    if np.any(np.abs(mu[1:]) >= 1.0):
+def _validated_mu(mu, r) -> tuple[np.ndarray, np.ndarray]:
+    """The checked profile mu and envelopes r of the joint pdf and cdf: no
+    |mu_k| may be 1, and r holds one nonnegative envelope per port along its
+    last axis."""
+    mu = checked_mu(mu)
+    if np.any(np.abs(mu) >= 1.0):
         raise ValueError("profile is singular: some |mu_k| equals 1")
-    return mu
+    r = np.asarray(r, dtype=float)
+    if r.shape[-1:] != mu.shape:
+        raise ValueError("r must supply one envelope per port")
+    if not np.all(r >= 0):
+        raise ValueError("envelopes must be nonnegative and not NaN")
+    return mu, r
 
 
-def joint_pdf(profile: CorrelationProfile, r) -> float | np.ndarray:
+def joint_pdf(mu, r) -> float | np.ndarray:
     """Joint density of the N port envelopes at the point r (sigma = 1).
 
     Product of a Rayleigh factor for the reference port and conditional
@@ -103,12 +111,7 @@ def joint_pdf(profile: CorrelationProfile, r) -> float | np.ndarray:
     correlation cannot overflow.  r holds one envelope per port along its
     last axis; a 1-D r gives a float, a stack of points an array.
     """
-    mu = _validated_mu(profile)
-    r = np.asarray(r, dtype=float)
-    if r.shape[-1:] != mu.shape:
-        raise ValueError("r must supply one envelope per port")
-    if np.any(r < 0):
-        raise ValueError("envelopes must be nonnegative")
+    mu, r = _validated_mu(mu, r)
     r1 = r[..., :1]
     one_minus = 1.0 - mu ** 2
     # exponent and Bessel argument combined: exp(-u) I0(z) = ive(0,z) exp(z-u)
@@ -119,15 +122,12 @@ def joint_pdf(profile: CorrelationProfile, r) -> float | np.ndarray:
     return float(density) if r.ndim == 1 else density
 
 
-def joint_cdf(profile: CorrelationProfile, r: Sequence[float],
+def joint_cdf(mu, r: Sequence[float],
               q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """P[|g_1| < r_1, ..., |g_N| < r_N] via a single adaptive quadrature."""
-    mu = _validated_mu(profile)
-    r = np.asarray(r, dtype=float)
-    if r.shape != mu.shape:
-        raise ValueError("r must supply one envelope per port")
-    if np.any(r < 0):
-        raise ValueError("envelopes must be nonnegative")
+    mu, r = _validated_mu(mu, r)
+    if r.ndim != 1:
+        raise ValueError("joint_cdf takes one point r")
     return _cdf_integral(mu, r[0] ** 2, r[1:] ** 2, q)
 
 
@@ -143,7 +143,7 @@ def outage_exact_profile(mu: Sequence[float], snr_ratio: float,
 def outage_exact(config: FasConfig,
                  q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Exact outage probability of the N-port selection system."""
-    return outage_exact_profile(correlation_profile(config).mu, config.snr_ratio, q)
+    return outage_exact_profile(correlation_profile(config), config.snr_ratio, q)
 
 
 def _marcum_difference(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -182,7 +182,7 @@ def outage_n2_closed_form(mu2: float, snr_ratio: float) -> float:
 def outage_approx(config: FasConfig) -> float:
     """Sum-form approximation; tight for strong correlation or stringent
     targets, and deliberately not clamped when it goes negative."""
-    return outage_approx_profile(correlation_profile(config).mu, config.snr_ratio)
+    return outage_approx_profile(correlation_profile(config), config.snr_ratio)
 
 
 def outage_mrc(branches: int, snr_ratio: float) -> float:

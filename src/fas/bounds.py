@@ -82,5 +82,5 @@ def outage_upper_bound_profile(mu: Sequence[float], snr_ratio: float,
 
 def outage_upper_bound(config: FasConfig, constants: BoundConstants) -> float:
     """Upper bound on the exact outage probability for one configuration."""
-    return outage_upper_bound_profile(correlation_profile(config).mu,
+    return outage_upper_bound_profile(correlation_profile(config),
                                       config.snr_ratio, constants)

@@ -3,6 +3,8 @@
 The model ties every port to port 1 through a shared in-phase/quadrature
 pair, with per-port correlation mu_k = J0(2*pi*d_k/lambda).  Sigma is fixed
 at 1: every analytic quantity downstream depends only on the SNR ratio.
+A correlation profile is the 1-D float array of those mu_k, port 1 first;
+`checked_mu` holds its rules, and every function that takes one calls it.
 """
 from __future__ import annotations
 
@@ -20,15 +22,31 @@ SPEED_OF_LIGHT = 299_792_458.0
 DEGENERATE_MU = 1.0 - 1e-9
 
 
-def active_mu(mu) -> np.ndarray:
-    """The profile mu without its degenerate ports, which contribute nothing.
+def checked_mu(mu) -> np.ndarray:
+    """A correlation profile as a float array, once its rules hold.
 
-    A NaN entry or one with |mu_k| > 1 raises ValueError instead of being
-    dropped as degenerate.
+    A profile is the 1-D array of mu_k, one per port, port 1 first: at
+    least one port, mu[0] = 0 for the reference port, and every |mu_k| <= 1.
+    Any other input, NaN entries included, raises ValueError.
     """
     mu = np.asarray(mu, dtype=float)
-    if not np.all(np.abs(mu) <= 1.0):
-        raise ValueError(f"|mu_k| must be <= 1 and not NaN, got {mu.tolist()}")
+    if mu.ndim != 1 or mu.size < 1:
+        raise ValueError("a profile is a 1-D array of at least one mu_k, "
+                         f"got shape {mu.shape}")
+    if mu[0] != 0.0:
+        raise ValueError("mu[0] is the reference port and must be 0, "
+                         f"got {mu[0]}")
+    bad = np.flatnonzero(~(np.abs(mu) <= 1.0))
+    if bad.size:
+        raise ValueError("|mu_k| must be <= 1 and not NaN, got "
+                         f"mu[{bad[0]}] = {mu[bad[0]]}")
+    return mu
+
+
+def active_mu(mu) -> np.ndarray:
+    """The checked profile mu without its degenerate ports, which contribute
+    nothing; the reference port, mu[0] = 0, always stays."""
+    mu = checked_mu(mu)
     return mu[np.abs(mu) <= DEGENERATE_MU]
 
 
@@ -54,34 +72,6 @@ class FasConfig:
             raise ValueError(f"snr_ratio must be > 0, got {self.snr_ratio}")
 
 
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Per-port correlation coefficients and displacements (wavelengths)."""
-
-    mu: np.ndarray
-    displacements: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        d = np.asarray(self.displacements, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "displacements", d)
-        if mu.shape != d.shape:
-            raise ValueError("mu and displacements must have equal length")
-        if mu.size < 1:
-            raise ValueError("profile must contain at least one port")
-        if mu[0] != 0.0:
-            raise ValueError("mu[0] is the reference port and must be 0")
-        if not np.all(np.abs(mu) <= 1.0):
-            raise ValueError("|mu_k| must not exceed 1 or be NaN")
-        if d[0] != 0.0 or np.any(np.diff(d) < 0):
-            raise ValueError("displacements must start at 0 and be nondecreasing")
-
-    @property
-    def n_ports(self) -> int:
-        return int(self.mu.size)
-
-
 def port_displacements(config: FasConfig) -> np.ndarray:
     """Evenly spaced port positions d_k = (k-1)/(N-1) * W, in wavelengths."""
     n = config.n_ports
@@ -90,22 +80,20 @@ def port_displacements(config: FasConfig) -> np.ndarray:
     return np.arange(n) / (n - 1) * config.size_wavelengths
 
 
-def correlation_profile(config: FasConfig) -> CorrelationProfile:
+def correlation_profile(config: FasConfig) -> np.ndarray:
     """Jakes-model spatial profile: mu_k = J0(2*pi*d_k) with mu_1 = 0."""
-    d = port_displacements(config)
-    mu = sp.j0(2.0 * np.pi * d)
+    mu = sp.j0(2.0 * np.pi * port_displacements(config))
     mu[0] = 0.0
-    return CorrelationProfile(mu=mu, displacements=d)
+    return mu
 
 
-def draw_channels_batch(profile: CorrelationProfile, rng: np.random.Generator,
-                        n: int) -> np.ndarray:
-    """n stacked realizations of all ports, shape (n, N).
+def draw_channels_batch(mu, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n stacked realizations of all ports of the profile mu, shape (n, N).
 
     Consumption order is fixed (x0, y0, then the per-port x block, then the
     per-port y block) so a given stream state always produces the same draw.
     """
-    mu = profile.mu
+    mu = checked_mu(mu)
     n_ports = mu.size
     scale = np.sqrt(0.5)
     x0 = rng.standard_normal(n) * scale
@@ -228,13 +216,22 @@ def envelope_trace(config: FasConfig, doppler: DopplerTraceConfig,
     0.5 * J0(2*pi*f_m*tau); the spatial mixing is applied per time sample.
     Every process's M angles and then M phases are drawn here, in one call,
     in the order x0, y0, then xk, yk per port, then each MRC branch's pair.
+    A request whose (2N + 2L) x 2 x M angles would take more than
+    `_TRACE_BUDGET` bytes raises ValueError before any draw.
     The rows are computed as the returned generator is iterated, in chunks
     of whole `_SOS_BLOCK`-sample blocks that fill at most `_TRACE_BUDGET`
     bytes.  Every block is a view of one buffer that the next block
     overwrites: copy a block to keep it.
     """
-    mu = correlation_profile(config).mu
-    n_proc = 2 * mu.size + 2 * mrc_branches
+    n_proc = 2 * config.n_ports + 2 * mrc_branches
+    angle_bytes = 8 * n_proc * 2 * doppler.n_scatterers
+    if angle_bytes > _TRACE_BUDGET:
+        raise ValueError(
+            f"{config.n_ports} ports, {mrc_branches} MRC branches and "
+            f"{doppler.n_scatterers} scatterers need {angle_bytes} bytes of "
+            f"sum-of-sinusoids angles, over the {_TRACE_BUDGET}-byte trace "
+            "budget")
+    mu = correlation_profile(config)
     angles = rng.uniform(0.0, 2.0 * np.pi, (n_proc, 2, doppler.n_scatterers))
     freqs = 2.0 * np.pi * doppler.max_doppler_hz * np.cos(angles[:, 0])
     return _trace_rows(mu, freqs, angles[:, 1], doppler)

@@ -250,7 +250,7 @@ def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
     return est.p_hat, est.half_width_95
 
 
-def cmd_outage_curve(args, parser) -> int:
+def cmd_outage_curve(args) -> int:
     return _run_sweep(
         args, "",
         f"seed={args.seed} trials={args.trials} workers={args.workers}",
@@ -258,7 +258,7 @@ def cmd_outage_curve(args, parser) -> int:
         lambda config, exact, approx: _mc_columns(config, exact, args))
 
 
-def cmd_bounds_compare(args, parser) -> int:
+def cmd_bounds_compare(args) -> int:
     return _run_sweep(
         args, f" mrc_l={args.mrc_l}", f"seed={args.seed}",
         ["approx_out_of_regime", *(f"mrc_{b}" for b in args.mrc_l)],
@@ -278,7 +278,7 @@ def _answer_dict(answer: design.DesignAnswer) -> dict:
             "guard_report": answer.guard_report}
 
 
-def cmd_design(args, parser) -> int:
+def cmd_design(args) -> int:
     constants = bounds.bound_constants(args.kappa)
     x = analytic.db_to_linear(args.snr_db)
     query = design.DesignQuery(mrc_branches=args.mrc_l, snr_ratio=x,
@@ -318,9 +318,10 @@ def cmd_design(args, parser) -> int:
     return 0
 
 
-def cmd_envelope(args, parser) -> int:
+def cmd_envelope(args) -> int:
     config = FasConfig(n_ports=args.n_ports, size_wavelengths=args.size_wl,
                        snr_ratio=1.0)
+    rng = np.random.Generator(np.random.Philox(args.seed))
     try:
         doppler = DopplerTraceConfig(
             speed_mps=args.speed_kmh / 3.6,
@@ -328,10 +329,9 @@ def cmd_envelope(args, parser) -> int:
             duration_s=args.duration_s,
             sample_rate_hz=args.rate_hz,
             n_scatterers=args.scatterers)
+        blocks = envelope_trace(config, doppler, rng, mrc_branches=args.mrc_l)
     except ValueError as exc:
-        parser.error(str(exc))
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    blocks = envelope_trace(config, doppler, rng, mrc_branches=args.mrc_l)
+        args.parser.error(str(exc))
     header = ["t_norm"] + [f"port_{k + 1}_db" for k in range(args.n_ports)]
     header += ["fas_db", "mrc_db"]
     with _output(args.out) as out:
@@ -347,7 +347,7 @@ def cmd_envelope(args, parser) -> int:
     return 0
 
 
-def cmd_validate(args, parser) -> int:
+def cmd_validate(args) -> int:
     settings = ValidationSettings(grid=args.grid, trials=args.trials,
                                   seed=args.seed, workers=args.workers,
                                   quad_abs_tol=args.quad_abs_tol)
@@ -422,8 +422,9 @@ _shared_parser = functools.cache(build_parser)
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
-    # the subcommand's own parser, so that usage errors name the subcommand
-    return args.func(args, args.parser)
+    # args.parser is the subcommand's own parser, so that usage errors name
+    # the subcommand
+    return args.func(args)
 
 
 def entrypoint() -> None:  # pragma: no cover - console script shim

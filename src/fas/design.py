@@ -17,7 +17,7 @@ from scipy import special as sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
-from .channel import DEGENERATE_MU, FasConfig
+from .channel import DEGENERATE_MU, FasConfig, checked_mu
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -76,13 +76,13 @@ def _mrc_ratio(query: DesignQuery) -> float:
     return outage_mrc(query.mrc_branches, x) / -math.expm1(-x)
 
 
-def min_ports_general(profile_mu: Sequence[float], query: DesignQuery,
+def min_ports_general(mu, query: DesignQuery,
                       n_max: int = N_MAX_DEFAULT) -> DesignAnswer:
-    """Smallest prefix length N of the profile whose bound beats MRC."""
+    """Smallest prefix length N of the profile mu whose bound beats MRC."""
+    mu = checked_mu(mu)
     target = _mrc_ratio(query)
     if target > 1.0:
         return DesignAnswer(1)
-    mu = np.asarray(profile_mu, dtype=float)
     # prod[j] is the product over ports 2..j+2, so N = j + 2
     prod = np.cumprod(per_port_bound_factors(mu[1:n_max], query.snr_ratio,
                                              query.constants))

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import CorrelationProfile, FasConfig, correlation_profile
+from .channel import FasConfig, checked_mu, correlation_profile
 
 _CHUNK = 200_000
 
@@ -72,7 +72,7 @@ def _estimate(failures: int, trials: int) -> McEstimate:
 
 
 def mc_outage_fas(config: FasConfig, settings: McSettings,
-                  profile: Optional[CorrelationProfile] = None) -> McEstimate:
+                  mu=None) -> McEstimate:
     """Empirical P[max_k |g_k|^2 < snr_ratio] over correlated port draws.
 
     Trials are decided by sequential rejection: draw |g_1|^2 ~ Exp(1) for
@@ -84,12 +84,10 @@ def mc_outage_fas(config: FasConfig, settings: McSettings,
     normals and r_k = sqrt(1 - mu_k^2), port k stays below x when
     (r_k n_1 + mu_k a_0)^2 + (r_k n_2)^2 < 2x.
 
-    A profile override replaces the geometry-derived correlation, which is
-    how forced independent-port checks are run.
+    A profile mu replaces the geometry-derived correlation, which is how
+    forced independent-port checks are run.
     """
-    if profile is None:
-        profile = correlation_profile(config)
-    mu = profile.mu[1:]
+    mu = (correlation_profile(config) if mu is None else checked_mu(mu))[1:]
     root = np.sqrt(1.0 - mu ** 2)
     threshold = config.snr_ratio
     failures = 0

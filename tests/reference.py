@@ -205,16 +205,15 @@ def ncx2_cdf_2dof_mpmath(x: float, nc: float, dps: int = 40):
                 return total
 
 
-def correlation_discrepancy(profile) -> np.ndarray:
-    """Model-vs-Jakes correlation gap between port pairs (k, l), k,l >= 2.
+def correlation_discrepancy(mu, d) -> np.ndarray:
+    """Model-vs-Jakes correlation gap between port pairs (k, l), k,l >= 2,
+    of the profile mu of ports at displacements d (wavelengths).
 
     The single-common-factor construction gives inter-port correlation
     mu_k * mu_l for k, l >= 2, while the Jakes model prescribes J0 of their
     separation.  Returns the matrix of differences as a diagnostic; the
     discrepancy is intrinsic to the analyzed model.
     """
-    mu = profile.mu
-    d = profile.displacements
     model = np.outer(mu, mu)
     model[0, :] = mu
     model[:, 0] = mu
@@ -324,7 +323,7 @@ def envelope_trace_loop(config, doppler, rng, mrc_branches: int = 2):
 
     x0 = process()
     y0 = process()
-    mu = correlation_profile(config).mu
+    mu = correlation_profile(config)
     gains = np.empty((n_samples, mu.size), dtype=complex)
     gains[:, 0] = x0 + 1j * y0
     for k in range(1, mu.size):
@@ -351,7 +350,7 @@ def trace_table(config, doppler, rng, mrc_branches: int = 2) -> np.ndarray:
                            envelope_trace(config, doppler, rng, mrc_branches)])
 
 
-def mc_outage_fas_full_draw(config, settings, profile=None):
+def mc_outage_fas_full_draw(config, settings, mu=None):
     """The Monte-Carlo outage as the package estimated it before sequential
     rejection: every port of every trial drawn as a complex number through
     `fas.channel.draw_channels_batch`, over the same `fas.mc._chunks`
@@ -359,11 +358,11 @@ def mc_outage_fas_full_draw(config, settings, profile=None):
     from fas.channel import correlation_profile, draw_channels_batch
     from fas.mc import _chunks, _estimate
 
-    if profile is None:
-        profile = correlation_profile(config)
+    if mu is None:
+        mu = correlation_profile(config)
     failures = 0
     for rng, n in _chunks(settings):
-        power = np.abs(draw_channels_batch(profile, rng, n)) ** 2
+        power = np.abs(draw_channels_batch(mu, rng, n)) ** 2
         failures += int(np.count_nonzero(power.max(axis=1) < config.snr_ratio))
     return _estimate(failures, settings.trials)
 
@@ -405,8 +404,9 @@ class ChiSquareResult:
         return self.statistic > self.critical_1pct
 
 
-def cell_probabilities(profile, edges: np.ndarray) -> np.ndarray:
-    """Per-cell mass of the two-port joint density via tensor Gauss-Legendre."""
+def cell_probabilities(mu, edges: np.ndarray) -> np.ndarray:
+    """Per-cell mass of the two-port joint density of the profile mu via
+    tensor Gauss-Legendre."""
     from fas.analytic import joint_pdf
 
     nodes, weights = np.polynomial.legendre.leggauss(12)
@@ -415,17 +415,17 @@ def cell_probabilities(profile, edges: np.ndarray) -> np.ndarray:
     w = 0.5 * (hi - lo) * weights[:, None]
     # node pair (u, v) of cell (i, j) at [u, v, i, j]
     u, v = x[:, None, :, None], x[None, :, None, :]
-    pdf = joint_pdf(profile, np.stack(np.broadcast_arrays(u, v), axis=-1))
+    pdf = joint_pdf(mu, np.stack(np.broadcast_arrays(u, v), axis=-1))
     terms = w[:, None, :, None] * w[None, :, None, :] * pdf
     # a sum over the leading axis adds the node pairs in order, one at a time
     return terms.reshape(-1, lo.size, lo.size).sum(axis=0)
 
 
-def mc_joint_density_check(profile, settings,
+def mc_joint_density_check(mu, settings,
                            grid: HistogramSpec) -> ChiSquareResult:
     """Chi-square goodness of fit of (|g_1|, |g_2|) draws from
     `fas.channel.draw_channels_batch`, over the `fas.mc._chunks` pieces of
-    `settings`, against the package's joint pdf.
+    `settings`, against the package's joint pdf of the profile mu.
 
     Cells with expected count below 5 are pooled into one bucket together
     with the mass outside the histogram window.
@@ -433,16 +433,17 @@ def mc_joint_density_check(profile, settings,
     from fas.channel import draw_channels_batch
     from fas.mc import _chunks
 
-    if profile.n_ports != 2:
+    mu = np.asarray(mu, dtype=float)
+    if mu.size != 2:
         raise ValueError("density check is defined for two-port profiles")
     edges = np.linspace(0.0, grid.r_max, grid.bins + 1)
     observed = np.zeros((grid.bins, grid.bins))
     for rng, n in _chunks(settings):
-        g = np.abs(draw_channels_batch(profile, rng, n))
+        g = np.abs(draw_channels_batch(mu, rng, n))
         hist, _, _ = np.histogram2d(g[:, 0], g[:, 1], bins=(edges, edges))
         observed += hist
 
-    expected = cell_probabilities(profile, edges) * settings.trials
+    expected = cell_probabilities(mu, edges) * settings.trials
     outside_expected = settings.trials - expected.sum()
     outside_observed = settings.trials - observed.sum()
 

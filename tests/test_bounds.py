@@ -144,7 +144,7 @@ class TestOutageUpperBound:
             for n in (1, 2, 3, 10, 100, 1000, 2000):
                 mu = correlation_profile(
                     FasConfig(n_ports=n, size_wavelengths=w,
-                              snr_ratio=1.0)).mu
+                              snr_ratio=1.0))
                 for x in (0.1, 1.0, 10.0):
                     got = outage_upper_bound_profile(mu, x, c)
                     want = reference.outage_upper_bound_sequential(

@@ -6,9 +6,14 @@ from scipy import special as sp
 from scipy import stats
 
 from fas import channel
-from fas.channel import (CorrelationProfile, DopplerTraceConfig, FasConfig,
-                         correlation_profile, draw_channels_batch,
-                         envelope_trace, port_displacements)
+from fas.analytic import (joint_cdf, joint_pdf, outage_approx_profile,
+                          outage_exact_profile)
+from fas.bounds import bound_constants, outage_upper_bound_profile
+from fas.channel import (DopplerTraceConfig, FasConfig, correlation_profile,
+                         draw_channels_batch, envelope_trace,
+                         port_displacements)
+from fas.design import DesignQuery, min_ports_general
+from fas.mc import McSettings, mc_outage_fas
 
 import reference
 
@@ -51,74 +56,87 @@ class TestPortDisplacements:
 class TestCorrelationProfile:
     def test_reference_port_is_zero(self):
         c = FasConfig(n_ports=5, size_wavelengths=2.0, snr_ratio=1.0)
-        p = correlation_profile(c)
-        assert p.mu[0] == 0.0
-        assert p.n_ports == 5
+        mu = correlation_profile(c)
+        assert mu[0] == 0.0
+        assert mu.shape == (5,)
 
     def test_vanishing_size_fully_correlates(self):
         c = FasConfig(n_ports=2, size_wavelengths=1e-9, snr_ratio=1.0)
-        assert correlation_profile(c).mu[1] == pytest.approx(1.0, abs=1e-12)
+        assert correlation_profile(c)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_wavelength_decorrelation(self):
         c = FasConfig(n_ports=2, size_wavelengths=0.38, snr_ratio=1.0)
-        assert abs(correlation_profile(c).mu[1]) < 0.02
+        assert abs(correlation_profile(c)[1]) < 0.02
 
     def test_matches_series_oracle(self):
         c = FasConfig(n_ports=5, size_wavelengths=2.0, snr_ratio=1.0)
-        p = correlation_profile(c)
+        mu = correlation_profile(c)
         for k in range(1, 5):
             want = reference.j0_series(2.0 * math.pi * k * 2.0 / 4.0)
-            assert p.mu[k] == pytest.approx(want, abs=1e-10)
+            assert mu[k] == pytest.approx(want, abs=1e-10)
 
-    def test_invariant_enforcement(self):
-        with pytest.raises(ValueError):
-            CorrelationProfile(mu=np.array([0.5, 0.2]),
-                               displacements=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            CorrelationProfile(mu=np.array([0.0, 1.2]),
-                               displacements=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            CorrelationProfile(mu=np.array([0.0, 0.2]),
-                               displacements=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            CorrelationProfile(mu=np.array([0.0, 0.2]),
-                               displacements=np.array([0.0]))
+    # every public function that takes a profile, on the 2-port point
+    # (1, 1) where one applies
+    TAKERS = {
+        "outage_exact_profile": lambda mu: outage_exact_profile(mu, 1.0),
+        "outage_approx_profile": lambda mu: outage_approx_profile(mu, 1.0),
+        "outage_upper_bound_profile": lambda mu: outage_upper_bound_profile(
+            mu, 1.0, bound_constants()),
+        "joint_pdf": lambda mu: joint_pdf(mu, [1.0, 1.0]),
+        "joint_cdf": lambda mu: joint_cdf(mu, [1.0, 1.0]),
+        "min_ports_general": lambda mu: min_ports_general(
+            mu, DesignQuery(mrc_branches=2, snr_ratio=1.0,
+                            constants=bound_constants())),
+        "mc_outage_fas": lambda mu: mc_outage_fas(
+            FasConfig(n_ports=2, size_wavelengths=1.0, snr_ratio=1.0),
+            McSettings(trials=1000, seed=1), mu=mu),
+        "draw_channels_batch": lambda mu: draw_channels_batch(mu, rng(), 10),
+    }
 
-    def test_rejects_nan_mu(self):
-        # a NaN port would reject every Monte-Carlo trial, reading p = 0
-        with pytest.raises(ValueError, match="NaN"):
-            CorrelationProfile(mu=np.array([0.0, np.nan]),
-                               displacements=np.array([0.0, 1.0]))
+    @pytest.mark.parametrize("bad", [
+        pytest.param([1.0, 0.5], id="reference_one"),
+        pytest.param([0.7, 0.5], id="reference_nonzero"),
+        pytest.param([0.0, math.nan], id="nan"),
+        pytest.param([0.0, 1.2], id="above_one"),
+        pytest.param([], id="empty"),
+        pytest.param(np.zeros((2, 2)), id="two_dimensional"),
+    ])
+    @pytest.mark.parametrize("taker", sorted(TAKERS))
+    def test_every_taker_rejects_invalid_profile(self, taker, bad):
+        # a reference port of 1 used to be dropped as degenerate, and the
+        # port after it with it; a nonzero one was ignored
+        with pytest.raises(ValueError):
+            self.TAKERS[taker](bad)
 
 
 class TestCorrelationDiscrepancy:
     def test_zero_against_reference_port(self):
         # first row/column compares mu_k with itself by construction
         c = FasConfig(n_ports=4, size_wavelengths=1.0, snr_ratio=1.0)
-        gap = reference.correlation_discrepancy(correlation_profile(c))
+        gap = reference.correlation_discrepancy(correlation_profile(c),
+                                                port_displacements(c))
         assert np.allclose(gap[0, :], 0.0, atol=1e-14)
         assert np.allclose(np.diag(gap), 0.0, atol=1e-14)
 
     def test_interport_gap_is_nonzero(self):
         # mu_2 * mu_3 generally differs from J0 of the separation
         c = FasConfig(n_ports=3, size_wavelengths=1.0, snr_ratio=1.0)
-        gap = reference.correlation_discrepancy(correlation_profile(c))
+        gap = reference.correlation_discrepancy(correlation_profile(c),
+                                                port_displacements(c))
         assert abs(gap[1, 2]) > 1e-3
 
 
 class TestDrawChannels:
     def test_deterministic_for_fixed_seed(self):
         c = FasConfig(n_ports=4, size_wavelengths=1.0, snr_ratio=1.0)
-        p = correlation_profile(c)
-        g1 = draw_channels_batch(p, rng(123), 50)
-        g2 = draw_channels_batch(p, rng(123), 50)
+        mu = correlation_profile(c)
+        g1 = draw_channels_batch(mu, rng(123), 50)
+        g2 = draw_channels_batch(mu, rng(123), 50)
         assert g1.shape == (50, 4)
         assert np.array_equal(g1, g2)
 
     def test_fully_correlated_ports_collapse(self):
-        p = CorrelationProfile(mu=np.array([0.0, 1.0, 1.0]),
-                               displacements=np.array([0.0, 0.0, 0.0]))
-        g = draw_channels_batch(p, rng(5), 50)
+        g = draw_channels_batch(np.array([0.0, 1.0, 1.0]), rng(5), 50)
         assert np.array_equal(g[:, 1], g[:, 0])
         assert np.array_equal(g[:, 2], g[:, 0])
 
@@ -131,8 +149,8 @@ class TestDrawChannels:
 
     def test_energy_normalization(self):
         c = FasConfig(n_ports=5, size_wavelengths=1.0, snr_ratio=1.0)
-        p = correlation_profile(c)
-        g = draw_channels_batch(p, rng(1), 200_000)
+        mu = correlation_profile(c)
+        g = draw_channels_batch(mu, rng(1), 200_000)
         power = np.abs(g) ** 2
         mean = power.mean(axis=0)
         se = power.std(axis=0) / math.sqrt(g.shape[0])
@@ -151,23 +169,21 @@ class TestDrawChannels:
 
     def test_component_correlations_match_profile(self):
         c = FasConfig(n_ports=5, size_wavelengths=0.6, snr_ratio=1.0)
-        p = correlation_profile(c)
+        mu = correlation_profile(c)
         n = 1_000_000
-        g = draw_channels_batch(p, rng(3), n)
+        g = draw_channels_batch(mu, rng(3), n)
         re = np.real(g)
         im = np.imag(g)
         se = 0.5 / math.sqrt(n)  # components have variance 1/2
         for k in range(1, 5):
             assert np.mean(re[:, k] * re[:, 0]) == pytest.approx(
-                p.mu[k] / 2.0, abs=4.0 * se)
+                mu[k] / 2.0, abs=4.0 * se)
             assert np.mean(im[:, k] * im[:, 0]) == pytest.approx(
-                p.mu[k] / 2.0, abs=4.0 * se)
+                mu[k] / 2.0, abs=4.0 * se)
             assert abs(np.mean(re[:, k] * im[:, 0])) < 4.0 * se
 
     def test_independent_ports_uncorrelated(self):
-        p = CorrelationProfile(mu=np.array([0.0, 0.0]),
-                               displacements=np.array([0.0, 0.38]))
-        g = draw_channels_batch(p, rng(4), 1_000_000)
+        g = draw_channels_batch(np.array([0.0, 0.0]), rng(4), 1_000_000)
         corr = np.mean(np.real(g[:, 1]) * np.real(g[:, 0]))
         assert abs(corr) < 3e-3
 
@@ -222,7 +238,20 @@ def trace_columns(c, d, seed):
     return table[:, 0], table[:, 1:-2], table[:, -2], table[:, -1]
 
 
+class NoDraws:
+    """An rng stand-in whose every draw raises `NoDraws.Drew`."""
+
+    class Drew(Exception):
+        pass
+
+    def uniform(self, *args, **kwargs):
+        raise NoDraws.Drew
+
+
 class TestEnvelopeTrace:
+    DOPPLER = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
+                                 duration_s=1.0, sample_rate_hz=1000.0)
+
     def test_zero_speed_is_static(self):
         c = FasConfig(n_ports=8, size_wavelengths=1.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=0.0, carrier_hz=5e9, duration_s=0.5,
@@ -263,6 +292,23 @@ class TestEnvelopeTrace:
         want = 0.5 * sp.j0(2.0 * math.pi * d.max_doppler_hz
                            * lag / d.sample_rate_hz)
         assert ac == pytest.approx(want, abs=0.05)
+
+    @pytest.mark.parametrize("n_ports, mrc_branches", [
+        (3, 10 ** 9),        # about 2 TB of angles
+        (10 ** 6, 2),        # about 2 GB
+        (4095, 2),           # 2 KiB over the budget
+    ])
+    def test_rejects_angles_over_budget_before_drawing(self, n_ports,
+                                                       mrc_branches):
+        c = FasConfig(n_ports=n_ports, size_wavelengths=2.0, snr_ratio=1.0)
+        with pytest.raises(ValueError, match="trace budget"):
+            envelope_trace(c, self.DOPPLER, NoDraws(), mrc_branches)
+
+    def test_angles_filling_the_budget_are_drawn(self):
+        # (2 * 4094 + 2 * 2) x 2 x 64 doubles are exactly 8 MiB
+        c = FasConfig(n_ports=4094, size_wavelengths=2.0, snr_ratio=1.0)
+        with pytest.raises(NoDraws.Drew):
+            envelope_trace(c, self.DOPPLER, NoDraws())
 
     def test_fas_column_is_port_maximum(self):
         c = FasConfig(n_ports=6, size_wavelengths=1.0, snr_ratio=1.0)
@@ -388,15 +434,17 @@ class TestSosKernel:
         assert plain_state(fast_rng) == plain_state(loop_rng)
 
     def test_chunks_match_one_chunk(self, monkeypatch):
-        # a budget below one block's rows makes every 128-sample block a
-        # chunk of its own
+        # a budget one byte below one block's rows (5 ports + 3 columns)
+        # makes every 128-sample block a chunk of its own; the trace's
+        # 3,584 bytes of angles still fit in it
         c = FasConfig(n_ports=5, size_wavelengths=2.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=30.0 / 3.6, carrier_hz=5e9,
                                duration_s=1.1, sample_rate_hz=1000.0,
                                n_scatterers=16)
         whole = reference.trace_table(c, d, rng(9))
         blocks = [block.shape[0] for block in envelope_trace(c, d, rng(9))]
-        monkeypatch.setattr(channel, "_TRACE_BUDGET", 1)
+        monkeypatch.setattr(channel, "_TRACE_BUDGET",
+                            8 * (5 + 3) * channel._SOS_BLOCK - 1)
         chunked = reference.trace_table(c, d, rng(9))
         assert blocks == [1100]
         assert [block.shape[0] for block in envelope_trace(c, d, rng(9))] == \

@@ -120,6 +120,8 @@ class TestArgumentHandling:
         (["design", "--size-wl", "2", "--sweep-n", "4:8:4"], "fas design"),
         (["design", "--sweep-n=-8:4:4"], "fas design"),
         (["design", "--sweep-n", "1:5:1"], "fas design"),
+        # about 2 TB of sum-of-sinusoids angles: rejected before any draw
+        (["envelope", "--mrc-l", "1000000000"], "fas envelope"),
     ])
     def test_command_error_names_its_subcommand(self, argv, prog, capsys):
         # errors raised after parsing name the subcommand and show its usage

@@ -29,7 +29,7 @@ def query(branches=2, x=1.0, kappa=2.0):
 
 def wide_profile_mu(n, w=5.0):
     return correlation_profile(
-        FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=1.0)).mu
+        FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=1.0))
 
 
 class TestDesignQuery:
@@ -173,7 +173,7 @@ class TestMinPortsForSize:
                     want = next(
                         (n for n in range(1, n_max + 1)
                          if reference.outage_upper_bound_sequential(
-                             correlation_profile(FasConfig(n, w, x)).mu, x,
+                             correlation_profile(FasConfig(n, w, x)), x,
                              q.constants.kappa, q.constants.rho) < target),
                         None)
                     got = min_ports_for_size(w, q, n_max=n_max)

@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 
 from fas.analytic import outage_exact, outage_exact_profile, outage_mrc
-from fas.channel import CorrelationProfile, FasConfig, correlation_profile
+from fas.channel import FasConfig, correlation_profile
 from fas.mc import (_CHUNK, TARGET_FAILURES, TRIALS_CAP, McEstimate,
                     McSettings, mc_outage_fas, plan_trials, worker_streams)
 
@@ -57,10 +57,8 @@ class TestMcOutageFas:
 
     def test_forced_independent_profile(self):
         c = FasConfig(n_ports=4, size_wavelengths=1.0, snr_ratio=1.0)
-        forced = CorrelationProfile(mu=np.zeros(4),
-                                    displacements=np.linspace(0.0, 1.0, 4))
         est = mc_outage_fas(c, McSettings(trials=1_000_000, seed=2),
-                            profile=forced)
+                            mu=np.zeros(4))
         assert within(est, (1.0 - math.exp(-1.0)) ** 4)
 
     def test_matches_exact_quadrature(self):
@@ -92,10 +90,9 @@ class TestMcOutageFas:
     def test_fully_correlated_ports_add_nothing(self):
         # a port with |mu_k| = 1 is port 1 itself, or its negative
         one = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=0.7)
-        twins = CorrelationProfile(mu=np.array([0.0, 1.0, -1.0, 1.0]),
-                                   displacements=np.arange(4.0))
+        twins = np.array([0.0, 1.0, -1.0, 1.0])
         s = McSettings(trials=100_000, seed=16)
-        assert mc_outage_fas(one, s, profile=twins) == mc_outage_fas(one, s)
+        assert mc_outage_fas(one, s, mu=twins) == mc_outage_fas(one, s)
 
     def test_no_survivor_gives_zero(self):
         c = FasConfig(n_ports=8, size_wavelengths=1.0, snr_ratio=1e-12)
@@ -117,28 +114,25 @@ class TestAgainstFullDraw:
     Z = float(-sp.ndtri(0.5 * -math.expm1(math.log1p(-1e-4) / 24)))
 
     @pytest.mark.parametrize("mu, x", [
-        (correlation_profile(FasConfig(5, 0.5, 1.0)).mu, 1.0),
+        (correlation_profile(FasConfig(5, 0.5, 1.0)), 1.0),
         # W = 0.05: every mu_k above 0.97
-        (correlation_profile(FasConfig(10, 0.05, 1.0)).mu, 0.1),
-        (correlation_profile(FasConfig(10, 0.05, 1.0)).mu, 1.0),
+        (correlation_profile(FasConfig(10, 0.05, 1.0)), 0.1),
+        (correlation_profile(FasConfig(10, 0.05, 1.0)), 1.0),
         # W = 1 has ports with mu_k < 0
-        (correlation_profile(FasConfig(20, 1.0, 1.0)).mu, 1.0),
+        (correlation_profile(FasConfig(20, 1.0, 1.0)), 1.0),
         ([0.0, -0.6, -0.3, 0.5, -0.9], 0.5),
-        (correlation_profile(FasConfig(3, 5.0, 1.0)).mu, 10.0),
-        (correlation_profile(FasConfig(40, 0.5, 1.0)).mu, 2.0),
-        (correlation_profile(FasConfig(40, 5.0, 1.0)).mu, 3.0),
+        (correlation_profile(FasConfig(3, 5.0, 1.0)), 10.0),
+        (correlation_profile(FasConfig(40, 0.5, 1.0)), 2.0),
+        (correlation_profile(FasConfig(40, 5.0, 1.0)), 3.0),
     ])
     def test_agrees_with_full_draw_and_exact(self, mu, x):
         mu = np.asarray(mu, dtype=float)
         c = FasConfig(n_ports=mu.size, size_wavelengths=1.0, snr_ratio=x)
-        profile = CorrelationProfile(mu=mu, displacements=np.arange(mu.size,
-                                                                    dtype=float))
         exact = outage_exact_profile(mu, x)
         se = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
-        new = mc_outage_fas(c, McSettings(trials=self.TRIALS, seed=19),
-                            profile=profile)
+        new = mc_outage_fas(c, McSettings(trials=self.TRIALS, seed=19), mu=mu)
         old = reference.mc_outage_fas_full_draw(
-            c, McSettings(trials=self.TRIALS, seed=20), profile=profile)
+            c, McSettings(trials=self.TRIALS, seed=20), mu=mu)
         assert abs(new.p_hat - exact) <= self.Z * se
         assert abs(old.p_hat - exact) <= self.Z * se
         assert abs(new.p_hat - old.p_hat) <= self.Z * math.sqrt(2.0) * se
@@ -184,26 +178,22 @@ class TestJointDensityCheck:
         return HistogramSpec(r_max=2.5, bins=12)
 
     def test_independent_ports_fit(self):
-        p = CorrelationProfile(mu=np.array([0.0, 0.0]),
-                               displacements=np.array([0.0, 0.5]))
-        res = mc_joint_density_check(p, McSettings(trials=200_000, seed=12),
+        res = mc_joint_density_check(np.array([0.0, 0.0]),
+                                     McSettings(trials=200_000, seed=12),
                                      self.grid())
         assert isinstance(res, ChiSquareResult)
         assert not res.rejected_at_1pct
 
     def test_strong_correlation_fit(self):
-        p = CorrelationProfile(mu=np.array([0.0, 0.9]),
-                               displacements=np.array([0.0, 0.1]))
-        res = mc_joint_density_check(p, McSettings(trials=200_000, seed=13),
+        res = mc_joint_density_check(np.array([0.0, 0.9]),
+                                     McSettings(trials=200_000, seed=13),
                                      self.grid())
         assert not res.rejected_at_1pct
 
     def test_mismatched_profile_rejected(self):
         # draws generated at mu=0.9 tested against the mu=0.5 density
-        gen = CorrelationProfile(mu=np.array([0.0, 0.9]),
-                                 displacements=np.array([0.0, 0.1]))
-        test = CorrelationProfile(mu=np.array([0.0, 0.5]),
-                                  displacements=np.array([0.0, 0.1]))
+        gen = np.array([0.0, 0.9])
+        test = np.array([0.0, 0.5])
 
         from fas.channel import draw_channels_batch
 
@@ -224,8 +214,7 @@ class TestJointDensityCheck:
         # per Gauss-Legendre node pair
         from fas.analytic import joint_pdf
 
-        test = CorrelationProfile(mu=np.array([0.0, 0.5]),
-                                  displacements=np.array([0.0, 0.1]))
+        test = np.array([0.0, 0.5])
         edges = np.linspace(0.0, 2.5, 13)
         nodes, weights = np.polynomial.legendre.leggauss(12)
         half = 0.5 * np.diff(edges)
@@ -241,10 +230,9 @@ class TestJointDensityCheck:
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_requires_two_ports(self):
-        p = CorrelationProfile(mu=np.array([0.0, 0.3, 0.3]),
-                               displacements=np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ValueError):
-            mc_joint_density_check(p, McSettings(trials=10_000, seed=1),
+            mc_joint_density_check(np.array([0.0, 0.3, 0.3]),
+                                   McSettings(trials=10_000, seed=1),
                                    self.grid())
 
     def test_histogram_spec_validation(self):

@@ -1,13 +1,16 @@
-"""The package's export list, import footprint, and the names the
-benchmark's traced run hooks."""
+"""The package's export list, import footprint, and the benchmark's traced
+run: the names it hooks, and tiny commands run under it."""
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fas
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -27,7 +30,7 @@ def test_star_import_binds_every_export():
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats alone takes about twice the import time of all of fas.cli
     # and adds tens of MB of resident memory to every command
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run(
         [sys.executable, "-c",
@@ -37,13 +40,19 @@ def test_cli_import_leaves_out_scipy_stats():
     assert run.stdout == "False\n"
 
 
+def _bench_tracing():
+    """bench/tracing.py, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_every_benchmark_hook_resolves():
     # bench/tracing.py reports every metric of a hook it cannot find as
     # null, so a hooked function that moves must fail here instead
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_tracing()
     names = ([(module, func) for module, func, _, _ in tracing.HOOKS]
              + list(tracing.COUNTED) + [("analytic", "quad")])
     missing = [f"{module}.{func}" for module, func in names
@@ -51,3 +60,34 @@ def test_every_benchmark_hook_resolves():
                                        func, None))]
     assert len(names) > 10
     assert missing == []
+
+
+def test_traced_commands_report_every_layer(tmp_path):
+    # the benchmark's traced run on tiny ops: a hook whose wrapper breaks
+    # the call (a moved argument, a changed return type) fails an op here,
+    # and every declared per-layer metric must come out as JSON
+    import fas.cli
+    tracing = _bench_tracing()
+    ops = [["outage-curve", "--sweep-n", "2:6:2", "--trials", "1000"],
+           ["design", "--n-ports", "10"],
+           ["design", "--size-wl", "1"],
+           ["envelope", "--n-ports", "3", "--duration-s", "0.2"]]
+    tracer = tracing.Tracer()
+
+    def run_ops():
+        for i, argv in enumerate(ops):
+            out = ["--out", str(tmp_path / f"{i}.out")]
+            assert tracer.root(i, f"cli.{argv[0]}",
+                               lambda: fas.cli.main(argv + out)) == 0
+
+    with tracer.installed():
+        run_ops()
+    with tracer.installed(count_only=True):
+        run_ops()
+    assert tracer.missing == []
+    assert tracer.counts["analytic.quad.evals"] > 0
+    assert tracer.counts["mc.trials"] > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    metrics = tracing.layer_metrics(tracer, [m["name"] for m in declared], 0.0)
+    assert None not in metrics.values()
+    json.dumps(metrics, allow_nan=False)

@@ -6,7 +6,7 @@ import pytest
 from scipy import special as sp
 
 from fas import specfun
-from fas.channel import FasConfig, correlation_profile
+from fas.channel import FasConfig, correlation_profile, port_displacements
 from fas.specfun import inv_besselj0_envelope, marcum_q1
 
 import reference
@@ -15,10 +15,10 @@ import reference
 def two_port_mu(x: float) -> tuple[float, float]:
     """(eps, mu_2) of a two-port profile whose separation 2*pi*W is near x;
     mu_2 = J0(eps) as the package evaluates it."""
-    profile = correlation_profile(
-        FasConfig(n_ports=2, size_wavelengths=x / (2.0 * math.pi),
-                  snr_ratio=1.0))
-    return 2.0 * math.pi * profile.displacements[1], float(profile.mu[1])
+    config = FasConfig(n_ports=2, size_wavelengths=x / (2.0 * math.pi),
+                       snr_ratio=1.0)
+    return (2.0 * math.pi * port_displacements(config)[1],
+            float(correlation_profile(config)[1]))
 
 
 class TestBesselJ0:
