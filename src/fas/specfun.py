@@ -3,8 +3,7 @@
 Provides the first-order Marcum Q-function and the envelope inverse of J0
 (smallest argument beyond which |J0| stays at or below a target level).
 
-All functions are pure.  The only module state is a grow-only table of
-J0/J1 zeros, which caches values and changes no result.
+All functions are pure and keep no module state.
 
 The Marcum Q-function takes one of two routes:
 
@@ -32,12 +31,10 @@ import math
 
 import numpy as np
 from scipy import special as sp
-from scipy.optimize import brentq
 # the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs ~1.3 s
 from scipy.special._ufuncs import _ncx2_sf
 
-# brentq tolerance on the crossing found by inv_besselj0_envelope
-ENVELOPE_XTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 # Region served by the noncentral chi-square survival function: arguments
 # within the documented range and away from 0, values above the depth where
@@ -112,20 +109,39 @@ def marcum_q1(a: float, b: float) -> float:
     return min(1.0, 1.0 - _q1_upper(b, a) + float(cross))
 
 
-# First zeros of J0 and J1, grown on demand.  jn_zeros(k, n) is a
-# bit-identical prefix of jn_zeros(k, m) for n <= m, so a slice of the table
-# equals a fresh jn_zeros call.
-_BESSEL_ZEROS = {0: np.empty(0), 1: np.empty(0)}
+def _bessel_zero(order: int, k: int) -> float:
+    """k-th positive zero of J_order (order 0 or 1, k >= 1): McMahon's
+    expansion (DLMF 10.21.19) refined by Newton's method.
+
+    The expansion is within 3e-3 of the zero at k = 1 and closer beyond, so
+    a Newton step longer than 0.1 can only come from J0 and J1 evaluated
+    where a double no longer resolves their phase (arguments ~1e15 and
+    up); the refinement stops there and keeps the expansion.
+    """
+    beta = (k + 0.5 * order - 0.25) * math.pi
+    m = 4.0 * order * order
+    u = 1.0 / (8.0 * beta)
+    x = beta - (m - 1.0) * u - 4.0 * (m - 1.0) * (7.0 * m - 31.0) / 3.0 * u ** 3
+    for _ in range(4):
+        j0, j1 = float(sp.j0(x)), float(sp.j1(x))
+        # J0' = -J1 and J1' = J0 - J1/x
+        step = -j0 / j1 if order == 0 else j1 / (j0 - j1 / x)
+        if not abs(step) < 0.1:
+            break
+        x -= step
+        if abs(step) <= 4.0 * _EPS * x:
+            break
+    return x
 
 
-def _bessel_zeros(order: int, count: int) -> np.ndarray:
-    """First `count` positive zeros of J_order (order 0 or 1), read-only."""
-    table = _BESSEL_ZEROS[order]
-    if table.size < count:
-        table = sp.jn_zeros(order, max(count, 2 * table.size))
-        table.setflags(write=False)
-        _BESSEL_ZEROS[order] = table
-    return table[:count]
+def _extremum_exceeds(k: int, target: float) -> bool:
+    """Whether |J0| at its k-th extremum, the k-th zero of J1, exceeds
+    target.  The zero is good to about an ulp, so |J0| is taken at the two
+    adjacent doubles as well: no extremum above the target is passed over
+    on a rounding of its abscissa."""
+    x = _bessel_zero(1, k)
+    xs = [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return float(np.max(np.abs(sp.j0(xs)))) > target
 
 
 def inv_besselj0_envelope(target: float) -> float:
@@ -133,11 +149,17 @@ def inv_besselj0_envelope(target: float) -> float:
     for every eps >= eps*.
 
     J0 oscillates, so a naive root of J0(eps) = target does not guarantee the
-    envelope property.  The local extrema of J0 sit at the zeros of J1 and
-    their magnitudes strictly decrease (the Sonine-Polya theorem; Watson,
-    *A Treatise on the Theory of Bessel Functions*, 15.31); the answer is the
-    crossing of |J0| with the target on the arc following the last extremum
-    that still exceeds it.
+    envelope property.  The local extrema of J0 sit at the zeros j_{1,k} of
+    J1 and their magnitudes strictly decrease (the Sonine-Polya theorem;
+    Watson, *A Treatise on the Theory of Bessel Functions*, 15.31); the
+    answer is the crossing of |J0| with the target on the arc following the
+    last extremum that still exceeds it.
+
+    The magnitudes follow the envelope sqrt(2 / (pi eps)), so the first
+    extremum at or below the target is k ~ 2 / (pi^2 target^2); one step
+    either way settles k, in O(1) work at any target.  The crossing is then
+    found by Newton's method on |J0| - target, with bisection wherever a
+    step leaves the bracket, to a few ulps.
     """
     target = _check_finite(target, "target")
     if target <= 0:
@@ -146,25 +168,43 @@ def inv_besselj0_envelope(target: float) -> float:
     if target >= 1.0:
         return 0.0
 
-    n = 32
-    while True:
-        extrema = _bessel_zeros(1, n)
-        mags = np.abs(sp.j0(extrema))
-        below = np.nonzero(mags <= target)[0]
-        if below.size:
-            break
-        n *= 2
-        if n > 1 << 24:  # pragma: no cover - unreachable for target > 0
-            raise RuntimeError("failed to bracket the J0 envelope crossing")
-    first_ok = int(below[0])
+    # the envelope sqrt(2 / (pi eps)) meets the target at 2 / (pi target^2),
+    # beyond the largest double below about 1e-154
+    crossing = 2.0 / (math.pi * target) / target
+    if crossing == math.inf:
+        return math.inf
+    # first k whose abscissa (k + 1/4) pi reaches the envelope's crossing
+    k = max(1, math.ceil(crossing / math.pi - 0.25))
+    if k > 1 and not _extremum_exceeds(k - 1, target):
+        k -= 1
+    elif _extremum_exceeds(k, target):
+        k += 1
 
-    if first_ok == 0:
+    if k == 1:
         # only the main lobe exceeds the target: |J0| falls 1 -> 0 on
         # [0, first J0 zero]
-        lo, hi = 0.0, float(_bessel_zeros(0, 1)[0])
+        lo, sign = 0.0, 1.0
     else:
         # |J0| decreases monotonically from the offending extremum to the
         # next zero of J0 (zeros of J0 and J1 interlace)
-        lo = float(extrema[first_ok - 1])
-        hi = float(_bessel_zeros(0, first_ok + 1)[first_ok])
-    return brentq(lambda e: abs(sp.j0(e)) - target, lo, hi, xtol=ENVELOPE_XTOL)
+        lo = _bessel_zero(1, k - 1)
+        sign = math.copysign(1.0, sp.j0(lo))
+    hi = _bessel_zero(0, k)
+    # g = |J0| - target = sign J0 - target falls across [lo, hi], and
+    # g' = -sign J1
+    x = hi
+    for _ in range(100):
+        g = sign * float(sp.j0(x)) - target
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = -sign * float(sp.j1(x))
+        step = g / slope if slope != 0.0 else math.inf
+        new = x - step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= 4.0 * _EPS * x:
+            return new
+        x = new
+    return x

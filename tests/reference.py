@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 
 def j0_series(x: float) -> float:
@@ -152,6 +153,20 @@ def envelope_inverse_scan(target: float, step: float = 1e-4) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def envelope_inverse_tabled(target: float, extrema: np.ndarray,
+                            j0_zeros: np.ndarray) -> float:
+    """The envelope inverse of J0 as the package once computed it, from
+    tables of J1 zeros (the |J0| extrema) and J0 zeros, with brentq at a
+    few ulps in place of its old 1e-9 tolerance.  The tables must reach
+    past the first extremum at or below the target."""
+    if target >= 1.0:
+        return 0.0
+    first_ok = int(np.argmax(np.abs(sp.j0(extrema)) <= target))
+    lo = float(extrema[first_ok - 1]) if first_ok else 0.0
+    return brentq(lambda e: abs(sp.j0(e)) - target, lo,
+                  float(j0_zeros[first_ok]), xtol=1e-300, rtol=1e-15)
 
 
 def outage_exact_chndtr(mu, x: float) -> float:

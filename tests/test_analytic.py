@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from fas import analytic
 from fas.analytic import (DEFAULT_QUADRATURE, QuadratureError,
                           QuadratureSettings, _marcum_difference,
                           _port_cdf_product, _quad, db_to_linear, joint_cdf,
                           joint_pdf, outage_approx, outage_approx_profile,
                           outage_exact, outage_exact_profile, outage_mrc,
                           outage_n2_closed_form)
-from fas.channel import DEGENERATE_MU, FasConfig, correlation_profile
+from fas.channel import (DEGENERATE_MU, FasConfig, active_mu,
+                         correlation_profile)
 from fas.mc import McSettings, mc_outage_fas
 from fas.specfun import marcum_q1
 
@@ -36,11 +39,68 @@ class TestQuadratureSettings:
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_nan_integrand_raises(self):
         with pytest.raises(QuadratureError) as exc_info:
-            _quad(lambda t: math.nan, 0.0, 1.0, QuadratureSettings())
+            _quad(lambda t: np.full(t.shape, math.nan), 0.0, 1.0,
+                  QuadratureSettings())
         assert math.isnan(exc_info.value.estimate)
+        # the rule gives up on the first interval's 21 nodes
+        assert exc_info.value.n_evals == 21
+        assert "21 integrand evaluations on 1 subintervals" in str(
+            exc_info.value)
+
+
+class TestQuadratureParity:
+    # the package's G10/K21 rule against scipy's QUADPACK qags at equal
+    # settings, on the outage integrand: N <= 300 over W from 0.05 to 20
+    # and -40 to 10 dB, and the strongly correlated W = 0.01
+
+    @staticmethod
+    def integrand(n, w, x):
+        mu = active_mu(correlation_profile(
+            FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=x)))[1:]
+        a2 = 2.0 * mu ** 2 / (1.0 - mu ** 2)
+        b2 = 2.0 * x / (1.0 - mu ** 2)
+        return lambda t: np.exp(-t) * _port_cdf_product(a2, b2, t)
+
+    @pytest.mark.parametrize("w", [0.01, 0.05, 0.5, 2.0, 5.0, 20.0])
+    def test_matches_qags(self, w):
+        q = DEFAULT_QUADRATURE
+        mismatches = []
+        for n in (2, 5, 20, 100, 300):
+            for db in (-40.0, -20.0, -10.0, 0.0, 10.0):
+                x = db_to_linear(db)
+                f = self.integrand(n, w, x)
+                want, _, info = quad(lambda t: float(f(np.array(t))), 0.0, x,
+                                     epsabs=q.abs_tol, epsrel=q.rel_tol,
+                                     limit=q.max_subdivisions,
+                                     full_output=1)[:3]
+                got, _, mine = analytic.quad(f, 0.0, x, q, full_output=1)
+                if (mine["neval"] != info["neval"]
+                        or abs(got - want) > 1e-13 * abs(want)):
+                    mismatches.append((n, db, got, want, mine, info["neval"]))
+        assert mismatches == []
+
+    def test_return_shapes(self):
+        # the benchmark's tracer calls the rule with full_output=1 and reads
+        # result[2]["neval"]
+        f = self.integrand(5, 1.0, 1.0)
+        plain = analytic.quad(f, 0.0, 1.0, DEFAULT_QUADRATURE)
+        full = analytic.quad(f, 0.0, 1.0, DEFAULT_QUADRATURE, full_output=1)
+        assert len(plain) == 2 and len(full) == 3
+        assert full[:2] == plain
+        assert full[2] == {"neval": 21}
+        assert all(type(v) is float for v in full[:2])
+
+    def test_failure_reports_its_work(self):
+        # a two-interval budget on a sharply kneed integrand
+        f = self.integrand(21, 0.01, 1.0)
+        with pytest.raises(QuadratureError, match=r"63 integrand evaluations "
+                                                  r"on 2 subintervals") as exc:
+            _quad(f, 0.0, 1.0, QuadratureSettings(abs_tol=1e-300,
+                                                  rel_tol=1e-300,
+                                                  max_subdivisions=2))
+        assert exc.value.n_evals == 63
 
 
 class TestJointPdf:
@@ -161,8 +221,6 @@ class TestOutageExact:
         with pytest.raises(ValueError):
             outage([0.0, bad, 0.5], 1.0)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    @pytest.mark.filterwarnings("ignore:The maximum number of subdivisions")
     def test_quadrature_failure_raises(self):
         # sharply kneed integrand plus a one-interval budget cannot converge
         mu = [0.0] + [0.99999] * 20
@@ -172,6 +230,7 @@ class TestOutageExact:
                                                     rel_tol=1e-300,
                                                     max_subdivisions=1))
         assert exc_info.value.error_estimate > 1e-8
+        assert exc_info.value.n_evals == 21
 
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
@@ -404,7 +463,9 @@ class TestPortCdfKernel:
             return math.exp(-t) * math.prod(
                 1.0 - marcum_q1(ak * math.sqrt(t), bk) for ak, bk in zip(a, b))
 
-        want = _quad(integrand, 0.0, x, DEFAULT_QUADRATURE)
+        want, _ = quad(integrand, 0.0, x, epsabs=DEFAULT_QUADRATURE.abs_tol,
+                       epsrel=DEFAULT_QUADRATURE.rel_tol,
+                       limit=DEFAULT_QUADRATURE.max_subdivisions)
         got = outage_exact(FasConfig(n_ports=n, size_wavelengths=w,
                                      snr_ratio=x))
         assert abs(got - want) <= x * (n - 1) * 1e-10

@@ -362,6 +362,19 @@ class TestDesign:
         assert doc["results"]["min_size_wl"]["feasible"] is True
         assert float(doc["results"]["min_size_wl"]["value"]) > 0
 
+    def test_tiny_mu_star_answers(self, capsys):
+        # mu* = 9.5e-5 puts d* some 1.1e7 wavelengths out; the envelope
+        # inverse once raised a RuntimeError here, at a 729 MB peak
+        code, out = run_cli(capsys, "design", "--n-ports", "10",
+                            "--mrc-l", "2", "--snr-db=-3.628039843778")
+        assert code == 0
+        answer = json.loads(out)["results"]["required_mu"]["value"]
+        mu_star = float(answer["mu_star"])
+        assert mu_star == pytest.approx(9.5e-5, rel=0.01)
+        # d* = eps* / (2 pi), with eps* within an arc of 2 / (pi mu*^2)
+        assert float(answer["d_star_wl"]) == pytest.approx(
+            1.0 / (math.pi * mu_star) ** 2, rel=1e-6)
+
     def test_infeasible_is_exit_zero(self, capsys):
         code, out = run_cli(capsys, "design", "--n-ports", "4",
                             "--mrc-l", "8", "--snr-db", "0")

@@ -1,11 +1,11 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from fas import specfun
 from fas.channel import FasConfig, correlation_profile, port_displacements
 from fas.specfun import inv_besselj0_envelope, marcum_q1
 
@@ -273,23 +273,51 @@ class TestEnvelopeInverse:
             assert later.size >= 50
             assert np.all(later <= target)
 
-    def test_zeros_table_slices_equal_fresh_zeros(self):
-        for order in (0, 1):
-            for count in (1, 5, 32, 33, 100, 3000, 40):
-                got = specfun._bessel_zeros(order, count)
-                assert np.array_equal(got, sp.jn_zeros(order, count))
-                assert not got.flags.writeable
-
-    def test_zeros_table_leaves_results_bitwise(self, monkeypatch):
-        targets = np.concatenate([np.linspace(0.02, 0.99, 25),
-                                  [0.403, 0.402, 0.01, 0.005]])
-        cached = [inv_besselj0_envelope(t) for t in targets]
-        monkeypatch.setattr(specfun, "_bessel_zeros",
-                            lambda order, count: sp.jn_zeros(order, count))
-        assert [inv_besselj0_envelope(t) for t in targets] == cached
-
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             inv_besselj0_envelope(0.0)
         with pytest.raises(ValueError):
             inv_besselj0_envelope(-0.5)
+
+
+class TestEnvelopeInverseAtAnyTarget:
+    # the crossing takes O(1) work at any target: it once grew a table of
+    # J1 zeros until the target was passed, 27 s at 3e-4 and a RuntimeError
+    # below about 1e-4
+    @pytest.mark.parametrize("target", [1e-4, 1e-8, 1e-12])
+    def test_small_target_is_fast(self, target):
+        inv_besselj0_envelope(target)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            eps = inv_besselj0_envelope(target)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.01
+        # within an arc, pi, of the envelope's crossing 2 / (pi target^2)
+        crossing = 2.0 / (math.pi * target * target)
+        assert abs(eps - crossing) <= math.pi + 1e-15 * crossing
+
+    def test_small_target_is_an_envelope_crossing(self):
+        # at 1e-4 the arcs are still resolved in double precision
+        target = 1e-4
+        eps = inv_besselj0_envelope(target)
+        assert abs(abs(sp.j0(eps)) - target) <= 1e-12 * target
+        beyond = eps + np.arange(0.0, 20.0, 1e-3)
+        assert np.all(np.abs(sp.j0(beyond)) <= target * (1 + 1e-9))
+        before = eps - np.arange(1e-3, 4.0, 1e-3)
+        assert np.max(np.abs(sp.j0(before))) > target
+
+    def test_beyond_the_doubles_is_inf(self):
+        # the crossing 2 / (pi target^2) exceeds the largest double
+        assert inv_besselj0_envelope(1e-160) == math.inf
+        assert inv_besselj0_envelope(5e-324) == math.inf
+        assert math.isfinite(inv_besselj0_envelope(1e-154))
+
+    def test_matches_tabled_crossing(self):
+        # the former algorithm at ulp tolerance, wherever it finished
+        extrema = sp.jn_zeros(1, 210_000)
+        j0_zeros = sp.jn_zeros(0, 210_001)
+        for target in np.geomspace(1e-3, 0.999, 404):
+            want = reference.envelope_inverse_tabled(target, extrema, j0_zeros)
+            assert inv_besselj0_envelope(target) == pytest.approx(want,
+                                                                  rel=1e-12)
