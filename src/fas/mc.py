@@ -1,12 +1,13 @@
 """Seeded Monte-Carlo oracle for the analytic outage expressions.
 
-Trials are partitioned over logical workers with independent Philox
+Trials are partitioned over logical workers with independent PCG64
 sub-streams spawned from one seed, so an estimate is bit-reproducible for a
 fixed (trials, seed, workers) triple regardless of execution order.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,10 +30,15 @@ class McSettings:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < MIN_TRIALS:
-            raise ValueError(f"trials must be >= {MIN_TRIALS}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        # numpy's binomial would take a float count without a word, and a
+        # NaN one slips past `value < least`, which is False for it
+        for name, least in (("trials", MIN_TRIALS), ("workers", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class McEstimate:
 def worker_streams(seed: int, workers: int) -> list[np.random.Generator]:
     """Deterministic independent sub-streams for each logical worker."""
     root = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child))
+    return [np.random.Generator(np.random.PCG64(child))
             for child in root.spawn(workers)]
 
 
@@ -75,13 +81,17 @@ def mc_outage_fas(config: FasConfig, settings: McSettings,
                   mu=None) -> McEstimate:
     """Empirical P[max_k |g_k|^2 < snr_ratio] over correlated port draws.
 
-    Trials are decided by sequential rejection: draw |g_1|^2 ~ Exp(1) for
-    every trial, then each further port for the trials still below the
-    threshold only, until none is left.  Every port's own component is
-    circularly symmetric and independent of g_1, so g_1 is taken real
-    (a rotation of all ports by its phase leaves their magnitudes' joint
-    law unchanged), and with a_0 = sqrt(2|g_1|^2), n_1 and n_2 standard
-    normals and r_k = sqrt(1 - mu_k^2), port k stays below x when
+    Trials are decided by sequential rejection.  |g_1|^2 ~ Exp(1) is below
+    the threshold x with probability p_1 = 1 - e^-x, so each chunk of n
+    trials first draws how many are as one Binomial(n, p_1) count, which is
+    the chunk's outage count when N = 1.  Otherwise each survivor's power
+    is Exp(1) truncated to [0, x), drawn by inversion as -log1p(-p_1 U) with
+    U uniform on [0, 1), and each further port is drawn for the trials
+    still below x only, until none is left.  Every port's own component is
+    circularly symmetric and independent of g_1, so g_1 is taken real (a
+    rotation of all ports by its phase leaves their magnitudes' joint law
+    unchanged), and with a_0 = sqrt(2|g_1|^2), n_1 and n_2 standard normals
+    and r_k = sqrt(1 - mu_k^2), port k stays below x when
     (r_k n_1 + mu_k a_0)^2 + (r_k n_2)^2 < 2x.
 
     A profile mu replaces the geometry-derived correlation, which is how
@@ -90,10 +100,14 @@ def mc_outage_fas(config: FasConfig, settings: McSettings,
     mu = (correlation_profile(config) if mu is None else checked_mu(mu))[1:]
     root = np.sqrt(1.0 - mu ** 2)
     threshold = config.snr_ratio
+    p1 = -math.expm1(-threshold)
     failures = 0
     for rng, n in _chunks(settings):
-        power = rng.standard_exponential(n)
-        a0 = np.sqrt(2.0 * power[power < threshold])
+        count = int(rng.binomial(n, p1))
+        if not mu.size:
+            failures += count
+            continue
+        a0 = np.sqrt(-2.0 * np.log1p(-p1 * rng.random(count)))
         for m, r in zip(mu, root):
             if not a0.size:
                 break

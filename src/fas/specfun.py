@@ -51,6 +51,10 @@ _GAP_CUTOFF = 39.0
 # outside the a,b <= 50 accuracy contract).
 _SERIES_Z_MAX = 1e8
 
+# Abscissa from which |J0| at a zero of J1 is taken from the asymptotic
+# modulus of J1 rather than from sp.j0.
+_ASYMPTOTIC_EXTREMUM = 1e4
+
 
 def _check_finite(x, name: str) -> float:
     x = float(x)
@@ -134,14 +138,25 @@ def _bessel_zero(order: int, k: int) -> float:
     return x
 
 
-def _extremum_exceeds(k: int, target: float) -> bool:
-    """Whether |J0| at its k-th extremum, the k-th zero of J1, exceeds
-    target.  The zero is good to about an ulp, so |J0| is taken at the two
-    adjacent doubles as well: no extremum above the target is passed over
-    on a rounding of its abscissa."""
+def _extremum_magnitude(k: int) -> float:
+    """|J0| at its k-th extremum, the k-th zero of J1.
+
+    The zero is good to about an ulp, so below _ASYMPTOTIC_EXTREMUM |J0| is
+    taken as the largest at it and the two adjacent doubles: no extremum
+    above a target is passed over on a rounding of its abscissa.  Beyond
+    it sp.j0 no longer resolves the phase (1.1e-12 relative low at 7.1e10),
+    and the magnitude comes from the modulus M_1 of J1 instead: at a zero x
+    of J1 the Wronskian gives |J0(x)| = |J1'(x)| = 2 / (pi x M_1(x)), with
+    M_1(x)^2 ~ 2 / (pi x) (1 + 3 / (8 x^2) - 45 / (128 x^4) + ...)
+    (DLMF 10.18.17).  Its first two terms are within 2e-17 relative there;
+    they are taken at the lower adjacent double, where |J0| is larger.
+    """
     x = _bessel_zero(1, k)
+    if x >= _ASYMPTOTIC_EXTREMUM:
+        x = math.nextafter(x, 0.0)
+        return math.sqrt(2.0 / (math.pi * x) / (1.0 + 0.375 / (x * x)))
     xs = [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
-    return float(np.max(np.abs(sp.j0(xs)))) > target
+    return float(np.max(np.abs(sp.j0(xs))))
 
 
 def inv_besselj0_envelope(target: float) -> float:
@@ -159,7 +174,9 @@ def inv_besselj0_envelope(target: float) -> float:
     extremum at or below the target is k ~ 2 / (pi^2 target^2); one step
     either way settles k, in O(1) work at any target.  The crossing is then
     found by Newton's method on |J0| - target, with bisection wherever a
-    step leaves the bracket, to a few ulps.
+    step leaves the bracket, to a few ulps; at arguments where sp.j0 no
+    longer resolves the phase (about 1e10 and up), to that resolution, on
+    the right arc.
     """
     target = _check_finite(target, "target")
     if target <= 0:
@@ -175,9 +192,9 @@ def inv_besselj0_envelope(target: float) -> float:
         return math.inf
     # first k whose abscissa (k + 1/4) pi reaches the envelope's crossing
     k = max(1, math.ceil(crossing / math.pi - 0.25))
-    if k > 1 and not _extremum_exceeds(k - 1, target):
+    if k > 1 and _extremum_magnitude(k - 1) <= target:
         k -= 1
-    elif _extremum_exceeds(k, target):
+    elif _extremum_magnitude(k) > target:
         k += 1
 
     if k == 1:

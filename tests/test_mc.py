@@ -28,6 +28,27 @@ class TestMcSettings:
         with pytest.raises(ValueError):
             McSettings(trials=10_000, seed=1, workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        # a float count used to reach numpy (a TypeError at 1e5) or to give
+        # p_hat = nan without an error
+        ("trials", 1e5), ("trials", math.nan), ("trials", math.inf),
+        ("trials", True), ("trials", "100000"),
+        ("workers", 2.0), ("workers", math.nan), ("workers", True),
+        ("seed", -1), ("seed", 1.0), ("seed", math.nan), ("seed", False),
+        ("seed", None),
+    ])
+    def test_rejects_non_integer_counts_and_seeds(self, field, value):
+        kwargs = {"trials": 10_000, "seed": 1, "workers": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            McSettings(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        s = McSettings(trials=np.int64(10_000), seed=np.uint32(3),
+                       workers=np.int8(2))
+        c = FasConfig(n_ports=2, size_wavelengths=0.5, snr_ratio=1.0)
+        assert mc_outage_fas(c, s) == mc_outage_fas(
+            c, McSettings(trials=10_000, seed=3, workers=2))
+
 
 class TestWorkerStreams:
     def test_count_and_independence(self):
@@ -87,6 +108,17 @@ class TestMcOutageFas:
         s = McSettings(trials=_CHUNK + 1, seed=15, workers=workers)
         assert mc_outage_fas(c, s) == mc_outage_fas(c, s)
 
+    # N = 1 draws no per-trial variate, only one binomial count per chunk,
+    # so the trial cap costs 5,000 draws.  Sidak: the z that holds the
+    # chance of any false alarm over the four thresholds at 1e-4.
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 10.0])
+    def test_single_port_at_the_trial_cap(self, x):
+        z = float(-sp.ndtri(0.5 * -math.expm1(math.log1p(-1e-4) / 4)))
+        c = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=x)
+        est = mc_outage_fas(c, McSettings(trials=TRIALS_CAP, seed=21))
+        assert est.trials == TRIALS_CAP
+        assert within(est, -math.expm1(-x), sigmas=z)
+
     def test_fully_correlated_ports_add_nothing(self):
         # a port with |mu_k| = 1 is port 1 itself, or its negative
         one = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=0.7)
@@ -109,7 +141,8 @@ class TestAgainstFullDraw:
     # Sequential rejection against the estimator it replaced (every port
     # drawn as a complex number) and the exact outage, on independent
     # streams.  Sidak: the per-comparison z that holds the chance of any
-    # false alarm over the 24 comparisons at 1e-4.
+    # false alarm over 24 comparisons at 1e-4 (1.25e-4 over the 30 that
+    # the ten points make).
     TRIALS = 200_000
     Z = float(-sp.ndtri(0.5 * -math.expm1(math.log1p(-1e-4) / 24)))
 
@@ -124,6 +157,10 @@ class TestAgainstFullDraw:
         (correlation_profile(FasConfig(3, 5.0, 1.0)), 10.0),
         (correlation_profile(FasConfig(40, 0.5, 1.0)), 2.0),
         (correlation_profile(FasConfig(40, 5.0, 1.0)), 3.0),
+        # the edges of the survivors' -log1p(-p_1 U) inversion: p_1 = 1e-3
+        # (with |mu_k| near 1, so that some trials fail) and p_1 = 1 - 4.5e-5
+        ([0.0, 0.9999, -0.9999, 0.99995], 1e-3),
+        (correlation_profile(FasConfig(20, 0.5, 1.0)), 10.0),
     ])
     def test_agrees_with_full_draw_and_exact(self, mu, x):
         mu = np.asarray(mu, dtype=float)

@@ -2,10 +2,12 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from fas import specfun
 from fas.channel import FasConfig, correlation_profile, port_displacements
 from fas.specfun import inv_besselj0_envelope, marcum_q1
 
@@ -306,6 +308,30 @@ class TestEnvelopeInverseAtAnyTarget:
         assert np.all(np.abs(sp.j0(beyond)) <= target * (1 + 1e-9))
         before = eps - np.arange(1e-3, 4.0, 1e-3)
         assert np.max(np.abs(sp.j0(before))) > target
+
+    # both sides of the switch to the asymptotic magnitude (the J1 zero
+    # 3183 is the first past 1e4) and far beyond, where sp.j0 reads low
+    @pytest.mark.parametrize("k", [1, 2, 100, 3182, 3183, 10 ** 5, 10 ** 8,
+                                   22566588392, 10 ** 12])
+    def test_extremum_magnitude_matches_mpmath(self, k):
+        with mpmath.workdps(40):
+            want = float(abs(mpmath.besselj(0, mpmath.besseljzero(1, k))))
+        assert specfun._extremum_magnitude(k) == pytest.approx(
+            want, rel=1e-15, abs=0.0)
+
+    def test_crossing_follows_an_extremum_sp_j0_reads_low(self):
+        # |J0| at the J1 zero k = 22566588392 exceeds this target by 9e-13
+        # relative, and sp.j0 reads it 1.1e-12 low: the crossing used to be
+        # returned one arc early, at 7.0895028306536e10
+        target = 2.9966234333975846e-06
+        eps = inv_besselj0_envelope(target)
+        with mpmath.workdps(40):
+            zero = mpmath.besseljzero(1, 22566588392)
+            assert abs(mpmath.besselj(0, zero)) > target
+            assert eps > zero
+            # the crossing itself is 1.3e-6 past the zero
+            assert eps - zero < 1e-3
+            assert abs(mpmath.besselj(0, eps)) <= target
 
     def test_beyond_the_doubles_is_inf(self):
         # the crossing 2 / (pi target^2) exceeds the largest double
