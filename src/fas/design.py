@@ -93,6 +93,20 @@ def min_ports_general(mu, query: DesignQuery,
     return DesignAnswer(None, guard)
 
 
+def _exactly_one_radius(snr_ratio: float, constants: BoundConstants) -> float:
+    """Port distance d_one (wavelengths) within which every bound factor
+    1 - g e^{-kappa x / (1 - mu^2)}, mu = J0(2 pi d), rounds to exactly 1.0.
+
+    With z = 2 pi d and z^2 <= min(kappa x / 20, 4): the alternating series
+    gives J0(z) >= 1 - z^2/4 >= 0, so 1 - mu^2 <= z^2/2 and the exponent
+    kappa x / (1 - mu^2) >= 40 > 54 ln 2.  Every gain g is below 1
+    (rho < 0.5), so g e^{-40} < 4.3e-18 < 2^-54 and 1 - g e^{-40} rounds
+    to 1.0, about 13x clear of the rounding of j0, 1 - mu^2 and exp.
+    """
+    z_one = math.sqrt(min(constants.kappa * snr_ratio / 20.0, 4.0))
+    return z_one / (2.0 * math.pi)
+
+
 def min_ports_for_size(size_wl: float, query: DesignQuery,
                        n_max: int = 2000) -> DesignAnswer:
     """Smallest N whose geometry-derived bound at this aperture beats MRC.
@@ -106,6 +120,13 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     product for that N.  A block holds no more N values than precede it,
     and at most about `_SCAN_BLOCK_CELLS` cells: rows shrink as N grows,
     and the scan's working set stays under a megabyte up to any n_max.
+
+    Ports closer to the reference than `_exactly_one_radius` have a factor
+    of exactly 1.0 in double, so each block starts at the first column
+    that is outside that radius for some row of the block; the rows only
+    get denser as N grows.  Where the radius reaches W, every factor of
+    every N is exactly 1 and the answer is known without evaluating one:
+    at x = 1 and kappa = 2 that holds for W up to 0.05 (W = 0.01 included).
     """
     x = query.snr_ratio
     FasConfig(n_ports=1, size_wavelengths=size_wl, snr_ratio=x)  # checks W
@@ -113,13 +134,18 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     single = -math.expm1(-x)
     if n_max >= 1 and single < target:
         return DesignAnswer(1)
+    d_one = _exactly_one_radius(x, query.constants)
+    if d_one >= size_wl:
+        return DesignAnswer(None, GUARD_N_EXHAUSTED)
     n0 = 2
     while n0 <= n_max:
         # rows * (n0 + rows) cells at most
         rows = int((math.sqrt(n0 * n0 + 4 * _SCAN_BLOCK_CELLS) - n0) / 2)
         rows = max(1, min(n0, rows))
         n = np.arange(n0, min(n0 + rows, n_max + 1))[:, None]
-        k = np.arange(1, n[-1, 0])  # ports 2..N sit at k/(N-1) * W
+        # ports 2..N sit at k/(N-1) * W; below k_one every row's d < d_one
+        k_one = max(1, int(d_one * (n0 - 1) / size_wl))
+        k = np.arange(k_one, n[-1, 0])
         mu = sp.j0(2.0 * np.pi * (k / (n - 1) * size_wl))
         masked = (k >= n) | (np.abs(mu) > DEGENERATE_MU)
         mu[masked] = 0.0

@@ -36,12 +36,9 @@ class ValidationSettings:
         if self.grid not in GRID_PRESETS:
             raise ValueError(f"grid must be one of {sorted(GRID_PRESETS)}, "
                              f"got {self.grid!r}")
-        if not self.trials >= mc.MIN_TRIALS:
-            raise ValueError(f"trials must be >= {mc.MIN_TRIALS}, got {self.trials}")
-        if not self.workers >= 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the Monte-Carlo check's settings, checked here so that a float or
+        # bool count fails before any check runs
+        mc.McSettings(trials=self.trials, seed=self.seed, workers=self.workers)
         # a NaN tolerance never stops adaptive_simpson's bisection
         if not (0 < self.quad_abs_tol < math.inf):
             raise ValueError("quad_abs_tol must be finite and > 0, "

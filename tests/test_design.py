@@ -8,7 +8,7 @@ from scipy.special import j0
 from fas.analytic import outage_mrc
 from fas.bounds import bound_constants, outage_upper_bound_profile, \
     per_port_bound_factor, per_port_bound_factors
-from fas.channel import FasConfig, correlation_profile
+from fas.channel import DEGENERATE_MU, FasConfig, correlation_profile
 from fas import design
 from fas.design import (GUARD_COMPLEX_MU, GUARD_FACTOR_RANGE,
                         GUARD_LOG_NEGATIVE, GUARD_N_EXHAUSTED,
@@ -254,16 +254,70 @@ class TestMinPortsForSize:
             min_ports_for_size(w, query())
 
     def test_scan_memory_stays_bounded(self):
-        # the W = 0.01 scan evaluates every N up to 2000, about 2 M cells;
-        # numpy reports its buffers to tracemalloc
-        min_ports_for_size(0.01, query(branches=2))
+        # W = 0.2 against 8-branch MRC has no N <= 2000, so the scan
+        # evaluates every N up to 2000, about 1.5 M cells; numpy reports its
+        # buffers to tracemalloc
+        q = query(branches=8)
+        assert min_ports_for_size(0.2, q).guard_report == GUARD_N_EXHAUSTED
         tracemalloc.start()
         try:
-            min_ports_for_size(0.01, query(branches=2))
+            min_ports_for_size(0.2, q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+KAPPAS = (1.5, 2.0, 5.0)
+# x = 40 and 100 reach the z <= 2 cap of the exactly-one radius
+SNR_RATIOS = (0.01, 0.1, 1.0, 3.0, 10.0, 40.0, 100.0)
+
+
+class TestExactlyOneZone:
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("x", SNR_RATIOS)
+    def test_every_factor_inside_the_radius_is_exactly_one(self, kappa, x):
+        constants = bound_constants(kappa)
+        d_one = design._exactly_one_radius(x, constants)
+        z_one = math.sqrt(min(kappa * x / 20.0, 4.0))
+        assert d_one == z_one / (2.0 * math.pi)
+        d = np.append(np.linspace(0.0, d_one, 100_001)[1:],
+                      np.geomspace(1e-12, d_one, 1001))
+        mu = j0(2.0 * np.pi * d)
+        # as the scan does: degenerate ports count as a factor of 1
+        degenerate = np.abs(mu) > DEGENERATE_MU
+        mu[degenerate] = 0.0
+        factors = per_port_bound_factors(mu, x, constants)
+        factors[degenerate] = 1.0
+        assert np.all(factors == 1.0)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("x", SNR_RATIOS)
+    def test_matches_per_n_scan_across_the_radius(self, kappa, x):
+        # these apertures lie on both sides of d_one for every (kappa, x)
+        for w in (0.005, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
+            for branches in (2, 4, 8):
+                q = query(branches=branches, x=x, kappa=kappa)
+                assert min_ports_for_size(w, q, n_max=200) == \
+                    reference.min_ports_for_size_per_n(w, q, 200), \
+                    (w, branches)
+
+    @pytest.mark.parametrize("w, branches, calls, most_cells", [
+        (0.01, 2, 0, 0),
+        # 1,401,389 cells in 94 calls without the zone
+        (0.2, 4, 94, 0.8 * 1_401_389)])
+    def test_cells_reaching_the_kernel(self, w, branches, calls, most_cells,
+                                       monkeypatch):
+        cells = []
+
+        def factors(mu, *args):
+            cells.append(mu.size)
+            return per_port_bound_factors(mu, *args)
+
+        monkeypatch.setattr(design, "per_port_bound_factors", factors)
+        min_ports_for_size(w, query(branches=branches))
+        assert len(cells) == calls
+        assert sum(cells) <= most_cells
 
 
 class TestRequiredMuAndSize:

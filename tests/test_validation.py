@@ -35,8 +35,11 @@ class TestValidationSettings:
         ("grid", "huge"),
         ("trials", mc.MIN_TRIALS - 1),
         ("trials", math.nan),
+        ("trials", 20_000.0),
         ("workers", 0),
+        ("workers", True),
         ("seed", -1),
+        ("seed", 1.5),
         ("quad_abs_tol", 0.0),
         ("quad_abs_tol", -1e-10),
         ("quad_abs_tol", math.nan),
