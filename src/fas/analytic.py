@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .channel import FasConfig, active_mu, checked_mu, correlation_profile
+from .channel import (FasConfig, active_mu, checked_mu, correlation_profile,
+                      is_count)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ _GAUSS_WEIGHTS[1:10:2] = [
 _GAUSS_WEIGHTS[11::2] = _GAUSS_WEIGHTS[9::-2]
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# exp(-t) is 0.0 in double from t ~ 745.14 on
+_EXP_ZERO = 746.0
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray):
@@ -190,8 +193,11 @@ def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq,
     one_minus = 1.0 - mu[1:] ** 2
     a2 = 2.0 * mu[1:] ** 2 / one_minus
     b2 = 2.0 * rk_sq / one_minus
-    return _quad(lambda t: np.exp(-t) * _port_cdf_product(a2, b2, t),
-                 0.0, r1_sq, q)
+    # e^-t is 0.0 in double beyond _EXP_ZERO: the cut drops nothing, and
+    # keeps the first nodes where the mass is when r1_sq is large
+    p = _quad(lambda t: np.exp(-t) * _port_cdf_product(a2, b2, t),
+              0.0, min(r1_sq, _EXP_ZERO), q)
+    return min(p, 1.0)
 
 
 def _validated_mu(mu, r) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +300,7 @@ def outage_approx(config: FasConfig) -> float:
 def outage_mrc(branches: int, snr_ratio: float) -> float:
     """L-branch maximum ratio combining outage over independent Rayleigh
     fading: the regularized lower incomplete gamma P(L, x)."""
-    if int(branches) != branches or branches < 1:
+    if not is_count(branches):
         raise ValueError(f"branches must be an integer >= 1, got {branches}")
     if not snr_ratio > 0:
         raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")

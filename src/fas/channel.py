@@ -22,6 +22,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 DEGENERATE_MU = 1.0 - 1e-9
 
 
+def is_count(value) -> bool:
+    """Whether value is a whole number >= 1; inf and NaN are not, and are
+    kept from int(), which raises OverflowError on inf."""
+    return 1 <= value < math.inf and int(value) == value
+
+
 def checked_mu(mu) -> np.ndarray:
     """A correlation profile as a float array, once its rules hold.
 
@@ -64,12 +70,13 @@ class FasConfig:
     snr_ratio: float
 
     def __post_init__(self):
-        if int(self.n_ports) != self.n_ports or self.n_ports < 1:
+        if not is_count(self.n_ports):
             raise ValueError(f"n_ports must be an integer >= 1, got {self.n_ports}")
-        if not (self.size_wavelengths > 0):
-            raise ValueError(f"size_wavelengths must be > 0, got {self.size_wavelengths}")
-        if not (self.snr_ratio > 0):
-            raise ValueError(f"snr_ratio must be > 0, got {self.snr_ratio}")
+        if not (0 < self.size_wavelengths < math.inf):
+            raise ValueError("size_wavelengths must be finite and > 0, "
+                             f"got {self.size_wavelengths}")
+        if not (0 < self.snr_ratio < math.inf):
+            raise ValueError(f"snr_ratio must be finite and > 0, got {self.snr_ratio}")
 
 
 def port_displacements(config: FasConfig) -> np.ndarray:

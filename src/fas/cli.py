@@ -79,18 +79,18 @@ def _write_float_rows(out: TextIO, table: np.ndarray) -> None:
 
 def _parse_range(kind: type, first):
     """Type for a start:stop:step flag: the ascending list of `kind` values.
-    The start is parsed by the flag type `first`, which thereby checks the
-    floor of every value."""
+    The start and stop are parsed by the flag type `first`, which thereby
+    checks the range of every value."""
     def start_stop_step(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(
                 f"expected start:stop:step, got {text!r}")
         try:
-            stop, step = kind(parts[1]), kind(parts[2])
+            step = kind(parts[2])
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-        start = first(parts[0])
+        start, stop = first(parts[0]), first(parts[1])
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("need start <= stop and step > 0")
         count = (stop - start) // step + 1  # nan for an infinite span
@@ -150,6 +150,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _snr_db(text: str) -> float:
+    """Type for an SNR in dB whose linear ratio is finite and > 0."""
+    value = _finite_float(text)
+    try:
+        ratio = analytic.db_to_linear(value)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a dB value whose linear ratio is finite and > 0, "
+            f"got {value}")
+    return value
+
+
 def _kappa(text: str) -> float:
     try:
         return bounds.bound_constants(float(text)).kappa
@@ -165,12 +179,12 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
     """The fixed point and the one swept variable of a sweep command."""
     parser.add_argument("--n-ports", type=_int_at_least(1), default=10)
     parser.add_argument("--size-wl", type=_positive_float, default=0.5)
-    parser.add_argument("--snr-db", type=_finite_float, default=0.0)
+    parser.add_argument("--snr-db", type=_snr_db, default=0.0)
     parser.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     sweep = parser.add_mutually_exclusive_group(required=True)
     for flag, kind, first in (("--sweep-n", int, _int_at_least(1)),
                               ("--sweep-w", float, _positive_float),
-                              ("--sweep-snr-db", float, _finite_float)):
+                              ("--sweep-snr-db", float, _snr_db)):
         sweep.add_argument(flag, type=_parse_range(kind, first),
                            metavar="A:B:S", help=_SWEEP_HELP)
 
@@ -349,8 +363,7 @@ def cmd_envelope(args) -> int:
 
 def cmd_validate(args) -> int:
     settings = ValidationSettings(grid=args.grid, trials=args.trials,
-                                  seed=args.seed, workers=args.workers,
-                                  quad_abs_tol=args.quad_abs_tol)
+                                  seed=args.seed, workers=args.workers)
     report = run_validation(settings)
     text = json.dumps(report, indent=2, sort_keys=True)
     with _output(args.out) as out:
@@ -380,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="minimum N / minimum size solvers")
     p.add_argument("--mrc-l", type=_int_at_least(1), default=2)
-    p.add_argument("--snr-db", type=_finite_float, default=0.0)
+    p.add_argument("--snr-db", type=_snr_db, default=0.0)
     p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     query = p.add_mutually_exclusive_group(required=True)
     # no design solver answers for fewer than two ports
@@ -407,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
     p.add_argument("--trials", type=_int_at_least(mc.MIN_TRIALS),
                    default=200_000)
-    p.add_argument("--quad-abs-tol", type=_positive_float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_validate, parser=p)
 

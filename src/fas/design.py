@@ -17,7 +17,7 @@ from scipy import special as sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
-from .channel import DEGENERATE_MU, FasConfig, checked_mu
+from .channel import DEGENERATE_MU, FasConfig, checked_mu, is_count
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -45,7 +45,7 @@ class DesignQuery:
     constants: BoundConstants
 
     def __post_init__(self):
-        if int(self.mrc_branches) != self.mrc_branches or self.mrc_branches < 1:
+        if not is_count(self.mrc_branches):
             raise ValueError("mrc_branches must be an integer >= 1")
         if not (self.snr_ratio > 0):
             raise ValueError("snr_ratio must be positive")

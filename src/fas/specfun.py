@@ -82,35 +82,50 @@ def _q1_upper(a: float, b: float) -> float:
     return math.exp(-0.5 * gap * gap) * s
 
 
-def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q-function Q1(a, b).
-
-    Absolute error <= 1e-10 for a, b <= 50.  Exact identities Q1(a, 0) = 1
-    and Q1(0, b) = exp(-b^2/2) are honoured to working precision.
-
-    For 1e-3 <= a, b <= 50 the value is the noncentral chi-square survival
-    function sf(b^2; 2, a^2), kept when it is at least 1e-180.  Deeper
-    values and arguments outside that box take the scaled-Bessel series;
-    the module docstring says where the sf fails.
-    """
-    a = _check_finite(a, "a")
-    b = _check_finite(b, "b")
-    if a < 0 or b < 0:
-        raise ValueError(f"Marcum arguments must be nonnegative, got ({a}, {b})")
+def _q1_point(a: float, b: float) -> float:
+    """Q1(a, b) at one point off the survival function's route: the exact
+    a = 0 and b = 0 cases, else the scaled-Bessel series."""
     if b == 0.0:
         return 1.0
     if a == 0.0:
         return math.exp(-0.5 * b * b)
-    if _SF_ARG_MIN <= a <= _SF_ARG_MAX and _SF_ARG_MIN <= b <= _SF_ARG_MAX:
-        q = float(_ncx2_sf(b * b, 2.0, a * a))
-        if q >= _SF_MIN_VALUE:
-            return q
     if a <= b:
         return _q1_upper(a, b)
     # reflection: Q1(a,b) + Q1(b,a) = 1 + exp(-(a^2+b^2)/2) I0(ab)
     gap = a - b
     cross = sp.i0e(a * b) * math.exp(-0.5 * gap * gap) if gap < _GAP_CUTOFF else 0.0
     return min(1.0, 1.0 - _q1_upper(b, a) + float(cross))
+
+
+def marcum_q1(a, b):
+    """First-order Marcum Q-function Q1(a, b), elementwise over the
+    broadcast of a and b: a float for scalar arguments, else an array.
+
+    Absolute error <= 1e-10 for a, b <= 50.  Exact identities Q1(a, 0) = 1
+    and Q1(0, b) = exp(-b^2/2) are honoured to working precision.  Any
+    non-finite or negative argument raises ValueError.
+
+    For 1e-3 <= a, b <= 50 the value is the noncentral chi-square survival
+    function sf(b^2; 2, a^2), kept when it is at least 1e-180.  Deeper
+    values and arguments outside that box take the scaled-Bessel series,
+    one point at a time; the module docstring says where the sf fails.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    bad = np.flatnonzero(~((0.0 <= a) & (a < math.inf)
+                           & (0.0 <= b) & (b < math.inf)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError("Marcum arguments must be finite and nonnegative, "
+                         f"got ({a.flat[i]}, {b.flat[i]})")
+    q = np.zeros(a.shape)
+    # the sf only inside its box: outside it the ufunc can raise
+    box = ((_SF_ARG_MIN <= a) & (a <= _SF_ARG_MAX)
+           & (_SF_ARG_MIN <= b) & (b <= _SF_ARG_MAX))
+    q[box] = _ncx2_sf(b[box] ** 2, 2.0, a[box] ** 2)
+    for i in np.flatnonzero(~(q >= _SF_MIN_VALUE)):
+        q.flat[i] = _q1_point(float(a.flat[i]), float(b.flat[i]))
+    return float(q) if q.ndim == 0 else q
 
 
 def _bessel_zero(order: int, k: int) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -30,7 +29,6 @@ class ValidationSettings:
     trials: int = 200_000
     seed: int = 42
     workers: int = 1
-    quad_abs_tol: float = 1e-10
 
     def __post_init__(self):
         if self.grid not in GRID_PRESETS:
@@ -39,35 +37,6 @@ class ValidationSettings:
         # the Monte-Carlo check's settings, checked here so that a float or
         # bool count fails before any check runs
         mc.McSettings(trials=self.trials, seed=self.seed, workers=self.workers)
-        # a NaN tolerance never stops adaptive_simpson's bisection
-        if not (0 < self.quad_abs_tol < math.inf):
-            raise ValueError("quad_abs_tol must be finite and > 0, "
-                             f"got {self.quad_abs_tol}")
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     abs_tol: float, max_depth: int = 30) -> float:
-    """Recursive adaptive Simpson rule stopping at the requested tolerance."""
-
-    def simpson(lo, mid, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm, frm = f(lmid), f(rmid)
-        left = simpson(lo, lmid, mid, flo, flm, fmid)
-        right = simpson(mid, rmid, hi, fmid, frm, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, flm, fmid, left, tol / 2.0, depth - 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, tol / 2.0, depth - 1))
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = simpson(a, mid, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, abs_tol, max_depth)
 
 
 def _grid_configs(preset: str) -> list[FasConfig]:
@@ -77,22 +46,20 @@ def _grid_configs(preset: str) -> list[FasConfig]:
 
 
 def check_marcum_specials(settings: ValidationSettings) -> dict:
-    worst = 0.0
-    for a in (0.3, 1.0, 3.7, 10.0):
-        worst = max(worst, abs(marcum_q1(a, 0.0) - 1.0))
-    for b in (0.3, 1.0, 2.0, 5.0):
-        worst = max(worst, abs(marcum_q1(0.0, b) - math.exp(-0.5 * b * b)))
+    a = np.array([0.3, 1.0, 3.7, 10.0])
+    b = np.array([0.3, 1.0, 2.0, 5.0])
+    worst = float(max(np.max(np.abs(marcum_q1(a, 0.0) - 1.0)),
+                      np.max(np.abs(marcum_q1(0.0, b) - np.exp(-0.5 * b * b)))))
     return {"pass": worst <= 1e-12, "worst_error": repr(worst)}
 
 
 def check_n2_closed_form(settings: ValidationSettings) -> dict:
     rng = np.random.default_rng(settings.seed)
-    q = analytic.QuadratureSettings(abs_tol=settings.quad_abs_tol)
     worst = 0.0
     for _ in range(20):
         mu2 = rng.uniform(-0.98, 0.98)
         x = rng.uniform(0.05, 8.0)
-        exact = analytic.outage_exact_profile([0.0, mu2], x, q)
+        exact = analytic.outage_exact_profile([0.0, mu2], x)
         closed = analytic.outage_n2_closed_form(mu2, x)
         worst = max(worst, abs(exact - closed))
     return {"pass": worst <= 1e-8, "worst_error": repr(worst)}
@@ -102,23 +69,19 @@ def check_marcum_integral_identity(settings: ValidationSettings) -> dict:
     # integral identity behind the closed forms:
     # int_0^c e^-t Q1(a sqrt(t), b) dt
     #   = e^{-b^2/(a^2+2)} Q1(sqrt(c(a^2+2)), ab/sqrt(a^2+2)) - e^-c Q1(a sqrt(c), b)
-    rng = np.random.default_rng(settings.seed + 1)
-    worst = 0.0
-    for _ in range(10):
-        a, b, c = (float(v) for v in rng.uniform(0.1, 3.0, 3))
-        lhs = adaptive_simpson(
-            lambda t: math.exp(-t) * marcum_q1(a * math.sqrt(t), b),
-            0.0, c, settings.quad_abs_tol)
-        a2 = a * a + 2.0
-        rhs = (math.exp(-b * b / a2)
-               * marcum_q1(math.sqrt(c * a2), a * b / math.sqrt(a2))
-               - math.exp(-c) * marcum_q1(a * math.sqrt(c), b))
-        worst = max(worst, abs(lhs - rhs))
+    a, b, c = np.random.default_rng(settings.seed + 1).uniform(
+        0.1, 3.0, (10, 3)).T
+    lhs = np.array([analytic.quad(lambda t: np.exp(-t) * marcum_q1(ai * np.sqrt(t), bi),
+                         0.0, ci, analytic.DEFAULT_QUADRATURE)[0]
+           for ai, bi, ci in zip(a, b, c)])
+    a2 = a * a + 2.0
+    rhs = (np.exp(-b * b / a2) * marcum_q1(np.sqrt(c * a2), a * b / np.sqrt(a2))
+           - np.exp(-c) * marcum_q1(a * np.sqrt(c), b))
+    worst = float(np.max(np.abs(lhs - rhs)))
     return {"pass": worst <= 1e-8, "worst_error": repr(worst)}
 
 
 def check_mc_vs_exact(settings: ValidationSettings) -> dict:
-    q = analytic.QuadratureSettings(abs_tol=settings.quad_abs_tol)
     mc_settings = mc.McSettings(trials=settings.trials, seed=settings.seed,
                                 workers=settings.workers)
     configs = _grid_configs(settings.grid)
@@ -128,7 +91,7 @@ def check_mc_vs_exact(settings: ValidationSettings) -> dict:
     z_max = float(-special.ndtri(0.5 * per_point))
     failures = []
     for config in configs:
-        exact = analytic.outage_exact(config, q)
+        exact = analytic.outage_exact(config)
         est = mc.mc_outage_fas(config, mc_settings)
         se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / settings.trials)
         if abs(est.p_hat - exact) > z_max * se:
@@ -140,10 +103,9 @@ def check_mc_vs_exact(settings: ValidationSettings) -> dict:
 
 
 def check_bound_ordering(settings: ValidationSettings) -> dict:
-    q = analytic.QuadratureSettings(abs_tol=settings.quad_abs_tol)
     violations = []
     for config in _grid_configs(settings.grid):
-        exact = analytic.outage_exact(config, q)
+        exact = analytic.outage_exact(config)
         for kappa in (1.5, 2.0, 3.0):
             ub = bounds.outage_upper_bound(config, bounds.bound_constants(kappa))
             if exact > ub + 1e-12:
@@ -155,11 +117,10 @@ def check_bound_ordering(settings: ValidationSettings) -> dict:
 
 
 def check_special_case_independent(settings: ValidationSettings) -> dict:
-    q = analytic.QuadratureSettings(abs_tol=settings.quad_abs_tol)
     worst = 0.0
     for n in (1, 2, 4, 8):
         for x in (0.3, 1.0, 4.0):
-            got = analytic.outage_exact_profile(np.zeros(n), x, q)
+            got = analytic.outage_exact_profile(np.zeros(n), x)
             want = (-math.expm1(-x)) ** n
             worst = max(worst, abs(got - want))
     return {"pass": worst <= 1e-9, "worst_error": repr(worst)}
@@ -167,12 +128,10 @@ def check_special_case_independent(settings: ValidationSettings) -> dict:
 
 def check_marcum_ratio_upper_bound(settings: ValidationSettings) -> dict:
     rng = np.random.default_rng(settings.seed + 2)
-    violations = 0
-    for _ in range(500):
-        b = rng.uniform(1e-3, 20.0)
-        a = rng.uniform(0.0, b * 0.999)
-        if marcum_q1(a, b) >= (b / (b - a)) / math.sqrt(1.0 + 2.0 * a * b):
-            violations += 1
+    b = rng.uniform(1e-3, 20.0, 500)
+    a = rng.uniform(0.0, b * 0.999)
+    bound = (b / (b - a)) / np.sqrt(1.0 + 2.0 * a * b)
+    violations = int(np.count_nonzero(marcum_q1(a, b) >= bound))
     return {"pass": violations == 0, "violations": violations}
 
 
@@ -181,12 +140,10 @@ def check_marcum_scaled_lower_bound(settings: ValidationSettings) -> dict:
     violations = 0
     for kappa in (1.5, 2.0, 3.0):
         rho = bounds.bound_constants(kappa).rho
-        for _ in range(300):
-            b = rng.uniform(10.0, 30.0)
-            a = b * rng.uniform(0.05, 0.999)
-            lower = rho * math.sqrt(b / a) * math.exp(-0.5 * kappa * (b - a) ** 2)
-            if marcum_q1(a, b) < lower:
-                violations += 1
+        b = rng.uniform(10.0, 30.0, 300)
+        a = b * rng.uniform(0.05, 0.999, 300)
+        lower = rho * np.sqrt(b / a) * np.exp(-0.5 * kappa * (b - a) ** 2)
+        violations += int(np.count_nonzero(marcum_q1(a, b) < lower))
     return {"pass": violations == 0, "violations": violations}
 
 
@@ -211,7 +168,6 @@ def run_validation(settings: ValidationSettings) -> dict:
             "trials": settings.trials,
             "seed": settings.seed,
             "workers": settings.workers,
-            "quad_abs_tol": repr(settings.quad_abs_tol),
         },
         "results": results,
         "version": __version__,

@@ -160,6 +160,14 @@ class TestJointCdf:
         want = (1.0 - math.exp(-1.0)) ** 3
         assert joint_cdf(mu, [1.0, 1.0, 1.0]) == pytest.approx(want, abs=1e-9)
 
+    def test_large_reference_radius_keeps_the_mass_near_zero(self):
+        # r1^2 = 90,000: the rule's first nodes on [0, r1^2] once all fell
+        # where e^-t is 0, and it read 9.1e-44.  P[|g_1| < 300] is 1 in
+        # double, so the cdf is P[|g_2|^2 < 1] = 1 - e^-1, as |g_2|^2 is
+        # Exp(1) whatever mu_2
+        assert joint_cdf([0.0, 0.3], [300.0, 1.0]) == pytest.approx(
+            -math.expm1(-1.0), rel=1e-12)
+
     def test_matches_pdf_integral(self):
         from scipy.integrate import dblquad
         mu = [0.0, 0.8]
@@ -172,6 +180,15 @@ class TestOutageExact:
     def test_single_port(self):
         c = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=1.0)
         assert outage_exact(c) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
+
+    @pytest.mark.parametrize("x", np.geomspace(1e-6, 1e30, 37))
+    def test_single_port_at_every_snr(self, x):
+        # 1 - e^-x, also where e^-t is 0 over all but the start of [0, x]:
+        # from 44.5 dB it read 4.2e-12, then 0.0, then raised from 200 dB,
+        # and it read 1.0000000000000002 at 20-44 dB
+        got = outage_exact_profile([0.0], x)
+        assert got == pytest.approx(-math.expm1(-x), rel=1e-14, abs=0.0)
+        assert got <= 1.0
 
     def test_independent_profile_power_law(self):
         for n in (2, 3, 5):
@@ -401,10 +418,11 @@ class TestOutageMrc:
             assert slope == pytest.approx(branches, abs=0.02)
 
     def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            outage_mrc(0, 1.0)
-        with pytest.raises(ValueError):
-            outage_mrc(2, 0.0)
+        # int(inf) would raise OverflowError, and a NaN passes `< 1`
+        for branches, x in ((0, 1.0), (2, 0.0), (2.5, 1.0), (math.inf, 1.0),
+                            (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                outage_mrc(branches, x)
 
     def test_rejects_nan_snr(self):
         # a `<= 0` check lets NaN through, and gammainc returns NaN

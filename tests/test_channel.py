@@ -33,6 +33,10 @@ class TestFasConfig:
         dict(n_ports=2, size_wavelengths=0.0, snr_ratio=1.0),
         dict(n_ports=2, size_wavelengths=1.0, snr_ratio=0.0),
         dict(n_ports=2, size_wavelengths=-1.0, snr_ratio=1.0),
+        dict(n_ports=math.inf, size_wavelengths=1.0, snr_ratio=1.0),
+        dict(n_ports=math.nan, size_wavelengths=1.0, snr_ratio=1.0),
+        dict(n_ports=2, size_wavelengths=math.inf, snr_ratio=1.0),
+        dict(n_ports=2, size_wavelengths=1.0, snr_ratio=math.inf),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fas import __version__, cli, mc
+from fas import __version__, cli, mc, validation
 from fas.analytic import db_to_linear, outage_exact, outage_mrc
 from fas.channel import DopplerTraceConfig, FasConfig, envelope_trace
 from fas.cli import build_parser, main
@@ -75,6 +75,15 @@ class TestArgumentHandling:
         ["design", "--size-wl", "1", "--snr-db", "inf"],
         ["design", "--n-ports", "10", "--snr-db", "inf"],
         ["design", "--n-ports", "10", "--snr-db", "nan"],
+        # finite in dB, but the linear ratio overflows or is 0
+        ["outage-curve", "--sweep-n", "1:3:1", "--snr-db", "4000"],
+        ["bounds-compare", "--sweep-n", "1:3:1", "--snr-db", "4000"],
+        ["design", "--n-ports", "10", "--snr-db", "4000"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--snr-db=-4000"],
+        ["bounds-compare", "--sweep-n", "1:3:1", "--snr-db=-4000"],
+        ["design", "--size-wl", "1", "--snr-db=-4000"],
+        ["outage-curve", "--sweep-snr-db", "0:4000:1000"],
+        ["bounds-compare", "--sweep-snr-db=-4000:0:1000"],
         ["design", "--n-ports", "0"],
         ["design", "--n-ports=-5"],
         ["design", "--n-ports", "1"],
@@ -84,8 +93,6 @@ class TestArgumentHandling:
         ["envelope", "--duration-s", "nan"],
         ["envelope", "--rate-hz", "0"],
         ["envelope", "--scatterers", "0"],
-        ["validate", "--quad-abs-tol", "0"],
-        ["validate", "--quad-abs-tol", "nan"],
         ["outage-curve", "--sweep-n", "1:3:1", "--seed=-1"],
         ["bounds-compare", "--sweep-n", "1:3:1", "--seed=-1"],
         ["design", "--n-ports", "10", "--seed=-1"],
@@ -145,12 +152,12 @@ def test_no_option_parses_with_bare_float_or_int():
     bare = [(prog, action.dest) for prog, action in actions
             if action.type in (float, int)]
     # every option that takes a number, so that none escapes the check:
-    # outage-curve 10, bounds-compare 10, design 8, envelope 10, validate 4
+    # outage-curve 10, bounds-compare 10, design 8, envelope 10, validate 3
     typed = [(prog, action.dest) for prog, action in actions
              if action.type not in (None, str)]
     assert len(subparsers.choices) == 5
     assert bare == []
-    assert len(typed) == 42
+    assert len(typed) == 41
 
 
 def test_main_reuses_one_parser(capsys):
@@ -537,12 +544,18 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["all_passed"] is True
 
-    def test_negative_control_fails(self, capsys):
+    def test_negative_control_fails(self, capsys, monkeypatch):
+        # a Marcum Q 1e-6 too high; the identity is linear in Q1, so a
+        # scaling fault would pass it
+        real = validation.marcum_q1
+        monkeypatch.setattr(validation, "marcum_q1",
+                            lambda a, b: real(a, b) + 1e-6)
         code, out = run_cli(capsys, "validate", "--grid", "quick",
-                            "--trials", "20000", "--quad-abs-tol", "10")
+                            "--trials", "20000")
         assert code == 1
         doc = json.loads(out)
         assert doc["all_passed"] is False
+        assert doc["results"]["marcum_specials"]["pass"] is False
         assert doc["results"]["marcum_integral_identity"]["pass"] is False
 
     def test_byte_identical_reports(self, capsys):

@@ -34,12 +34,11 @@ def wide_profile_mu(n, w=5.0):
 
 class TestDesignQuery:
     def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            DesignQuery(mrc_branches=0, snr_ratio=1.0,
-                        constants=bound_constants())
-        with pytest.raises(ValueError):
-            DesignQuery(mrc_branches=2, snr_ratio=0.0,
-                        constants=bound_constants())
+        for branches, x in ((0, 1.0), (2, 0.0), (math.inf, 1.0),
+                            (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                DesignQuery(mrc_branches=branches, snr_ratio=x,
+                            constants=bound_constants())
 
 
 class TestMinPortsGeneral:

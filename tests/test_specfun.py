@@ -158,24 +158,47 @@ class TestMarcumQ1:
             marcum_q1(1.0, float("nan"))
 
 
+def _edge_pairs():
+    pairs = []
+    for e in (50.0, 50.0 * (1.0 + 1e-12)):
+        pairs += [(e, 1.0), (e, 30.0), (e, 49.0), (e, 51.0), (e, 60.0),
+                  (1.0, e), (40.0, e), (49.0, e), (51.0, e), (e, e)]
+    for e in (1e-3, 1e-3 * (1.0 - 1e-12)):
+        pairs += [(e, 1e-3), (e, 1.0), (e, 5.0), (1.0, e), (30.0, e),
+                  (50.0, e), (e, e)]
+    return pairs
+
+
 class TestMarcumQ1Routes:
     """The survival-function route inside 1e-3 <= a, b <= 50 down to
     1e-180, and the series past its edges."""
 
-    def test_underflowing_b_squared_is_one(self):
-        # b^2 underflows to 0, where the sf reads -0.0
-        assert marcum_q1(1.0, 1e-200) == 1.0
-        assert marcum_q1(3.0, 1e-170) == 1.0
-
-    def test_both_sides_of_the_deep_tail_switch(self):
-        # Q1 from 1e-150 to 1e-250; the sf alone is 1.4e-6 off at
-        # Q1(18.698, 50) = 3.56e-215
-        points = [(a, 50.0) for a in (16.3, 17.0, 18.0, 18.697817349205355,
+    UNDERFLOWING_B_SQUARED = [(1.0, 1e-200), (3.0, 1e-170)]
+    # Q1 from 1e-150 to 1e-250; the sf alone is 1.4e-6 off at
+    # Q1(18.698, 50) = 3.56e-215
+    DEEP_TAIL = ([(a, 50.0) for a in (16.3, 17.0, 18.0, 18.697817349205355,
                                       19.5, 20.5, 21.2, 21.5, 22.0, 23.0,
                                       23.7)]
-        points += [(1.0, b) for b in (27.5, 29.5, 30.0, 31.0, 33.0, 34.5)]
+                 + [(1.0, b) for b in (27.5, 29.5, 30.0, 31.0, 33.0, 34.5)])
+    EDGES = _edge_pairs()
+    # the sf raises OverflowError at the first three and is 2.7% off at
+    # the last, where a^2 is subnormal
+    NEAR_ZERO = [(30.0, 1e-4), (22.0, 1e-5), (50.0, 1e-155),
+                 (1.909964985666579e-161, 2.361072006386368),
+                 (1.909964985666579e-161, 10.865247365767535)]
+    # the sf drifts to 2.7e-11 relative here
+    BEYOND_RANGE = [(1000.0, 1008.0)]
+    POINTS = (UNDERFLOWING_B_SQUARED + DEEP_TAIL + EDGES + NEAR_ZERO
+              + BEYOND_RANGE)
+
+    def test_underflowing_b_squared_is_one(self):
+        # b^2 underflows to 0, where the sf reads -0.0
+        for a, b in self.UNDERFLOWING_B_SQUARED:
+            assert marcum_q1(a, b) == 1.0
+
+    def test_both_sides_of_the_deep_tail_switch(self):
         wants = []
-        for a, b in points:
+        for a, b in self.DEEP_TAIL:
             want = float(reference.marcum_q1_mpmath(a, b))
             assert 1e-250 <= want <= 1e-150
             wants.append(want)
@@ -183,32 +206,56 @@ class TestMarcumQ1Routes:
         assert sum(w >= 1e-180 for w in wants) >= 5
         assert sum(w < 1e-180 for w in wants) >= 5
 
-    def test_continuous_across_the_domain_edges(self):
-        pairs = []
-        for e in (50.0, 50.0 * (1.0 + 1e-12)):
-            pairs += [(e, 1.0), (e, 30.0), (e, 49.0), (e, 51.0), (e, 60.0),
-                      (1.0, e), (40.0, e), (49.0, e), (51.0, e), (e, e)]
-        for e in (1e-3, 1e-3 * (1.0 - 1e-12)):
-            pairs += [(e, 1e-3), (e, 1.0), (e, 5.0), (1.0, e), (30.0, e),
-                      (50.0, e), (e, e)]
-        for a, b in pairs:
+    def assert_matches_mpmath(self, points):
+        for a, b in points:
             want = float(reference.marcum_q1_mpmath(a, b))
             assert marcum_q1(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_continuous_across_the_domain_edges(self):
+        self.assert_matches_mpmath(self.EDGES)
 
     def test_near_zero_arguments(self):
-        # the sf raises OverflowError at the first three and is 2.7% off at
-        # the last, where a^2 is subnormal
-        for a, b in ((30.0, 1e-4), (22.0, 1e-5), (50.0, 1e-155),
-                     (1.909964985666579e-161, 2.361072006386368),
-                     (1.909964985666579e-161, 10.865247365767535)):
-            want = float(reference.marcum_q1_mpmath(a, b))
-            assert marcum_q1(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+        self.assert_matches_mpmath(self.NEAR_ZERO)
 
     def test_series_beyond_the_range(self):
-        # the sf drifts to 2.7e-11 relative here
-        want = float(reference.marcum_q1_mpmath(1000.0, 1008.0))
-        assert marcum_q1(1000.0, 1008.0) == pytest.approx(want, rel=1e-12,
-                                                          abs=0.0)
+        self.assert_matches_mpmath(self.BEYOND_RANGE)
+
+    def test_one_array_call_over_every_route(self):
+        a, b = np.array(self.POINTS).T
+        got = marcum_q1(a, b)
+        assert isinstance(got, np.ndarray) and got.shape == a.shape
+        for ai, bi, q in zip(a, b, got):
+            want = float(reference.marcum_q1_mpmath(ai, bi))
+            assert q == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_array_exact_cases(self):
+        x = np.array([0.0, 1e-300, 0.3, 1.0, 3.7, 10.0, 50.0, 1e3])
+        assert np.array_equal(marcum_q1(x, 0.0), np.ones(x.size))
+        got = marcum_q1(0.0, x)
+        assert np.allclose(got, np.exp(-0.5 * x * x), rtol=0.0, atol=1e-15)
+
+    def test_array_broadcasts(self):
+        # (n, 1) against (m,): an (n, m) table, each entry its scalar call
+        a = np.array([0.0, 1e-4, 0.5, 20.0, 60.0])[:, None]
+        b = np.array([0.0, 1e-3, 2.0, 30.0, 49.0, 1e3])
+        got = marcum_q1(a, b)
+        assert got.shape == (5, 6)
+        for i, ai in enumerate(a[:, 0]):
+            for j, bj in enumerate(b):
+                want = float(reference.marcum_q1_mpmath(ai, bj))
+                assert got[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
+    def test_array_rejects_any_bad_element(self, bad):
+        good = np.array([0.5, 2.0, 70.0])
+        for a, b in ((np.append(good, bad), 1.0), (1.0, np.append(good, bad)),
+                     (good[:, None], np.append(good, bad))):
+            with pytest.raises(ValueError):
+                marcum_q1(a, b)
+
+    def test_scalar_call_returns_float(self):
+        assert type(marcum_q1(1.0, 2.0)) is float
+        assert type(marcum_q1(np.float64(60.0), 1)) is float
 
     def test_no_warning_at_large_arguments(self):
         a = 2e4

@@ -4,30 +4,11 @@ import math
 import pytest
 from scipy import stats
 
-from fas import mc
+from fas import mc, validation
 from fas.analytic import outage_exact
 from fas.validation import (ALL_CHECKS, GRID_PRESETS, MC_FAMILY_LEVEL,
                             ValidationSettings, _grid_configs,
-                            adaptive_simpson, check_mc_vs_exact,
-                            run_validation)
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial_exact(self):
-        got = adaptive_simpson(lambda t: t ** 3, 0.0, 2.0, 1e-12)
-        assert got == pytest.approx(4.0, abs=1e-12)
-
-    def test_oscillatory(self):
-        got = adaptive_simpson(math.sin, 0.0, math.pi, 1e-10)
-        assert got == pytest.approx(2.0, abs=1e-9)
-
-    def test_loose_tolerance_degrades(self):
-        # the negative-control path: a huge abs_tol must actually be honored
-        tight = adaptive_simpson(lambda t: math.exp(-t) * math.sin(40 * t),
-                                 0.0, 3.0, 1e-12)
-        loose = adaptive_simpson(lambda t: math.exp(-t) * math.sin(40 * t),
-                                 0.0, 3.0, 10.0)
-        assert abs(loose - tight) > 1e-4
+                            check_mc_vs_exact, run_validation)
 
 
 class TestValidationSettings:
@@ -40,10 +21,6 @@ class TestValidationSettings:
         ("workers", True),
         ("seed", -1),
         ("seed", 1.5),
-        ("quad_abs_tol", 0.0),
-        ("quad_abs_tol", -1e-10),
-        ("quad_abs_tol", math.nan),
-        ("quad_abs_tol", math.inf),
     ])
     def test_rejects_invalid_field(self, field, bad):
         with pytest.raises(ValueError, match=field):
@@ -51,7 +28,7 @@ class TestValidationSettings:
 
     def test_accepts_smallest_valid_values(self):
         s = ValidationSettings(grid="full", trials=mc.MIN_TRIALS, workers=1,
-                               seed=0, quad_abs_tol=10.0)
+                               seed=0)
         assert s.trials == mc.MIN_TRIALS
 
 
@@ -64,11 +41,22 @@ class TestChecks:
         result = ALL_CHECKS[name](self.settings())
         assert result["pass"], result
 
-    def test_negative_control_tolerance(self):
-        bad = ValidationSettings(grid="quick", trials=50_000, seed=42,
-                                 quad_abs_tol=10.0)
-        result = ALL_CHECKS["marcum_integral_identity"](bad)
-        assert not result["pass"]
+    def test_negative_control_faulty_marcum(self, monkeypatch):
+        # a Marcum Q 1e-6 too high: errors of 1e-6 against a 1e-12 bound,
+        # and of 8.7e-7 against 1e-8.  The identity is linear in Q1, so a
+        # scaling fault would pass it
+        real = validation.marcum_q1
+        monkeypatch.setattr(validation, "marcum_q1",
+                            lambda a, b: real(a, b) + 1e-6)
+        for name in ("marcum_specials", "marcum_integral_identity"):
+            result = ALL_CHECKS[name](self.settings())
+            assert not result["pass"], name
+            assert float(result["worst_error"]) > 5e-7
+
+    def test_identity_is_met_to_rounding(self):
+        # one G10/K21 round resolves the integrand, which is entire in t
+        result = ALL_CHECKS["marcum_integral_identity"](self.settings())
+        assert float(result["worst_error"]) <= 1e-14
 
 
 class TestMcVsExact:
@@ -119,6 +107,18 @@ class TestRunValidation:
         assert set(report) == {"config", "results", "version", "all_passed"}
         assert set(report["results"]) == set(ALL_CHECKS)
         assert report["all_passed"]
+
+    def test_report_holds_python_types(self):
+        # numpy scalars would make json.dumps raise on np.bool_
+        report = run_validation(ValidationSettings(trials=20_000))
+        for result in report["results"].values():
+            assert type(result["pass"]) is bool
+            if "violations" in result and not isinstance(
+                    result["violations"], list):
+                assert type(result["violations"]) is int
+            if "worst_error" in result:
+                assert type(result["worst_error"]) is str
+        assert type(report["all_passed"]) is bool
 
     def test_byte_identical_repeat(self):
         import json
