@@ -12,7 +12,6 @@ round evaluated in one call of the vectorised integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,24 +21,15 @@ from .channel import (FasConfig, active_mu, checked_mu, correlation_profile,
                       is_count)
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSettings()
+# `quad`'s stopping rule: the summed error estimate at most
+# max(_ABS_TOL, _REL_TOL * |value|), on at most _MAX_INTERVALS intervals
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_MAX_INTERVALS = 2000
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach its tolerance."""
 
     def __init__(self, message: str, estimate: float, error_estimate: float,
                  n_evals: int):
@@ -103,26 +93,28 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, np.maximum(err, floor), resasc
 
 
-def quad(f, lo: float, hi: float, q: QuadratureSettings, full_output=0):
+def quad(f, lo: float, hi: float, full_output=0):
     """Adaptive G10/K21 quadrature of f over [lo, hi], as QUADPACK's qags
     without its extrapolation.
 
     f takes an array of nodes and returns f at each.  The rule stops once
-    the summed error estimate is at most max(q.abs_tol, q.rel_tol * |value|);
-    until then it bisects the interval of largest error, up to
-    q.max_subdivisions intervals.  Like qags, it accepts the first interval
-    only when the error estimate is not its `resasc`, which it equals when
-    the Gauss-Kronrod difference is too large to trust.  Returns (value,
-    error), or with full_output (value, error, {"neval": n}).
+    the summed error estimate is at most tol = max(_ABS_TOL, _REL_TOL *
+    |value|); until then it bisects the interval of largest error, up to
+    _MAX_INTERVALS intervals.  Like qags, it accepts the first interval only
+    when the error estimate is not its `resasc`, which it equals when the
+    Gauss-Kronrod difference is too large to trust.  Returns (value, error),
+    or with full_output (value, error, {"neval": n}).  Raises
+    QuadratureError when the value or the error is not finite, or the error
+    exceeds max(100 tol, 1e-8).
     """
     lows, highs = [lo], [hi]
     value, err, resasc = _gk21(f, np.array(lows), np.array(highs))
     values, errors = value.tolist(), err.tolist()
     total, error = values[0], errors[0]
     done = (error == 0.0 or not math.isfinite(error)
-            or (error <= max(q.abs_tol, q.rel_tol * abs(total))
+            or (error <= max(_ABS_TOL, _REL_TOL * abs(total))
                 and error != resasc[0]))
-    while not done and len(values) < q.max_subdivisions:
+    while not done and len(values) < _MAX_INTERVALS:
         i = max(range(len(errors)), key=errors.__getitem__)
         mid = 0.5 * (lows[i] + highs[i])
         value, err, _ = _gk21(f, np.array([lows[i], mid]),
@@ -136,35 +128,21 @@ def quad(f, lo: float, hi: float, q: QuadratureSettings, full_output=0):
         errors.append(upper_err)
         total, error = math.fsum(values), math.fsum(errors)
         done = (not math.isfinite(error)
-                or error <= max(q.abs_tol, q.rel_tol * abs(total)))
-    if full_output:
-        return total, error, {"neval": 21 * (2 * len(values) - 1)}
-    return total, error
-
-
-def _quad(f, lo: float, hi: float, q: QuadratureSettings) -> float:
-    """`quad` under q's settings, with its result checked.  f is evaluated
-    once per round of the rule: on the whole range, then on the two halves
-    of each bisected interval."""
-    rounds = n_evals = 0
-
-    def counted(t):
-        nonlocal rounds, n_evals
-        rounds += 1
-        n_evals += t.size
-        return f(t)
-
-    val, err = quad(counted, lo, hi, q)
-    tol = max(q.abs_tol, q.rel_tol * abs(val))
-    if not (math.isfinite(val) and math.isfinite(err)):
-        problem = f"returned {val!r} with error estimate {err!r}"
-    elif err > max(tol * 100.0, 1e-8):
-        problem = f"error estimate {err:.3e} exceeds tolerance {tol:.3e}"
+                or error <= max(_ABS_TOL, _REL_TOL * abs(total)))
+    # one round of f on the whole range, then one per bisection
+    n_evals = 21 * (2 * len(values) - 1)
+    tol = max(_ABS_TOL, _REL_TOL * abs(total))
+    if not (math.isfinite(total) and math.isfinite(error)):
+        problem = f"returned {total!r} with error estimate {error!r}"
+    elif error > max(tol * 100.0, 1e-8):
+        problem = f"error estimate {error:.3e} exceeds tolerance {tol:.3e}"
+    elif full_output:
+        return total, error, {"neval": n_evals}
     else:
-        return val
+        return total, error
     raise QuadratureError(
         f"quadrature {problem} after {n_evals} integrand evaluations on "
-        f"{rounds} subintervals", val, err, n_evals)
+        f"{len(values)} subintervals", total, error, n_evals)
 
 
 def _port_cdf_product(a2: np.ndarray, b2: np.ndarray, t) -> np.ndarray:
@@ -181,8 +159,7 @@ def _port_cdf_product(a2: np.ndarray, b2: np.ndarray, t) -> np.ndarray:
     return np.prod(sp.chndtr(b2, 2.0, a2 * t[..., None]), axis=-1)
 
 
-def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq,
-                  q: QuadratureSettings) -> float:
+def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq) -> float:
     """P[|g_1|^2 < r1_sq and |g_k|^2 < rk_sq for k >= 2] (sigma = 1).
 
     Conditioned on t = |g_1|^2, port k is Rician, so the probability is
@@ -195,8 +172,8 @@ def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq,
     b2 = 2.0 * rk_sq / one_minus
     # e^-t is 0.0 in double beyond _EXP_ZERO: the cut drops nothing, and
     # keeps the first nodes where the mass is when r1_sq is large
-    p = _quad(lambda t: np.exp(-t) * _port_cdf_product(a2, b2, t),
-              0.0, min(r1_sq, _EXP_ZERO), q)
+    p, _ = quad(lambda t: np.exp(-t) * _port_cdf_product(a2, b2, t),
+                0.0, min(r1_sq, _EXP_ZERO))
     return min(p, 1.0)
 
 
@@ -234,28 +211,25 @@ def joint_pdf(mu, r) -> float | np.ndarray:
     return float(density) if r.ndim == 1 else density
 
 
-def joint_cdf(mu, r: Sequence[float],
-              q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def joint_cdf(mu, r: Sequence[float]) -> float:
     """P[|g_1| < r_1, ..., |g_N| < r_N] via a single adaptive quadrature."""
     mu, r = _validated_mu(mu, r)
     if r.ndim != 1:
         raise ValueError("joint_cdf takes one point r")
-    return _cdf_integral(mu, r[0] ** 2, r[1:] ** 2, q)
+    return _cdf_integral(mu, r[0] ** 2, r[1:] ** 2)
 
 
-def outage_exact_profile(mu: Sequence[float], snr_ratio: float,
-                         q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def outage_exact_profile(mu: Sequence[float], snr_ratio: float) -> float:
     """Exact selection outage for an explicit correlation profile."""
     if not snr_ratio > 0:
         raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")
     x = float(snr_ratio)
-    return _cdf_integral(active_mu(mu), x, x, q)
+    return _cdf_integral(active_mu(mu), x, x)
 
 
-def outage_exact(config: FasConfig,
-                 q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def outage_exact(config: FasConfig) -> float:
     """Exact outage probability of the N-port selection system."""
-    return outage_exact_profile(correlation_profile(config), config.snr_ratio, q)
+    return outage_exact_profile(correlation_profile(config), config.snr_ratio)
 
 
 def _marcum_difference(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:

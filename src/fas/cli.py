@@ -192,7 +192,6 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     # numpy seeds are nonnegative
     parser.add_argument("--seed", type=_int_at_least(0), default=42)
-    parser.add_argument("--workers", type=_int_at_least(1), default=1)
     parser.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
 
@@ -382,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep(p)
     p.add_argument("--trials", type=_trials, default=0,
                    help="MC trials per point, >= 1000 (0 disables MC)")
+    # --workers only where Monte Carlo runs: outage-curve and validate
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     _add_common(p)
     p.set_defaults(func=cmd_outage_curve, parser=p)
 
@@ -420,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
     p.add_argument("--trials", type=_int_at_least(mc.MIN_TRIALS),
                    default=200_000)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     _add_common(p)
     p.set_defaults(func=cmd_validate, parser=p)
 

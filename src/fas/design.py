@@ -176,15 +176,20 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
         n -= 1
     while factor ** (n - 1) >= target:
         n += 1
-        if n > n_max:
-            return DesignAnswer(None, GUARD_N_EXHAUSTED)
+    if n > n_max:
+        return DesignAnswer(None, GUARD_N_EXHAUSTED)
     return DesignAnswer(n)
+
+
+def _check_ports(n_ports, least: int, solver: str) -> None:
+    if not (is_count(n_ports) and n_ports >= least):
+        raise ValueError(f"{solver} needs an integer n_ports >= {least}, "
+                         f"got {n_ports!r}")
 
 
 def required_mu_and_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
     """Homogeneous-profile requirement (mu*, d*) for an n_ports-port system."""
-    if n_ports < 2:
-        raise ValueError("required_mu_and_size needs n_ports >= 2")
+    _check_ports(n_ports, 2, "required_mu_and_size")
     x = query.snr_ratio
     rho, kappa = query.constants.rho, query.constants.kappa
     root = _mrc_ratio(query) ** (1.0 / (n_ports - 1))
@@ -210,8 +215,7 @@ def min_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
     Uses the worst-case argument that the floor(N/2) outer ports are at
     least d* apart; odd N rounds down, which is the conservative direction.
     """
-    if n_ports < 4:
-        raise ValueError("min_size needs n_ports >= 4")
+    _check_ports(n_ports, 4, "min_size")
     answer = required_mu_and_size(n_ports // 2, query)
     if not answer.feasible:
         return answer
@@ -221,5 +225,9 @@ def min_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
 def min_size_frontier(query: DesignQuery, n_values: Sequence[int]):
     """(N, DesignAnswer) pairs of the minimum-size tradeoff curve; N < 4,
     where min_size does not apply, is reported infeasible."""
-    return [(int(n), min_size(int(n), query) if n >= 4
-             else DesignAnswer(None, GUARD_TOO_FEW_PORTS)) for n in n_values]
+    frontier = []
+    for n in n_values:
+        _check_ports(n, 1, "min_size_frontier")
+        frontier.append((int(n), min_size(int(n), query) if n >= 4
+                         else DesignAnswer(None, GUARD_TOO_FEW_PORTS)))
+    return frontier

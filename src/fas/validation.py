@@ -72,8 +72,8 @@ def check_marcum_integral_identity(settings: ValidationSettings) -> dict:
     a, b, c = np.random.default_rng(settings.seed + 1).uniform(
         0.1, 3.0, (10, 3)).T
     lhs = np.array([analytic.quad(lambda t: np.exp(-t) * marcum_q1(ai * np.sqrt(t), bi),
-                         0.0, ci, analytic.DEFAULT_QUADRATURE)[0]
-           for ai, bi, ci in zip(a, b, c)])
+                                  0.0, ci)[0]
+                    for ai, bi, ci in zip(a, b, c)])
     a2 = a * a + 2.0
     rhs = (np.exp(-b * b / a2) * marcum_q1(np.sqrt(c * a2), a * b / np.sqrt(a2))
            - np.exp(-c) * marcum_q1(a * np.sqrt(c), b))

@@ -5,9 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from fas import analytic
-from fas.analytic import (DEFAULT_QUADRATURE, QuadratureError,
-                          QuadratureSettings, _marcum_difference,
-                          _port_cdf_product, _quad, db_to_linear, joint_cdf,
+from fas.analytic import (QuadratureError, _marcum_difference,
+                          _port_cdf_product, db_to_linear, joint_cdf,
                           joint_pdf, outage_approx, outage_approx_profile,
                           outage_exact, outage_exact_profile, outage_mrc,
                           outage_n2_closed_form)
@@ -29,20 +28,17 @@ class TestDbConversion:
         assert db_to_linear(0.0) == 1.0
 
 
-class TestQuadratureSettings:
-    def test_defaults(self):
-        assert DEFAULT_QUADRATURE.abs_tol == 1e-10
+def set_quadrature(monkeypatch, **constants):
+    """Run `analytic.quad` with other stopping constants (`_ABS_TOL`,
+    `_REL_TOL`, `_MAX_INTERVALS`) for the rest of a test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(analytic, name, value)
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(max_subdivisions=0)
 
+class TestQuadratureFailure:
     def test_nan_integrand_raises(self):
         with pytest.raises(QuadratureError) as exc_info:
-            _quad(lambda t: np.full(t.shape, math.nan), 0.0, 1.0,
-                  QuadratureSettings())
+            analytic.quad(lambda t: np.full(t.shape, math.nan), 0.0, 1.0)
         assert math.isnan(exc_info.value.estimate)
         # the rule gives up on the first interval's 21 nodes
         assert exc_info.value.n_evals == 21
@@ -65,17 +61,17 @@ class TestQuadratureParity:
 
     @pytest.mark.parametrize("w", [0.01, 0.05, 0.5, 2.0, 5.0, 20.0])
     def test_matches_qags(self, w):
-        q = DEFAULT_QUADRATURE
         mismatches = []
         for n in (2, 5, 20, 100, 300):
             for db in (-40.0, -20.0, -10.0, 0.0, 10.0):
                 x = db_to_linear(db)
                 f = self.integrand(n, w, x)
                 want, _, info = quad(lambda t: float(f(np.array(t))), 0.0, x,
-                                     epsabs=q.abs_tol, epsrel=q.rel_tol,
-                                     limit=q.max_subdivisions,
+                                     epsabs=analytic._ABS_TOL,
+                                     epsrel=analytic._REL_TOL,
+                                     limit=analytic._MAX_INTERVALS,
                                      full_output=1)[:3]
-                got, _, mine = analytic.quad(f, 0.0, x, q, full_output=1)
+                got, _, mine = analytic.quad(f, 0.0, x, full_output=1)
                 if (mine["neval"] != info["neval"]
                         or abs(got - want) > 1e-13 * abs(want)):
                     mismatches.append((n, db, got, want, mine, info["neval"]))
@@ -85,21 +81,21 @@ class TestQuadratureParity:
         # the benchmark's tracer calls the rule with full_output=1 and reads
         # result[2]["neval"]
         f = self.integrand(5, 1.0, 1.0)
-        plain = analytic.quad(f, 0.0, 1.0, DEFAULT_QUADRATURE)
-        full = analytic.quad(f, 0.0, 1.0, DEFAULT_QUADRATURE, full_output=1)
+        plain = analytic.quad(f, 0.0, 1.0)
+        full = analytic.quad(f, 0.0, 1.0, full_output=1)
         assert len(plain) == 2 and len(full) == 3
         assert full[:2] == plain
         assert full[2] == {"neval": 21}
         assert all(type(v) is float for v in full[:2])
 
-    def test_failure_reports_its_work(self):
+    def test_failure_reports_its_work(self, monkeypatch):
         # a two-interval budget on a sharply kneed integrand
         f = self.integrand(21, 0.01, 1.0)
+        set_quadrature(monkeypatch, _ABS_TOL=1e-300, _REL_TOL=1e-300,
+                       _MAX_INTERVALS=2)
         with pytest.raises(QuadratureError, match=r"63 integrand evaluations "
                                                   r"on 2 subintervals") as exc:
-            _quad(f, 0.0, 1.0, QuadratureSettings(abs_tol=1e-300,
-                                                  rel_tol=1e-300,
-                                                  max_subdivisions=2))
+            analytic.quad(f, 0.0, 1.0)
         assert exc.value.n_evals == 63
 
 
@@ -238,14 +234,13 @@ class TestOutageExact:
         with pytest.raises(ValueError):
             outage([0.0, bad, 0.5], 1.0)
 
-    def test_quadrature_failure_raises(self):
+    def test_quadrature_failure_raises(self, monkeypatch):
         # sharply kneed integrand plus a one-interval budget cannot converge
         mu = [0.0] + [0.99999] * 20
+        set_quadrature(monkeypatch, _ABS_TOL=1e-300, _REL_TOL=1e-300,
+                       _MAX_INTERVALS=1)
         with pytest.raises(QuadratureError) as exc_info:
-            outage_exact_profile(mu, 1.0,
-                                 QuadratureSettings(abs_tol=1e-300,
-                                                    rel_tol=1e-300,
-                                                    max_subdivisions=1))
+            outage_exact_profile(mu, 1.0)
         assert exc_info.value.error_estimate > 1e-8
         assert exc_info.value.n_evals == 21
 
@@ -284,12 +279,12 @@ class TestOutageN2ClosedForm:
             outage_n2_closed_form(1.0, 1.0)
 
     @pytest.mark.parametrize("x, rel", [(1e-8, 1e-7), (1e-6, 1e-9)])
-    def test_small_snr_relative_accuracy(self, x, rel):
+    def test_small_snr_relative_accuracy(self, x, rel, monkeypatch):
         # both terms of each Marcum difference are cdfs, so the difference
         # keeps its digits as x -> 0, where the outage is O(x^2)
-        tight = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
+        set_quadrature(monkeypatch, _ABS_TOL=1e-300, _REL_TOL=1e-13)
         for mu2 in (0.3, -0.6, 0.9):
-            exact = outage_exact_profile([0.0, mu2], x, tight)
+            exact = outage_exact_profile([0.0, mu2], x)
             assert outage_n2_closed_form(mu2, x) == pytest.approx(
                 exact, rel=rel, abs=0.0)
 
@@ -481,9 +476,8 @@ class TestPortCdfKernel:
             return math.exp(-t) * math.prod(
                 1.0 - marcum_q1(ak * math.sqrt(t), bk) for ak, bk in zip(a, b))
 
-        want, _ = quad(integrand, 0.0, x, epsabs=DEFAULT_QUADRATURE.abs_tol,
-                       epsrel=DEFAULT_QUADRATURE.rel_tol,
-                       limit=DEFAULT_QUADRATURE.max_subdivisions)
+        want, _ = quad(integrand, 0.0, x, epsabs=analytic._ABS_TOL,
+                       epsrel=analytic._REL_TOL, limit=analytic._MAX_INTERVALS)
         got = outage_exact(FasConfig(n_ports=n, size_wavelengths=w,
                                      snr_ratio=x))
         assert abs(got - want) <= x * (n - 1) * 1e-10

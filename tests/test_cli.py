@@ -4,6 +4,8 @@ import json
 import logging
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -61,7 +63,6 @@ class TestArgumentHandling:
         ["outage-curve", "--sweep-n", "1:3:1", "--kappa", "1"],
         ["outage-curve", "--sweep-n", "1:3:1", "--workers", "0"],
         ["bounds-compare", "--sweep-n", "1:3:1", "--kappa", "0.5"],
-        ["bounds-compare", "--sweep-n", "1:3:1", "--workers", "0"],
         ["envelope", "--n-ports", "0"],
         ["envelope", "--size-wl", "-1"],
         ["outage-curve", "--sweep-n", "1:3:1", "--size-wl", "0"],
@@ -113,6 +114,18 @@ class TestArgumentHandling:
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds-compare", "--sweep-n", "1:3:1", "--workers", "2"],
+        ["design", "--n-ports", "10", "--workers", "2"],
+        ["envelope", "--workers", "2"],
+    ])
+    def test_workers_only_where_monte_carlo_runs(self, argv, capsys):
+        # only outage-curve and validate run Monte Carlo and take --workers
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("argv, prog", [
         (["envelope", "--scatterers", "4"], "fas envelope"),
@@ -152,12 +165,29 @@ def test_no_option_parses_with_bare_float_or_int():
     bare = [(prog, action.dest) for prog, action in actions
             if action.type in (float, int)]
     # every option that takes a number, so that none escapes the check:
-    # outage-curve 10, bounds-compare 10, design 8, envelope 10, validate 3
+    # outage-curve 10, bounds-compare 9, design 7, envelope 9, validate 3
     typed = [(prog, action.dest) for prog, action in actions
              if action.type not in (None, str)]
     assert len(subparsers.choices) == 5
     assert bare == []
-    assert len(typed) == 41
+    assert len(typed) == 38
+
+
+def test_readme_commands_parse():
+    # every `fas` line of README's shell blocks must parse (nothing runs),
+    # so that the documentation names no removed or misspelled flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("fas ")]
+    assert len(lines) == 7
+    parser = build_parser()
+    rejected = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []
 
 
 def test_main_reuses_one_parser(capsys):

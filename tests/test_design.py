@@ -138,10 +138,22 @@ class TestMinPortsHomogeneous:
         assert answer.value >= 2
 
     def test_stringent_target_grows_n(self):
+        # the L = 8 answer, 1,004,201, lies beyond the default n_max
         q2 = query(branches=2)
         q8 = query(branches=8)
-        assert min_ports_homogeneous(0.9, q8).value > \
+        assert min_ports_homogeneous(0.9, q8, n_max=2_000_000).value > \
             min_ports_homogeneous(0.9, q2).value
+
+    @pytest.mark.parametrize("n_max", [5, 284, 285, 100_000])
+    @pytest.mark.parametrize("branches", [2, 8])
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.9])
+    def test_n_max_caps_the_closed_form(self, mu, branches, n_max):
+        # the closed form may land above n_max (285 at mu = 0.5, L = 8, and
+        # 1,004,201 at mu = 0.9, L = 8): exhausted, as on the explicit profile
+        q = query(branches=branches)
+        general = min_ports_general(np.array([0.0] + [mu] * n_max), q,
+                                    n_max=n_max)
+        assert min_ports_homogeneous(mu, q, n_max=n_max) == general
 
     def test_rejects_mu_outside_open_interval(self):
         with pytest.raises(ValueError):
@@ -370,9 +382,11 @@ class TestRequiredMuAndSize:
             answer = required_mu_and_size(n, query(branches=branches, x=x))
             assert answer == DesignAnswer(MuSizeResult(1.0, 0.0))
 
-    def test_requires_n_ports(self):
-        with pytest.raises(ValueError):
-            required_mu_and_size(1, query())
+    @pytest.mark.parametrize("n", [1, 0, 10.5, math.inf, -math.inf, math.nan])
+    def test_requires_a_count_of_at_least_two_ports(self, n):
+        # inf once answered mu* = 1, d* = 0, and NaN raised from the inverse
+        with pytest.raises(ValueError, match="n_ports"):
+            required_mu_and_size(n, query())
 
 
 class TestMinSize:
@@ -420,9 +434,16 @@ class TestMinSize:
         assert answer == DesignAnswer(0.0)
         assert answer.feasible
 
-    def test_requires_at_least_four_ports(self):
-        with pytest.raises(ValueError):
-            min_size(3, query())
+    @pytest.mark.parametrize("n", [3, 10.5, math.inf, math.nan])
+    def test_requires_a_count_of_at_least_four_ports(self, n):
+        with pytest.raises(ValueError, match="n_ports"):
+            min_size(n, query())
+
+    @pytest.mark.parametrize("n", [0, 2.5, 10.5, math.inf, math.nan])
+    def test_frontier_rejects_a_port_count_that_is_not_a_count(self, n):
+        # int(inf) once raised OverflowError
+        with pytest.raises(ValueError, match="n_ports"):
+            min_size_frontier(query(), [8, n])
 
     def test_no_nan_in_answers(self):
         for n in range(4, 60):
