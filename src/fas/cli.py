@@ -106,8 +106,9 @@ def _parse_range(kind: type, first):
     return start_stop_step
 
 
-def _int_at_least(minimum: int):
-    """Type for an integer flag whose value must be >= minimum."""
+def _int_at_least(minimum: int, maximum: Optional[int] = None):
+    """Type for an integer flag whose value must be >= minimum, and
+    <= maximum when one is given."""
     def integer(text: str) -> int:
         try:
             value = int(text)
@@ -115,6 +116,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(str(exc))
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
     return integer
 
@@ -124,6 +127,9 @@ def _mrc_list(text: str):
     if not values:
         raise argparse.ArgumentTypeError("branch counts must be integers >= 1")
     return values
+
+
+_WORKERS = _int_at_least(1, mc.WORKERS_MAX)
 
 
 def _trials(text: str) -> int:
@@ -264,6 +270,14 @@ def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
 
 
 def cmd_outage_curve(args) -> int:
+    if args.trials:
+        # each point plans at least --trials trials, so a worker count
+        # these settings take is taken at every point
+        try:
+            mc.McSettings(trials=args.trials, seed=args.seed,
+                          workers=args.workers)
+        except ValueError as exc:
+            args.parser.error(str(exc))
     return _run_sweep(
         args, "",
         f"seed={args.seed} trials={args.trials} workers={args.workers}",
@@ -361,8 +375,11 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    settings = ValidationSettings(grid=args.grid, trials=args.trials,
-                                  seed=args.seed, workers=args.workers)
+    try:
+        settings = ValidationSettings(grid=args.grid, trials=args.trials,
+                                      seed=args.seed, workers=args.workers)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     report = run_validation(settings)
     text = json.dumps(report, indent=2, sort_keys=True)
     with _output(args.out) as out:
@@ -382,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_trials, default=0,
                    help="MC trials per point, >= 1000 (0 disables MC)")
     # --workers only where Monte Carlo runs: outage-curve and validate
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_WORKERS, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_outage_curve, parser=p)
 
@@ -421,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
     p.add_argument("--trials", type=_int_at_least(mc.MIN_TRIALS),
                    default=200_000)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_WORKERS, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_validate, parser=p)
 

@@ -8,6 +8,7 @@ the name of the violated guard.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -34,6 +35,13 @@ GUARD_TOO_FEW_PORTS = "n_ports < 4 (the size rule needs floor(N/2) >= 2 outer po
 # blocks of 64 whole rows would take 6-10 MB more peak memory at N = 2000,
 # more than the design benchmark's 5% peak-RSS bound allows.
 _SCAN_BLOCK_CELLS = 16_384
+
+# Log-space margin by which a row that `_certified_start` rules out misses
+# the MRC target; the rounding of a 2000-port row's log sum is ~1e-12.
+_CERTIFICATE_MARGIN = 1e-6
+# j_{0,1}, the first zero of J0
+_J0_FIRST_ZERO = 2.404825557695773
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,18 @@ def _mrc_ratio(query: DesignQuery) -> float:
     return outage_mrc(query.mrc_branches, x) / -math.expm1(-x)
 
 
+def _checked_n_max(n_max) -> int:
+    """n_max as an int, once it is a whole number >= 0 (0 allows no N)."""
+    if not (n_max == 0 or is_count(n_max)):
+        raise ValueError(f"n_max must be a whole number >= 0, got {n_max!r}")
+    return int(n_max)
+
+
 def min_ports_general(mu, query: DesignQuery,
                       n_max: int = N_MAX_DEFAULT) -> DesignAnswer:
     """Smallest prefix length N of the profile mu whose bound beats MRC."""
     mu = checked_mu(mu)
+    n_max = _checked_n_max(n_max)
     target = _mrc_ratio(query)
     if target > 1.0:
         return DesignAnswer(1)
@@ -107,15 +123,86 @@ def _exactly_one_radius(snr_ratio: float, constants: BoundConstants) -> float:
     return z_one / (2.0 * math.pi)
 
 
+def _block_factors(n: np.ndarray, size_wl: float, d_one: float,
+                   query: DesignQuery) -> np.ndarray:
+    """Bound factors of the rows N = n (an ascending column) over the ports
+    k at d = k/(N-1) * W.  The padding k >= N and the degenerate ports get a
+    factor of exactly 1; so do the ports closer than d_one in every row,
+    which are left out."""
+    # ports 2..N sit at k/(N-1) * W; below k_one every row's d < d_one
+    k_one = max(1, int(d_one * (n[0, 0] - 1) / size_wl))
+    k = np.arange(k_one, n[-1, 0])
+    mu = sp.j0(2.0 * np.pi * (k / (n - 1) * size_wl))
+    masked = (k >= n) | (np.abs(mu) > DEGENERATE_MU)
+    mu[masked] = 0.0
+    factors = per_port_bound_factors(mu, query.snr_ratio, query.constants)
+    factors[masked] = 1.0
+    return factors
+
+
+def _certified_start(size_wl: float, query: DesignQuery, n_max: int,
+                     d_one: float, log_target: float) -> int:
+    """First N >= 2 that a Riemann-sum certificate cannot rule out: every
+    N below it, up to n_max, has a bound that does not beat MRC.
+
+    Let g(d) <= 0 be the log of the factor of a port at distance d, and
+    g = 0 for a masked port, so g(0) = 0.  Row N sums g over the ports
+    d_k = k h, h = W/(N-1), k = 1..N-1: S_N = sum_k g(k h).  If g is
+    non-increasing on [0, W], g(k h) is at most g on [(k-1)h, k h] and at
+    least g on [k h, (k+1)h], so with I the integral of g over [0, W],
+    h S_M <= I <= h (S_N - g(W)) for any rows M and N; hence
+    S_N >= (N-1)/(M-1) S_M + g(W).  One evaluated reference row M bounds
+    every row, and row N fails when that bound is at least
+    T + `_CERTIFICATE_MARGIN`, T = log_target = log(p_MRC / (1 - e^-x)).
+    The bound falls as N grows, so the rows it rules out are N = 2 up to
+    the first it does not, which the scan starts at.
+
+    g is non-increasing when
+    (a) 2 pi W < j_{0,1}: mu = J0(2 pi d) falls from 1 as d grows;
+    (b) J0(2 pi W) > rho^2: the gain rho/sqrt(mu) stays below 1, on one
+        branch, and grows as mu falls; so does exp(-kappa x / (1 - mu^2)),
+        and the factor 1 - gain * exp falls;
+    (c) the masked zone mu > DEGENERATE_MU lies inside `_exactly_one_radius`,
+        where the unmasked factor is exactly 1.0 too, so the mask sets no
+        value: with z = 2 pi d_one, J0(z) <= 1 - z^2/4 (1 - z^2/16).
+    The cushions on (b) and (c) keep rounding off their edges, and the
+    margin is ~1e6 times the rounding of a 2000-port log sum.  A row ruled
+    out has a product of at least e^(T + margin), so where e^T is a normal
+    double every partial product of the scan's row is normal too, and its
+    rounding stays relative.  Outside (a)-(c), or where e^T is not normal,
+    the scan starts at N = 2.  The reference row, M = min(n_max,
+    `_SCAN_BLOCK_CELLS`) but at least 2, fits in one block.
+    """
+    rho = query.constants.rho
+    z_w = 2.0 * math.pi * size_wl
+    z_one = 2.0 * math.pi * d_one
+    if not (z_w < _J0_FIRST_ZERO
+            and sp.j0(z_w) > rho * rho * (1.0 + 1e-9)
+            and z_one ** 2 / 4.0 * (1.0 - z_one ** 2 / 16.0)
+            > 2.0 * (1.0 - DEGENERATE_MU)
+            and log_target > _LOG_FLOAT_MIN):
+        return 2
+    m = max(2, min(n_max, _SCAN_BLOCK_CELLS))
+    logs = np.log(_block_factors(np.array([[m]]), size_wl, d_one, query))
+    s_m, g_w = float(logs.sum()), float(logs[0, -1])
+    # row N is ruled out when (N-1) s_m / (m-1) >= level
+    level = log_target + _CERTIFICATE_MARGIN - g_w
+    if level > 0.0:
+        return 2
+    last = level * (m - 1) / s_m if s_m < 0.0 else math.inf
+    return int(min(last, n_max - 1)) + 2
+
+
 def min_ports_for_size(size_wl: float, query: DesignQuery,
                        n_max: int = 2000) -> DesignAnswer:
     """Smallest N whose geometry-derived bound at this aperture beats MRC.
 
     The profile changes with N (ports pack denser), so there is no fixed
     profile prefix to consume.  The bound is not monotone in N either, so
-    the scan visits every N from 1 rather than bisecting.  It takes N in
-    consecutive blocks: one padded (N x port) matrix of mu = J0(2 pi d) and
-    bound factors per block, with the padding and the degenerate ports
+    the scan visits every N from the first that `_certified_start` cannot
+    rule out (N = 2 outside its range) rather than bisecting.  It takes N
+    in consecutive blocks: one padded (N x port) matrix of mu = J0(2 pi d)
+    and bound factors per block, with the padding and the degenerate ports
     given a factor of exactly 1, so each row's product is the bound's
     product for that N.  A block holds no more N values than precede it,
     and at most about `_SCAN_BLOCK_CELLS` cells: rows shrink as N grows,
@@ -127,30 +214,28 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     get denser as N grows.  Where the radius reaches W, every factor of
     every N is exactly 1 and the answer is known without evaluating one:
     at x = 1 and kappa = 2 that holds for W up to 0.05 (W = 0.01 included).
+    So it is where p_MRC underflows to 0, which no product undercuts.
     """
     x = query.snr_ratio
     FasConfig(n_ports=1, size_wavelengths=size_wl, snr_ratio=x)  # checks W
+    n_max = _checked_n_max(n_max)
     target = outage_mrc(query.mrc_branches, x)
     single = -math.expm1(-x)
     if n_max >= 1 and single < target:
         return DesignAnswer(1)
     d_one = _exactly_one_radius(x, query.constants)
-    if d_one >= size_wl:
+    if d_one >= size_wl or target == 0.0:
         return DesignAnswer(None, GUARD_N_EXHAUSTED)
     n0 = 2
+    if n_max >= 2:
+        n0 = _certified_start(size_wl, query, n_max, d_one,
+                              math.log(target) - math.log(single))
     while n0 <= n_max:
         # rows * (n0 + rows) cells at most
         rows = int((math.sqrt(n0 * n0 + 4 * _SCAN_BLOCK_CELLS) - n0) / 2)
         rows = max(1, min(n0, rows))
         n = np.arange(n0, min(n0 + rows, n_max + 1))[:, None]
-        # ports 2..N sit at k/(N-1) * W; below k_one every row's d < d_one
-        k_one = max(1, int(d_one * (n0 - 1) / size_wl))
-        k = np.arange(k_one, n[-1, 0])
-        mu = sp.j0(2.0 * np.pi * (k / (n - 1) * size_wl))
-        masked = (k >= n) | (np.abs(mu) > DEGENERATE_MU)
-        mu[masked] = 0.0
-        factors = per_port_bound_factors(mu, x, query.constants)
-        factors[masked] = 1.0
+        factors = _block_factors(n, size_wl, d_one, query)
         beats = np.flatnonzero(single * np.prod(factors, axis=1) < target)
         if beats.size:
             return DesignAnswer(n0 + int(beats[0]))
@@ -163,12 +248,15 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
     """Closed-form minimum N when every extra port shares the same mu."""
     if not 0 < mu < 1:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    n_max = _checked_n_max(n_max)
     target = _mrc_ratio(query)
     if target > 1.0:
         return DesignAnswer(1)
     factor = per_port_bound_factor(mu, query.snr_ratio, query.constants)
     if not 0.0 < factor < 1.0:
         return DesignAnswer(None, GUARD_FACTOR_RANGE)
+    if target == 0.0:  # p_MRC underflowed: no power of factor is below it
+        return DesignAnswer(None, GUARD_N_EXHAUSTED)
     # need factor**(N-1) < target, i.e. N > ln(target)/ln(factor) + 1
     n = math.floor(math.log(target) / math.log(factor)) + 2
     # guard against floating-point edge of the floor

@@ -21,6 +21,8 @@ _CHUNK = 200_000
 TARGET_FAILURES = 100
 TRIALS_CAP = 10 ** 9
 MIN_TRIALS = 1000
+# Most logical workers a run may split its trials over.
+WORKERS_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,11 @@ class McSettings:
                     or isinstance(value, bool) or value < least):
                 raise ValueError(f"{name} must be an integer >= {least}, "
                                  f"got {value!r}")
+        most = min(WORKERS_MAX, self.trials)
+        if self.workers > most:
+            raise ValueError(f"workers must be <= {most} (at most "
+                             f"{WORKERS_MAX} and at most trials), got "
+                             f"{self.workers!r}")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,13 @@ class TestArgumentHandling:
         ["outage-curve", "--sweep-n", "1:3:1", "--trials", "-1"],
         ["outage-curve", "--sweep-n", "1:3:1", "--kappa", "1"],
         ["outage-curve", "--sweep-n", "1:3:1", "--workers", "0"],
+        # at most 1024 workers, and no more than --trials; rejected before
+        # any stream is made
+        ["outage-curve", "--sweep-n", "1:3:1", "--workers", "1025"],
+        ["validate", "--workers", "1025"],
+        ["outage-curve", "--sweep-n", "1:3:1", "--trials", "1000",
+         "--workers", "1001"],
+        ["validate", "--trials", "1000", "--workers", "1001"],
         ["bounds-compare", "--sweep-n", "1:3:1", "--kappa", "0.5"],
         ["envelope", "--n-ports", "0"],
         ["envelope", "--size-wl", "-1"],

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import j0
 
 from fas.analytic import outage_mrc
@@ -265,14 +266,15 @@ class TestMinPortsForSize:
             min_ports_for_size(w, query())
 
     def test_scan_memory_stays_bounded(self):
-        # W = 0.2 against 8-branch MRC has no N <= 2000, so the scan
-        # evaluates every N up to 2000, about 1.5 M cells; numpy reports its
-        # buffers to tracemalloc
-        q = query(branches=8)
-        assert min_ports_for_size(0.2, q).guard_report == GUARD_N_EXHAUSTED
+        # W = 0.4 lies past the certificate's lobe edge, and against
+        # 32-branch MRC it has no N <= 2000, so the scan evaluates every N
+        # up to 2000, about 1.8 M cells; numpy reports its buffers to
+        # tracemalloc
+        q = query(branches=32)
+        assert min_ports_for_size(0.4, q).guard_report == GUARD_N_EXHAUSTED
         tracemalloc.start()
         try:
-            min_ports_for_size(0.2, q)
+            min_ports_for_size(0.4, q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,8 +317,15 @@ class TestExactlyOneZone:
 
     @pytest.mark.parametrize("w, branches, calls, most_cells", [
         (0.01, 2, 0, 0),
-        # 1,401,389 cells in 94 calls without the zone
-        (0.2, 4, 94, 0.8 * 1_401_389)])
+        # the certificate's reference row and one block of N up to 1659;
+        # 1,061,894 cells in 94 calls without the certificate, and
+        # 1,401,389 without the zone as well
+        (0.2, 4, 2, 13_000),
+        # the reference row alone rules out every N <= 2000
+        (0.15, 8, 1, 2_000),
+        # past the lobe edge: the scan runs every N, as without the
+        # certificate
+        (0.4, 32, 135, 1_775_764)])
     def test_cells_reaching_the_kernel(self, w, branches, calls, most_cells,
                                        monkeypatch):
         cells = []
@@ -329,6 +338,111 @@ class TestExactlyOneZone:
         min_ports_for_size(w, query(branches=branches))
         assert len(cells) == calls
         assert sum(cells) <= most_cells
+
+
+def certified_start(w, q, n_max):
+    x = q.snr_ratio
+    d_one = design._exactly_one_radius(x, q.constants)
+    log_target = (math.log(outage_mrc(q.mrc_branches, x))
+                  - math.log(-math.expm1(-x)))
+    return design._certified_start(w, q, n_max, d_one, log_target)
+
+
+def lobe_edge(kappa):
+    """Aperture W at which J0(2 pi W) = rho^2, where the certificate ends."""
+    rho = bound_constants(kappa).rho
+    return brentq(lambda w: j0(2.0 * math.pi * w) - rho * rho, 0.2, 0.38)
+
+
+class TestCertifiedStart:
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("x", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0])
+    def test_matches_per_n_scan_across_the_lobe_edge(self, kappa, x):
+        # at x = 1e-9 the degenerate zone reaches past the exactly-one
+        # radius and the certificate is off; the last two apertures lie past
+        # the lobe edge
+        edge = lobe_edge(kappa)
+        for w in (0.1, 0.25, 0.98 * edge, 0.999 * edge, 1.001 * edge,
+                  1.02 * edge):
+            for branches in (2, 5):
+                q = query(branches=branches, x=x, kappa=kappa)
+                assert min_ports_for_size(w, q, n_max=400) == \
+                    reference.min_ports_for_size_per_n(w, q, 400), \
+                    (w, branches)
+
+    @pytest.mark.parametrize("w, branches, x, kappa, least", [
+        # the reference design point, N = 1659: the start is within 1%
+        (0.2, 4, 1.0, 2.0, 1643),
+        # no N <= 2000: the start is past n_max
+        (0.15, 8, 1.0, 2.0, 2001),
+        (0.3, 5, 0.1, 1.5, 45), (0.1, 5, 1e-6, 1.5, 140),
+        (0.25, 3, 3.0, 5.0, 2001)])
+    def test_start_never_passes_the_answer(self, w, branches, x, kappa,
+                                           least):
+        q = query(branches=branches, x=x, kappa=kappa)
+        start = certified_start(w, q, 2000)
+        answer = reference.min_ports_for_size_per_n(w, q, 2000)
+        assert least <= start <= (answer.value or 2001), answer
+        assert min_ports_for_size(w, q) == answer
+
+    @pytest.mark.parametrize("kappa, x", [(2.0, 1e-9), (2.0, 1e-8),
+                                          (1.5, 1e-9), (5.0, 1e-9)])
+    def test_off_where_the_degenerate_zone_leaves_the_radius(self, kappa, x):
+        q = query(branches=4, x=x, kappa=kappa)
+        assert certified_start(0.2, q, 2000) == 2
+
+    def test_off_where_the_target_ratio_is_not_a_normal_double(self):
+        # p_MRC / (1 - e^-x) is e^-710.6 here, below the smallest normal
+        # double, so the scan's products near the answer lose relative
+        # precision; the scan starts at N = 2
+        q = query(branches=117, x=0.1)
+        assert certified_start(0.33, q, 2000) == 2
+        assert min_ports_for_size(0.33, q) == \
+            reference.min_ports_for_size_per_n(0.33, q, 2000) == \
+            DesignAnswer(1888)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_off_past_the_lobe_edge(self, kappa):
+        q = query(branches=4, kappa=kappa)
+        edge = lobe_edge(kappa)
+        assert certified_start(0.999 * edge, q, 2000) > 2
+        assert certified_start(1.001 * edge, q, 2000) == 2
+
+    def test_underflowed_mrc_target(self, monkeypatch):
+        # p_MRC of 200 branches at x = 1e-5 underflows to 0, which no bound
+        # product undercuts; no factor is evaluated
+        q = DesignQuery(mrc_branches=200, snr_ratio=1e-5,
+                        constants=bound_constants())
+        assert outage_mrc(200, 1e-5) == 0.0
+        exhausted = DesignAnswer(None, GUARD_N_EXHAUSTED)
+        assert min_ports_homogeneous(0.5, q) == exhausted
+        assert reference.min_ports_for_size_per_n(0.2, q, 50) == exhausted
+        monkeypatch.setattr(design, "per_port_bound_factors", None)
+        assert min_ports_for_size(0.2, q) == exhausted
+
+
+class TestNMax:
+    SOLVERS = {
+        "general": lambda q, n_max: min_ports_general(
+            wide_profile_mu(300), q, n_max=n_max),
+        "homogeneous": lambda q, n_max: min_ports_homogeneous(
+            0.5, q, n_max=n_max),
+        "for_size": lambda q, n_max: min_ports_for_size(1.0, q, n_max=n_max),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("n_max", [math.nan, 10.5, -1, math.inf,
+                                       -math.inf, 2.5])
+    def test_rejects_n_max_that_is_not_a_whole_number(self, solver, n_max):
+        # NaN once gave the homogeneous answer N = 92; 10.5 and NaN raised
+        # TypeError in the general solver
+        with pytest.raises(ValueError, match="n_max"):
+            self.SOLVERS[solver](query(branches=4), n_max)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_takes_a_whole_float(self, solver):
+        q = query(branches=4)
+        assert self.SOLVERS[solver](q, 150.0) == self.SOLVERS[solver](q, 150)
 
 
 class TestRequiredMuAndSize:

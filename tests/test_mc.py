@@ -42,6 +42,19 @@ class TestMcSettings:
         with pytest.raises(ValueError, match=field):
             McSettings(**kwargs)
 
+    @pytest.mark.parametrize("trials, workers", [
+        (10_000, 1025), (10 ** 9, 10 ** 6), (1000, 1001), (5000, 5000)])
+    def test_rejects_more_workers_than_the_bound(self, trials, workers):
+        # at most 1024 workers, and no more than trials; only constructed
+        with pytest.raises(ValueError, match="workers"):
+            McSettings(trials=trials, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("trials, workers", [(10_000, 1024),
+                                                 (1000, 1000)])
+    def test_accepts_workers_up_to_the_bound(self, trials, workers):
+        assert McSettings(trials=trials, seed=1,
+                          workers=workers).workers == workers
+
     def test_accepts_numpy_integers(self):
         s = McSettings(trials=np.int64(10_000), seed=np.uint32(3),
                        workers=np.int8(2))
