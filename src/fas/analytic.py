@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .channel import (FasConfig, active_mu, checked_mu, correlation_profile,
-                      is_count)
+from .channel import (FasConfig, active_mu, checked_mu, checked_snr,
+                      correlation_profile, is_count)
 
 
 # `quad`'s stopping rule: the summed error estimate at most
@@ -221,9 +221,7 @@ def joint_cdf(mu, r: Sequence[float]) -> float:
 
 def outage_exact_profile(mu: Sequence[float], snr_ratio: float) -> float:
     """Exact selection outage for an explicit correlation profile."""
-    if not snr_ratio > 0:
-        raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")
-    x = float(snr_ratio)
+    x = checked_snr(snr_ratio)
     return _cdf_integral(active_mu(mu), x, x)
 
 
@@ -247,9 +245,7 @@ def outage_approx_profile(mu: Sequence[float], snr_ratio: float) -> float:
     k >= 2, with a_k^2 = 2x/(1 - mu_k^2) and b_k = |mu_k| a_k.  A port whose
     difference is not finite contributes 0: that needs x >= 42, where its
     term is below 3e-19, or an overflowing a_k^2, where e^-x is 0."""
-    if not snr_ratio > 0:
-        raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")
-    x = float(snr_ratio)
+    x = checked_snr(snr_ratio)
     mu = active_mu(mu)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = 2.0 * x / (1.0 - mu ** 2)
@@ -276,6 +272,4 @@ def outage_mrc(branches: int, snr_ratio: float) -> float:
     fading: the regularized lower incomplete gamma P(L, x)."""
     if not is_count(branches):
         raise ValueError(f"branches must be an integer >= 1, got {branches}")
-    if not snr_ratio > 0:
-        raise ValueError(f"snr_ratio must be positive, got {snr_ratio}")
-    return float(sp.gammainc(branches, snr_ratio))
+    return float(sp.gammainc(branches, checked_snr(snr_ratio)))

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FasConfig, active_mu, correlation_profile
+from .channel import FasConfig, active_mu, checked_snr, correlation_profile
 
 DEFAULT_KAPPA = 2.0
 
@@ -56,9 +56,8 @@ def per_port_bound_factors(mu, snr_ratio: float,
     inside = np.abs(mu) < 1.0
     if not np.all(inside):
         raise ValueError(f"|mu_k| must be < 1, got {mu[~inside][0]}")
-    if not snr_ratio > 0:
-        raise ValueError("snr_ratio must be positive")
-    decay = np.exp(-constants.kappa * snr_ratio / (1.0 - mu * mu))
+    decay = np.exp(-constants.kappa * checked_snr(snr_ratio)
+                   / (1.0 - mu * mu))
     with np.errstate(divide="ignore"):
         gain = constants.rho / np.sqrt(np.abs(mu))
     # small-|mu| fallback: rho < 0.5 keeps the factor strictly positive

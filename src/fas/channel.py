@@ -28,6 +28,13 @@ def is_count(value) -> bool:
     return 1 <= value < math.inf and int(value) == value
 
 
+def checked_snr(x) -> float:
+    """The SNR ratio x as a float, once 0 < x < inf (NaN is not)."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"snr_ratio must be positive and finite, got {x}")
+    return float(x)
+
+
 def checked_mu(mu) -> np.ndarray:
     """A correlation profile as a float array, once its rules hold.
 
@@ -75,8 +82,7 @@ class FasConfig:
         if not (0 < self.size_wavelengths < math.inf):
             raise ValueError("size_wavelengths must be finite and > 0, "
                              f"got {self.size_wavelengths}")
-        if not (0 < self.snr_ratio < math.inf):
-            raise ValueError(f"snr_ratio must be finite and > 0, got {self.snr_ratio}")
+        checked_snr(self.snr_ratio)
 
 
 def port_displacements(config: FasConfig) -> np.ndarray:

@@ -4,6 +4,10 @@ All rules are bound-based and therefore sufficient, not necessary: a feasible
 answer guarantees the selection system beats the MRC reference.  For small N
 the guard conditions can fail; infeasibility is a first-class result carrying
 the name of the violated guard.
+
+The MRC target is capped at one port's outage (`_mrc_ratio`), which the
+strict product test cannot undercut: every N solver answers N >= 2, and
+n_max < 2 gives "no N".
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from scipy import special as sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
-from .channel import DEGENERATE_MU, FasConfig, checked_mu, is_count
+from .channel import (DEGENERATE_MU, FasConfig, checked_mu, checked_snr,
+                      is_count)
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -55,8 +60,7 @@ class DesignQuery:
     def __post_init__(self):
         if not is_count(self.mrc_branches):
             raise ValueError("mrc_branches must be an integer >= 1")
-        if not (self.snr_ratio > 0):
-            raise ValueError("snr_ratio must be positive")
+        checked_snr(self.snr_ratio)
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,10 @@ class DesignAnswer:
 
 
 def _mrc_ratio(query: DesignQuery) -> float:
-    """Target ratio p_MRC / (1 - e^-x) the bound product must undercut."""
+    """Target ratio p_MRC / (1 - e^-x) the bound product must undercut,
+    capped at 1: one port is 1-branch MRC, whatever P(1, x) rounds to."""
     x = query.snr_ratio
-    return outage_mrc(query.mrc_branches, x) / -math.expm1(-x)
+    return min(1.0, outage_mrc(query.mrc_branches, x) / -math.expm1(-x))
 
 
 def _checked_n_max(n_max) -> int:
@@ -97,8 +102,6 @@ def min_ports_general(mu, query: DesignQuery,
     mu = checked_mu(mu)
     n_max = _checked_n_max(n_max)
     target = _mrc_ratio(query)
-    if target > 1.0:
-        return DesignAnswer(1)
     # prod[j] is the product over ports 2..j+2, so N = j + 2
     prod = np.cumprod(per_port_bound_factors(mu[1:n_max], query.snr_ratio,
                                              query.constants))
@@ -219,10 +222,8 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     x = query.snr_ratio
     FasConfig(n_ports=1, size_wavelengths=size_wl, snr_ratio=x)  # checks W
     n_max = _checked_n_max(n_max)
-    target = outage_mrc(query.mrc_branches, x)
     single = -math.expm1(-x)
-    if n_max >= 1 and single < target:
-        return DesignAnswer(1)
+    target = min(outage_mrc(query.mrc_branches, x), single)  # see _mrc_ratio
     d_one = _exactly_one_radius(x, query.constants)
     if d_one >= size_wl or target == 0.0:
         return DesignAnswer(None, GUARD_N_EXHAUSTED)
@@ -250,8 +251,6 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     n_max = _checked_n_max(n_max)
     target = _mrc_ratio(query)
-    if target > 1.0:
-        return DesignAnswer(1)
     factor = per_port_bound_factor(mu, query.snr_ratio, query.constants)
     if not 0.0 < factor < 1.0:
         return DesignAnswer(None, GUARD_FACTOR_RANGE)
@@ -282,9 +281,9 @@ def required_mu_and_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
     rho, kappa = query.constants.rho, query.constants.kappa
     root = _mrc_ratio(query) ** (1.0 / (n_ports - 1))
     if root >= 1.0:
-        # MRC target no stronger than a single port, or within rounding of
-        # it (L = 1, or x so large that both outages round to 1); any
-        # correlation works, and 1 - root below would be 0
+        # the capped MRC ratio is 1 (L = 1, or x so large that both
+        # outages round to 1), or its root rounds to 1; any correlation
+        # works, and 1 - root below would be 0
         return DesignAnswer(MuSizeResult(1.0, 0.0))
     log_arg = rho / (1.0 - root)
     if log_arg <= 1.0:

@@ -275,13 +275,16 @@ def min_ports_sequential(mu, snr_ratio: float, target: float, kappa: float,
 
 def min_ports_for_size_per_n(size_wl: float, query, n_max: int = 2000):
     """`fas.design.min_ports_for_size` as the package ran it before its
-    blocked scan: a profile and a bound for one N at a time, from N = 1."""
+    blocked scan: a profile and a bound for one N at a time, from N = 1.
+    The MRC target is capped at the one-port outage 1 - e^-x, which the
+    strict test keeps N = 1 from beating."""
     from fas.analytic import outage_mrc
     from fas.bounds import outage_upper_bound
     from fas.channel import FasConfig
     from fas.design import GUARD_N_EXHAUSTED, DesignAnswer
 
-    target = outage_mrc(query.mrc_branches, query.snr_ratio)
+    target = min(outage_mrc(query.mrc_branches, query.snr_ratio),
+                 -math.expm1(-query.snr_ratio))
     for n in range(1, n_max + 1):
         config = FasConfig(n_ports=n, size_wavelengths=size_wl,
                            snr_ratio=query.snr_ratio)

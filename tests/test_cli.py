@@ -445,6 +445,15 @@ class TestDesign:
             "mu_star": "1.0", "d_star_wl": "0.0"}
         assert doc["results"]["min_size_wl"]["value"] == "0.0"
 
+    @pytest.mark.parametrize("snr_db", ["-30", "-20", "-10", "0", "5"])
+    def test_single_branch_size_query_needs_two_ports(self, capsys, snr_db):
+        # -20 and -10 dB once answered 1, where P(1, x) rounds an ulp above
+        # the single-port outage
+        code, out = run_cli(capsys, "design", "--size-wl", "0.5",
+                            "--mrc-l", "1", f"--snr-db={snr_db}")
+        assert code == 0
+        assert json.loads(out)["results"]["min_ports"]["value"] == 2
+
     def test_frontier_sweep_nonincreasing(self, capsys):
         code, out = run_cli(capsys, "design", "--sweep-n", "40:120:8",
                             "--mrc-l", "2", "--snr-db", "0")

@@ -85,11 +85,8 @@ class TestMinPortsGeneral:
                     target = outage_mrc(branches, x) / -math.expm1(-x)
                     for n_max in (50, 100_000):
                         got = min_ports_general(mu, q, n_max=n_max)
-                        if target > 1.0:
-                            assert got.value == 1
-                            continue
                         want = reference.min_ports_sequential(
-                            mu, x, target, q.constants.kappa,
+                            mu, x, min(target, 1.0), q.constants.kappa,
                             q.constants.rho, n_max)
                         assert got.value == want, (w, branches, x, n_max)
                         assert got.feasible == (want is not None)
@@ -443,6 +440,50 @@ class TestNMax:
     def test_takes_a_whole_float(self, solver):
         q = query(branches=4)
         assert self.SOLVERS[solver](q, 150.0) == self.SOLVERS[solver](q, 150)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("n_max", [0, 1])
+    @pytest.mark.parametrize("branches, x", [(1, 1e-12), (2, 1.0)])
+    def test_fewer_than_two_ports_allow_no_n(self, solver, n_max, branches,
+                                             x):
+        # no single port beats MRC; at x = 1e-12 the general and
+        # homogeneous solvers once answered N = 1 with n_max = 0
+        answer = self.SOLVERS[solver](query(branches=branches, x=x), n_max)
+        assert answer == DesignAnswer(None, GUARD_N_EXHAUSTED)
+
+
+class TestOnePortTiesSingleBranchMrc:
+    """A single port is 1-branch MRC, so no N solver answers N = 1.
+    P(1, x) from gammainc rounds an ulp above -expm1(-x) at 141 of these
+    400 x, where the solvers once did."""
+
+    X_GRID = np.logspace(-12, 2.5, 400)
+
+    @staticmethod
+    def answers(q):
+        return (min_ports_general(wide_profile_mu(300, 0.5), q),
+                min_ports_homogeneous(0.5, q), min_ports_for_size(0.5, q))
+
+    def test_no_solver_answers_one_port_on_a_grid(self):
+        for x in self.X_GRID:
+            for answer in self.answers(query(branches=1, x=float(x))):
+                assert answer.value is None or answer.value >= 2, x
+
+    @pytest.mark.parametrize("x", [1e-12, 0.1, 1.0, 10.0])
+    def test_no_solver_answers_one_port_above_a_rounded_target(
+            self, x, monkeypatch):
+        # P(1, x) an ulp above 1 - e^-x whatever scipy's rounding does
+        monkeypatch.setattr(design, "outage_mrc",
+                            lambda branches, snr: -math.expm1(-snr)
+                            * (1.0 + 2.0 ** -52))
+        for answer in self.answers(query(branches=1, x=x)):
+            assert answer.value is None or answer.value >= 2
+
+    def test_size_scan_matches_per_n_scan_from_two_ports(self):
+        for x in self.X_GRID:
+            q = query(branches=1, x=float(x))
+            assert min_ports_for_size(0.5, q, n_max=200) == \
+                reference.min_ports_for_size_per_n(0.5, q, 200), x
 
 
 class TestRequiredMuAndSize:

@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fas
+from fas.analytic import outage_approx_profile, outage_exact_profile
+from fas.bounds import outage_upper_bound_profile, per_port_bound_factors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +29,33 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from fas import *", namespace)
     assert set(fas.__all__) <= set(namespace)
+
+
+# every public function that takes an SNR ratio x, called with x
+SNR_TAKERS = {
+    "FasConfig": lambda x: fas.FasConfig(1, 1.0, x),
+    "DesignQuery": lambda x: fas.DesignQuery(2, x, fas.bound_constants()),
+    "outage_exact_profile": lambda x: outage_exact_profile([0.0, 0.5], x),
+    "outage_approx_profile": lambda x: outage_approx_profile([0.0, 0.5], x),
+    "outage_n2_closed_form": lambda x: fas.outage_n2_closed_form(0.5, x),
+    "outage_mrc": lambda x: fas.outage_mrc(2, x),
+    "outage_upper_bound_profile": lambda x: outage_upper_bound_profile(
+        [0.0, 0.5], x, fas.bound_constants()),
+    "per_port_bound_factors": lambda x: per_port_bound_factors(
+        [0.5], x, fas.bound_constants()),
+    "per_port_bound_factor": lambda x: fas.per_port_bound_factor(
+        0.5, x, fas.bound_constants()),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(SNR_TAKERS))
+@pytest.mark.parametrize("x", [0.0, -1.0, float("nan"), float("inf")])
+def test_every_snr_taker_checks_through_checked_snr(taker, x):
+    # one rule, 0 < x < inf, in channel.checked_snr; all but FasConfig
+    # once took inf
+    with pytest.raises(ValueError,
+                       match="snr_ratio must be positive and finite"):
+        SNR_TAKERS[taker](x)
 
 
 def test_cli_import_leaves_out_heavy_scipy():
