@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .channel import (FasConfig, active_mu, checked_mu, checked_snr,
-                      correlation_profile, is_count)
+from .channel import (FasConfig, active_mu, checked_count, checked_mu,
+                      checked_snr, correlation_profile)
 
 
 # `quad`'s stopping rule: the summed error estimate at most
@@ -270,6 +270,5 @@ def outage_approx(config: FasConfig) -> float:
 def outage_mrc(branches: int, snr_ratio: float) -> float:
     """L-branch maximum ratio combining outage over independent Rayleigh
     fading: the regularized lower incomplete gamma P(L, x)."""
-    if not is_count(branches):
-        raise ValueError(f"branches must be an integer >= 1, got {branches}")
-    return float(sp.gammainc(branches, checked_snr(snr_ratio)))
+    return float(sp.gammainc(checked_count(branches, "branches"),
+                             checked_snr(snr_ratio)))

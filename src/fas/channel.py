@@ -5,6 +5,7 @@ pair, with per-port correlation mu_k = J0(2*pi*d_k/lambda).  Sigma is fixed
 at 1: every analytic quantity downstream depends only on the SNR ratio.
 A correlation profile is the 1-D float array of those mu_k, port 1 first;
 `checked_mu` holds its rules, and every function that takes one calls it.
+`checked_snr` and `checked_count` do the same for an SNR ratio and a count.
 """
 from __future__ import annotations
 
@@ -22,10 +23,14 @@ SPEED_OF_LIGHT = 299_792_458.0
 DEGENERATE_MU = 1.0 - 1e-9
 
 
-def is_count(value) -> bool:
-    """Whether value is a whole number >= 1; inf and NaN are not, and are
-    kept from int(), which raises OverflowError on inf."""
-    return 1 <= value < math.inf and int(value) == value
+def checked_count(value, name: str, least: int = 1) -> int:
+    """value as an int, once it is a whole number >= least and not a bool:
+    150.0 is one; inf and NaN are not, and never reach int()."""
+    if (isinstance(value, (bool, np.bool_)) or not least <= value < math.inf
+            or int(value) != value):
+        raise ValueError(f"{name} must be a whole number >= {least}, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def checked_snr(x) -> float:
@@ -77,8 +82,8 @@ class FasConfig:
     snr_ratio: float
 
     def __post_init__(self):
-        if not is_count(self.n_ports):
-            raise ValueError(f"n_ports must be an integer >= 1, got {self.n_ports}")
+        object.__setattr__(self, "n_ports",
+                           checked_count(self.n_ports, "n_ports"))
         if not (0 < self.size_wavelengths < math.inf):
             raise ValueError("size_wavelengths must be finite and > 0, "
                              f"got {self.size_wavelengths}")
@@ -138,8 +143,8 @@ class DopplerTraceConfig:
                    (self.carrier_hz, self.duration_s, self.sample_rate_hz)):
             raise ValueError("carrier_hz, duration_s and sample_rate_hz must "
                              "be finite and > 0")
-        if self.n_scatterers < 8:
-            raise ValueError("n_scatterers must be >= 8")
+        object.__setattr__(self, "n_scatterers",
+                           checked_count(self.n_scatterers, "n_scatterers", 8))
         samples = self.duration_s * self.sample_rate_hz
         if not (samples < np.inf and self.n_samples >= 1):
             raise ValueError("duration_s * sample_rate_hz must be finite and "
@@ -229,13 +234,15 @@ def envelope_trace(config: FasConfig, doppler: DopplerTraceConfig,
     0.5 * J0(2*pi*f_m*tau); the spatial mixing is applied per time sample.
     Every process's M angles and then M phases are drawn here, in one call,
     in the order x0, y0, then xk, yk per port, then each MRC branch's pair.
-    A request whose (2N + 2L) x 2 x M angles would take more than
-    `_TRACE_BUDGET` bytes raises ValueError before any draw.
+    mrc_branches, L, must be a whole number >= 1, and a request whose
+    (2N + 2L) x 2 x M angles would take more than `_TRACE_BUDGET` bytes
+    raises ValueError before any draw.
     The rows are computed as the returned generator is iterated, in chunks
     of whole `_SOS_BLOCK`-sample blocks that fill at most `_TRACE_BUDGET`
     bytes.  Every block is a view of one buffer that the next block
     overwrites: copy a block to keep it.
     """
+    mrc_branches = checked_count(mrc_branches, "mrc_branches")
     n_proc = 2 * config.n_ports + 2 * mrc_branches
     angle_bytes = 8 * n_proc * 2 * doppler.n_scatterers
     if angle_bytes > _TRACE_BUDGET:

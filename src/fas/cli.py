@@ -38,8 +38,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 

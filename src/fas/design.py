@@ -5,9 +5,9 @@ answer guarantees the selection system beats the MRC reference.  For small N
 the guard conditions can fail; infeasibility is a first-class result carrying
 the name of the violated guard.
 
-The MRC target is capped at one port's outage (`_mrc_ratio`), which the
-strict product test cannot undercut: every N solver answers N >= 2, and
-n_max < 2 gives "no N".
+The MRC target is capped at one port's outage (`_mrc_target`), and is that
+outage at L = 1; the strict product test cannot undercut it with one port,
+so every N solver answers N >= 2, and n_max < 2 gives "no N".
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from scipy import special as sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
-from .channel import (DEGENERATE_MU, FasConfig, checked_mu, checked_snr,
-                      is_count)
+from .channel import (DEGENERATE_MU, FasConfig, checked_count, checked_mu,
+                      checked_snr)
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -58,8 +58,8 @@ class DesignQuery:
     constants: BoundConstants
 
     def __post_init__(self):
-        if not is_count(self.mrc_branches):
-            raise ValueError("mrc_branches must be an integer >= 1")
+        object.__setattr__(self, "mrc_branches",
+                           checked_count(self.mrc_branches, "mrc_branches"))
         checked_snr(self.snr_ratio)
 
 
@@ -82,25 +82,26 @@ class DesignAnswer:
         return self.value is not None
 
 
+def _mrc_target(query: DesignQuery) -> float:
+    """The MRC outage p_MRC a bound must undercut, capped at one port's
+    outage 1 - e^-x and equal to it at L = 1: one port is 1-branch MRC,
+    whatever P(1, x) rounds to."""
+    single = -math.expm1(-query.snr_ratio)
+    if query.mrc_branches == 1:
+        return single
+    return min(outage_mrc(query.mrc_branches, query.snr_ratio), single)
+
+
 def _mrc_ratio(query: DesignQuery) -> float:
-    """Target ratio p_MRC / (1 - e^-x) the bound product must undercut,
-    capped at 1: one port is 1-branch MRC, whatever P(1, x) rounds to."""
-    x = query.snr_ratio
-    return min(1.0, outage_mrc(query.mrc_branches, x) / -math.expm1(-x))
-
-
-def _checked_n_max(n_max) -> int:
-    """n_max as an int, once it is a whole number >= 0 (0 allows no N)."""
-    if not (n_max == 0 or is_count(n_max)):
-        raise ValueError(f"n_max must be a whole number >= 0, got {n_max!r}")
-    return int(n_max)
+    """Target ratio p_MRC / (1 - e^-x) the bound product must undercut."""
+    return _mrc_target(query) / -math.expm1(-query.snr_ratio)
 
 
 def min_ports_general(mu, query: DesignQuery,
                       n_max: int = N_MAX_DEFAULT) -> DesignAnswer:
     """Smallest prefix length N of the profile mu whose bound beats MRC."""
     mu = checked_mu(mu)
-    n_max = _checked_n_max(n_max)
+    n_max = checked_count(n_max, "n_max", 0)
     target = _mrc_ratio(query)
     # prod[j] is the product over ports 2..j+2, so N = j + 2
     prod = np.cumprod(per_port_bound_factors(mu[1:n_max], query.snr_ratio,
@@ -221,9 +222,9 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     """
     x = query.snr_ratio
     FasConfig(n_ports=1, size_wavelengths=size_wl, snr_ratio=x)  # checks W
-    n_max = _checked_n_max(n_max)
+    n_max = checked_count(n_max, "n_max", 0)
     single = -math.expm1(-x)
-    target = min(outage_mrc(query.mrc_branches, x), single)  # see _mrc_ratio
+    target = _mrc_target(query)
     d_one = _exactly_one_radius(x, query.constants)
     if d_one >= size_wl or target == 0.0:
         return DesignAnswer(None, GUARD_N_EXHAUSTED)
@@ -249,7 +250,7 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
     """Closed-form minimum N when every extra port shares the same mu."""
     if not 0 < mu < 1:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    n_max = _checked_n_max(n_max)
+    n_max = checked_count(n_max, "n_max", 0)
     target = _mrc_ratio(query)
     factor = per_port_bound_factor(mu, query.snr_ratio, query.constants)
     if not 0.0 < factor < 1.0:
@@ -268,15 +269,9 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
     return DesignAnswer(n)
 
 
-def _check_ports(n_ports, least: int, solver: str) -> None:
-    if not (is_count(n_ports) and n_ports >= least):
-        raise ValueError(f"{solver} needs an integer n_ports >= {least}, "
-                         f"got {n_ports!r}")
-
-
 def required_mu_and_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
     """Homogeneous-profile requirement (mu*, d*) for an n_ports-port system."""
-    _check_ports(n_ports, 2, "required_mu_and_size")
+    n_ports = checked_count(n_ports, "n_ports", 2)
     x = query.snr_ratio
     rho, kappa = query.constants.rho, query.constants.kappa
     root = _mrc_ratio(query) ** (1.0 / (n_ports - 1))
@@ -302,7 +297,7 @@ def min_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
     Uses the worst-case argument that the floor(N/2) outer ports are at
     least d* apart; odd N rounds down, which is the conservative direction.
     """
-    _check_ports(n_ports, 4, "min_size")
+    n_ports = checked_count(n_ports, "n_ports", 4)
     answer = required_mu_and_size(n_ports // 2, query)
     if not answer.feasible:
         return answer
@@ -314,7 +309,7 @@ def min_size_frontier(query: DesignQuery, n_values: Sequence[int]):
     where min_size does not apply, is reported infeasible."""
     frontier = []
     for n in n_values:
-        _check_ports(n, 1, "min_size_frontier")
-        frontier.append((int(n), min_size(int(n), query) if n >= 4
+        n = checked_count(n, "n_ports")
+        frontier.append((n, min_size(n, query) if n >= 4
                          else DesignAnswer(None, GUARD_TOO_FEW_PORTS)))
     return frontier

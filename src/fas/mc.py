@@ -32,8 +32,8 @@ class McSettings:
     workers: int = 1
 
     def __post_init__(self):
-        # numpy's binomial would take a float count without a word, and a
-        # NaN one slips past `value < least`, which is False for it
+        # stricter than channel.checked_count on purpose: numpy's binomial
+        # would take a whole float count without a word
         for name, least in (("trials", MIN_TRIALS), ("workers", 1),
                             ("seed", 0)):
             value = getattr(self, name)

@@ -32,6 +32,11 @@ class TestBoundConstants:
     def test_rho_vanishes_toward_kappa_one(self):
         assert bound_constants(1.0 + 1e-10).rho < 1e-4
 
+    def test_rho_overflow_raises_constants_error(self):
+        # sqrt((kappa - 1)(pi (kappa - 1) + 2) / pi) overflows to inf
+        with pytest.raises(ConstantsError, match="rho=inf outside"):
+            bound_constants(1e200)
+
     def test_rejects_kappa_at_most_one(self):
         for bad in (1.0, 0.5, 0.0, -2.0, float("nan")):
             with pytest.raises(ValueError):

@@ -308,6 +308,14 @@ class TestEnvelopeTrace:
         with pytest.raises(ValueError, match="trace budget"):
             envelope_trace(c, self.DOPPLER, NoDraws(), mrc_branches)
 
+    @pytest.mark.parametrize("mrc_branches", [0, -1])
+    def test_rejects_mrc_branches_before_drawing(self, mrc_branches):
+        # 0 once wrote an MRC column of -3000 dB on every row, and -1 ended
+        # in RuntimeError: generator raised StopIteration
+        c = FasConfig(n_ports=3, size_wavelengths=2.0, snr_ratio=1.0)
+        with pytest.raises(ValueError, match="mrc_branches must be"):
+            envelope_trace(c, self.DOPPLER, NoDraws(), mrc_branches)
+
     def test_angles_filling_the_budget_are_drawn(self):
         # (2 * 4094 + 2 * 2) x 2 x 64 doubles are exactly 8 MiB
         c = FasConfig(n_ports=4094, size_wavelengths=2.0, snr_ratio=1.0)

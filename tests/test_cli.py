@@ -57,6 +57,13 @@ class TestArgumentHandling:
             main(["design", "--kappa", "1.0", "--n-ports", "10"])
         assert exc.value.code == 2
 
+    def test_kappa_whose_rho_overflows_rejected(self, capsys):
+        # bounds.ConstantsError, a ValueError, is a usage error too
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--kappa", "1e200", "--n-ports", "10"])
+        assert exc.value.code == 2
+        assert "rho=inf outside (0, 0.5)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["outage-curve", "--sweep-n", "1:3:1", "--trials", "500"],
         ["outage-curve", "--sweep-n", "1:3:1", "--trials", "-1"],
@@ -257,6 +264,11 @@ class TestOutputSinks:
 
 
 class TestOutageCurve:
+    def test_explicit_zero_trials_is_the_default(self, capsys):
+        # --trials 0 disables Monte Carlo, as leaving the flag out does
+        argv = ["outage-curve", "--sweep-n", "1:3:1"]
+        assert run_cli(capsys, *argv, "--trials", "0") == run_cli(capsys, *argv)
+
     def test_sweep_n_monotone(self, capsys):
         code, out = run_cli(capsys, "outage-curve", "--sweep-n", "1:30:1",
                             "--size-wl", "0.5", "--snr-db", "0")

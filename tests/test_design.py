@@ -405,6 +405,25 @@ class TestCertifiedStart:
         assert certified_start(0.999 * edge, q, 2000) > 2
         assert certified_start(1.001 * edge, q, 2000) == 2
 
+    @pytest.mark.parametrize("w", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("x", [0.1, 1.0])
+    def test_single_branch_target_rules_out_no_row(self, w, x, monkeypatch):
+        # at L = 1 the log target is 0, so the certificate's level is
+        # positive: it evaluates its reference row (M = 2000) and still
+        # starts the scan at N = 2
+        rows = []
+
+        def block_factors(n, *args):
+            rows.append(int(n[0, 0]))
+            return blocked(n, *args)
+
+        blocked = design._block_factors
+        monkeypatch.setattr(design, "_block_factors", block_factors)
+        q = query(branches=1, x=x)
+        assert min_ports_for_size(w, q) == \
+            reference.min_ports_for_size_per_n(w, q, 2000)
+        assert rows[:2] == [2000, 2]
+
     def test_underflowed_mrc_target(self, monkeypatch):
         # p_MRC of 200 branches at x = 1e-5 underflows to 0, which no bound
         # product undercuts; no factor is evaluated
@@ -478,6 +497,15 @@ class TestOnePortTiesSingleBranchMrc:
                             * (1.0 + 2.0 ** -52))
         for answer in self.answers(query(branches=1, x=x)):
             assert answer.value is None or answer.value >= 2
+
+    def test_any_correlation_meets_a_single_branch_target_on_a_grid(self):
+        # P(1, x) rounds below -expm1(-x) at 150 of these x, where
+        # required_mu_and_size once answered mu* < 1 and a d* of up to
+        # 0.098 wavelengths
+        for x in self.X_GRID:
+            for n in (2, 10):
+                assert required_mu_and_size(n, query(branches=1, x=float(x))) \
+                    == DesignAnswer(MuSizeResult(1.0, 0.0)), (n, x)
 
     def test_size_scan_matches_per_n_scan_from_two_ports(self):
         for x in self.X_GRID:

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fas
 from fas.analytic import outage_approx_profile, outage_exact_profile
 from fas.bounds import outage_upper_bound_profile, per_port_bound_factors
+from fas.design import min_size_frontier
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,6 +58,62 @@ def test_every_snr_taker_checks_through_checked_snr(taker, x):
     with pytest.raises(ValueError,
                        match="snr_ratio must be positive and finite"):
         SNR_TAKERS[taker](x)
+
+
+def _query():
+    return fas.DesignQuery(2, 1.0, fas.bound_constants())
+
+
+def _doppler(n_scatterers=64):
+    return fas.DopplerTraceConfig(1.0, 5e9, 1.0, 1000.0, n_scatterers)
+
+
+# every public function that takes a count: (its name, the least count it
+# takes, a call with count n)
+COUNT_TAKERS = {
+    "FasConfig": ("n_ports", 1, lambda n: fas.FasConfig(n, 1.0, 1.0)),
+    "DesignQuery": ("mrc_branches", 1, lambda n: fas.DesignQuery(
+        n, 1.0, fas.bound_constants())),
+    "outage_mrc": ("branches", 1, lambda n: fas.outage_mrc(n, 1.0)),
+    "min_ports_general": ("n_max", 0, lambda n: fas.min_ports_general(
+        [0.0, 0.5], _query(), n_max=n)),
+    "min_ports_for_size": ("n_max", 0, lambda n: fas.min_ports_for_size(
+        1.0, _query(), n_max=n)),
+    "min_ports_homogeneous": ("n_max", 0, lambda n: fas.min_ports_homogeneous(
+        0.5, _query(), n_max=n)),
+    "required_mu_and_size": ("n_ports", 2, lambda n: fas.required_mu_and_size(
+        n, _query())),
+    "min_size": ("n_ports", 4, lambda n: fas.min_size(n, _query())),
+    "min_size_frontier": ("n_ports", 1, lambda n: min_size_frontier(
+        _query(), [8, n])),
+    "DopplerTraceConfig": ("n_scatterers", 8, _doppler),
+    # whole float port and scatterer counts reach the draw as ints
+    "envelope_trace": ("mrc_branches", 1, lambda n: fas.envelope_trace(
+        fas.FasConfig(2.0, 1.0, 1.0), _doppler(64.0),
+        np.random.default_rng(0), n)),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(COUNT_TAKERS))
+@pytest.mark.parametrize("bad", [True, 2.5, float("nan"), float("inf"),
+                                 "least - 1"])
+def test_every_count_taker_checks_through_checked_count(taker, bad):
+    # one rule, a whole number >= least and not a bool, in
+    # channel.checked_count; True once passed everywhere, and NaN, inf and
+    # 8.5 scatterers, and any MRC branch count of the trace
+    name, least, call = COUNT_TAKERS[taker]
+    if bad == "least - 1":
+        bad = least - 1
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a whole number >= {least}, "
+                             "got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("taker", sorted(COUNT_TAKERS))
+def test_every_count_taker_takes_a_whole_float(taker):
+    _, least, call = COUNT_TAKERS[taker]
+    call(float(max(least, 8)))
 
 
 def test_cli_import_leaves_out_heavy_scipy():
