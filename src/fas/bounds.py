@@ -3,7 +3,9 @@
 Each correlated port contributes a factor 1 - (rho/sqrt(|mu_k|)) *
 exp(-kappa*x/(1-mu_k^2)); when that expression could reach zero or below
 (small |mu_k|), the safe fallback factor 1 - rho*exp(-kappa*x/(1-mu_k^2))
-is used instead, which keeps every factor inside (0, 1).
+is used instead, which keeps every factor inside (0, 1].  The factors take
+`checked_mu`'s domain, |mu_k| <= 1: a degenerate port, |mu_k| >
+`DEGENERATE_MU`, is port 1 over again and gets a factor of exactly 1.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FasConfig, active_mu, checked_snr, correlation_profile
+from .channel import (DEGENERATE_MU, FasConfig, active_mu, checked_snr,
+                      correlation_profile)
 
 DEFAULT_KAPPA = 2.0
 
@@ -51,18 +54,20 @@ def per_port_bound_factors(mu, snr_ratio: float,
 
     The gain rho/sqrt(|mu_k|) applies where it is below 1; elsewhere,
     mu_k = 0 included, the fallback gain rho keeps the factor positive.
+    Every |mu_k| must be <= 1, and a degenerate port's factor is exactly 1.
     """
     mu = np.asarray(mu, dtype=float)
-    inside = np.abs(mu) < 1.0
+    mag = np.abs(mu)
+    inside = mag <= 1.0
     if not np.all(inside):
-        raise ValueError(f"|mu_k| must be < 1, got {mu[~inside][0]}")
-    decay = np.exp(-constants.kappa * checked_snr(snr_ratio)
-                   / (1.0 - mu * mu))
-    with np.errstate(divide="ignore"):
-        gain = constants.rho / np.sqrt(np.abs(mu))
+        raise ValueError(f"|mu_k| must be <= 1, got {mu[~inside][0]}")
+    with np.errstate(divide="ignore"):  # |mu_k| = 1, and mu_k = 0
+        decay = np.exp(-constants.kappa * checked_snr(snr_ratio)
+                       / (1.0 - mu * mu))
+        gain = constants.rho / np.sqrt(mag)
     # small-|mu| fallback: rho < 0.5 keeps the factor strictly positive
     gain = np.where(gain < 1.0, gain, constants.rho)
-    return 1.0 - gain * decay
+    return np.where(mag > DEGENERATE_MU, 1.0, 1.0 - gain * decay)
 
 
 def per_port_bound_factor(mu_k: float, snr_ratio: float,

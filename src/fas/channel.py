@@ -5,7 +5,8 @@ pair, with per-port correlation mu_k = J0(2*pi*d_k/lambda).  Sigma is fixed
 at 1: every analytic quantity downstream depends only on the SNR ratio.
 A correlation profile is the 1-D float array of those mu_k, port 1 first;
 `checked_mu` holds its rules, and every function that takes one calls it.
-`checked_snr` and `checked_count` do the same for an SNR ratio and a count.
+`checked_positive` does the same for a value that must be positive and
+finite, `checked_snr` for an SNR ratio and `checked_count` for a count.
 """
 from __future__ import annotations
 
@@ -33,11 +34,16 @@ def checked_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def checked_positive(value, name: str) -> float:
+    """value as a float, once 0 < value < inf (NaN is not)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 def checked_snr(x) -> float:
-    """The SNR ratio x as a float, once 0 < x < inf (NaN is not)."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"snr_ratio must be positive and finite, got {x}")
-    return float(x)
+    """The SNR ratio x as a float, once 0 < x < inf."""
+    return checked_positive(x, "snr_ratio")
 
 
 def checked_mu(mu) -> np.ndarray:
@@ -84,9 +90,7 @@ class FasConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_ports",
                            checked_count(self.n_ports, "n_ports"))
-        if not (0 < self.size_wavelengths < math.inf):
-            raise ValueError("size_wavelengths must be finite and > 0, "
-                             f"got {self.size_wavelengths}")
+        checked_positive(self.size_wavelengths, "size_wavelengths")
         checked_snr(self.snr_ratio)
 
 
@@ -139,10 +143,8 @@ class DopplerTraceConfig:
     def __post_init__(self):
         if not (0 <= self.speed_mps < np.inf):
             raise ValueError("speed_mps must be finite and nonnegative")
-        if not all(0 < v < np.inf for v in
-                   (self.carrier_hz, self.duration_s, self.sample_rate_hz)):
-            raise ValueError("carrier_hz, duration_s and sample_rate_hz must "
-                             "be finite and > 0")
+        for name in ("carrier_hz", "duration_s", "sample_rate_hz"):
+            checked_positive(getattr(self, name), name)
         object.__setattr__(self, "n_scatterers",
                            checked_count(self.n_scatterers, "n_scatterers", 8))
         samples = self.duration_s * self.sample_rate_hz

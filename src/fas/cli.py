@@ -4,7 +4,9 @@ and the self-validation suite.
 Conventions: SNR flags are in dB and converted once at this boundary; sweep
 output is CSV with '#' provenance comments; single answers and validation
 reports are JSON.  Exit status 0 means success (including infeasible design
-answers), 1 means a validation failure, 2 a usage error.
+answers), 1 means a validation failure, 2 a usage error.  A numeric flag's
+value is checked by the library rule it feeds; the CLI's own rules are the
+dB conversion of SNR flags and the sweep-size cap.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ import numpy as np
 import orjson
 
 from . import __version__, analytic, bounds, design, mc
-from .channel import DopplerTraceConfig, FasConfig, envelope_trace
+from .channel import (DopplerTraceConfig, FasConfig, checked_count,
+                      checked_positive, envelope_trace)
 from .validation import GRID_PRESETS, ValidationSettings, run_validation
 
 _log = logging.getLogger("fas")
@@ -104,75 +107,53 @@ def _parse_range(kind: type, first):
     return start_stop_step
 
 
-def _int_at_least(minimum: int, maximum: Optional[int] = None):
-    """Type for an integer flag whose value must be >= minimum, and
-    <= maximum when one is given."""
-    def integer(text: str) -> int:
+def _checked(parse, check=lambda value: None):
+    """Type for a flag whose text `parse` reads and whose value the library
+    rule `check` takes: a ValueError from either is a usage error.  A flag
+    without a check is checked by its command."""
+    def flag_type(text: str):
         try:
-            value = int(text)
+            value = parse(text)
+            check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
-    return integer
+    return flag_type
 
 
-def _mrc_list(text: str):
-    values = [_int_at_least(1)(p) for p in text.split(",") if p]
-    if not values:
-        raise argparse.ArgumentTypeError("branch counts must be integers >= 1")
-    return values
+def _count(name: str, least: int = 1):
+    return _checked(int, lambda n: checked_count(n, name, least))
 
 
-_WORKERS = _int_at_least(1, mc.WORKERS_MAX)
+def _positive(name: str):
+    return _checked(float, lambda v: checked_positive(v, name))
 
 
-def _trials(text: str) -> int:
-    """0 disables Monte Carlo; any other count must meet McSettings' floor."""
-    if _int_at_least(0)(text) == 0:
-        return 0
-    return _int_at_least(mc.MIN_TRIALS)(text)
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
-def _snr_db(text: str) -> float:
-    """Type for an SNR in dB whose linear ratio is finite and > 0."""
-    value = _finite_float(text)
+def _check_snr_db(value: float) -> None:
+    """An SNR in dB must have a linear ratio that is finite and > 0."""
     try:
         ratio = analytic.db_to_linear(value)
     except OverflowError:
         ratio = math.inf
     if not 0.0 < ratio < math.inf:
+        raise ValueError("must be a dB value whose linear ratio is finite "
+                         f"and > 0, got {value}")
+
+
+_snr_db = _checked(float, _check_snr_db)
+_kappa = _checked(float, bounds.bound_constants)
+_mrc_l = _count("mrc_l")
+# McSettings' worker rule at the most trials, 1..WORKERS_MAX; each command
+# checks workers <= trials once it knows --trials
+_workers = _checked(int, lambda n: mc.McSettings(mc.TRIALS_CAP, 0, n))
+
+
+def _mrc_list(text: str):
+    values = [_mrc_l(p) for p in text.split(",") if p]
+    if not values:
         raise argparse.ArgumentTypeError(
-            f"must be a dB value whose linear ratio is finite and > 0, "
-            f"got {value}")
-    return value
-
-
-def _kappa(text: str) -> float:
-    try:
-        return bounds.bound_constants(float(text)).kappa
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+            f"expected a comma-separated list of branch counts, got {text!r}")
+    return values
 
 
 _SWEEP_HELP = ("start:stop:step; a negative start needs the = form, "
@@ -181,13 +162,13 @@ _SWEEP_HELP = ("start:stop:step; a negative start needs the = form, "
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
     """The fixed point and the one swept variable of a sweep command."""
-    parser.add_argument("--n-ports", type=_int_at_least(1), default=10)
-    parser.add_argument("--size-wl", type=_positive_float, default=0.5)
+    parser.add_argument("--n-ports", type=_count("n_ports"), default=10)
+    parser.add_argument("--size-wl", type=_positive("size_wl"), default=0.5)
     parser.add_argument("--snr-db", type=_snr_db, default=0.0)
     parser.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     sweep = parser.add_mutually_exclusive_group(required=True)
-    for flag, kind, first in (("--sweep-n", int, _int_at_least(1)),
-                              ("--sweep-w", float, _positive_float),
+    for flag, kind, first in (("--sweep-n", int, _count("n_ports")),
+                              ("--sweep-w", float, _positive("size_wl")),
                               ("--sweep-snr-db", float, _snr_db)):
         sweep.add_argument(flag, type=_parse_range(kind, first),
                            metavar="A:B:S", help=_SWEEP_HELP)
@@ -195,7 +176,7 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     # numpy seeds are nonnegative
-    parser.add_argument("--seed", type=_int_at_least(0), default=42)
+    parser.add_argument("--seed", type=_count("seed", 0), default=42)
     parser.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
 
@@ -394,10 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("outage-curve", help="exact/approx/bound outage sweep")
     _add_sweep(p)
-    p.add_argument("--trials", type=_trials, default=0,
-                   help="MC trials per point, >= 1000 (0 disables MC)")
+    # 0 turns Monte Carlo off; any other count is McSettings' to check
+    p.add_argument("--trials",
+                   type=_checked(int, lambda n: n and mc.McSettings(n, 0)),
+                   default=0, help="MC trials per point, >= 1000 (0 disables MC)")
     # --workers only where Monte Carlo runs: outage-curve and validate
-    p.add_argument("--workers", type=_WORKERS, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_outage_curve, parser=p)
 
@@ -408,35 +391,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds_compare, parser=p)
 
     p = sub.add_parser("design", help="minimum N / minimum size solvers")
-    p.add_argument("--mrc-l", type=_int_at_least(1), default=2)
+    p.add_argument("--mrc-l", type=_mrc_l, default=2)
     p.add_argument("--snr-db", type=_snr_db, default=0.0)
     p.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     query = p.add_mutually_exclusive_group(required=True)
     # no design solver answers for fewer than two ports
-    query.add_argument("--n-ports", type=_int_at_least(2))
-    query.add_argument("--size-wl", type=_positive_float)
-    query.add_argument("--sweep-n", type=_parse_range(int, _int_at_least(2)),
+    query.add_argument("--n-ports", type=_count("n_ports", 2))
+    query.add_argument("--size-wl", type=_positive("size_wl"))
+    query.add_argument("--sweep-n",
+                       type=_parse_range(int, _count("n_ports", 2)),
                        metavar="A:B:S", help=_SWEEP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_design, parser=p)
 
     p = sub.add_parser("envelope", help="time-selective fading trace CSV")
-    p.add_argument("--n-ports", type=_int_at_least(1), default=100)
-    p.add_argument("--size-wl", type=_positive_float, default=2.0)
-    p.add_argument("--freq-ghz", type=_positive_float, default=5.0)
-    p.add_argument("--speed-kmh", type=_finite_float, default=30.0)
-    p.add_argument("--duration-s", type=_positive_float, default=10.0)
-    p.add_argument("--rate-hz", type=_positive_float, default=1000.0)
-    p.add_argument("--scatterers", type=_int_at_least(1), default=64)
-    p.add_argument("--mrc-l", type=_int_at_least(1), default=2)
+    p.add_argument("--n-ports", type=_count("n_ports"), default=100)
+    p.add_argument("--size-wl", type=_positive("size_wl"), default=2.0)
+    p.add_argument("--freq-ghz", type=_positive("freq_ghz"), default=5.0)
+    # DopplerTraceConfig checks the speed, in m/s
+    p.add_argument("--speed-kmh", type=_checked(float), default=30.0)
+    p.add_argument("--duration-s", type=_positive("duration_s"), default=10.0)
+    p.add_argument("--rate-hz", type=_positive("rate_hz"), default=1000.0)
+    p.add_argument("--scatterers", type=_count("scatterers", 8), default=64)
+    p.add_argument("--mrc-l", type=_mrc_l, default=2)
     _add_common(p)
     p.set_defaults(func=cmd_envelope, parser=p)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
     p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="quick")
-    p.add_argument("--trials", type=_int_at_least(mc.MIN_TRIALS),
+    p.add_argument("--trials",
+                   type=_checked(int, lambda n: mc.McSettings(n, 0)),
                    default=200_000)
-    p.add_argument("--workers", type=_WORKERS, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_validate, parser=p)
 

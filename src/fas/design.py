@@ -22,8 +22,8 @@ from scipy import special as sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
-from .channel import (DEGENERATE_MU, FasConfig, checked_count, checked_mu,
-                      checked_snr)
+from .channel import (DEGENERATE_MU, checked_count, checked_mu,
+                      checked_positive, checked_snr)
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -130,18 +130,15 @@ def _exactly_one_radius(snr_ratio: float, constants: BoundConstants) -> float:
 def _block_factors(n: np.ndarray, size_wl: float, d_one: float,
                    query: DesignQuery) -> np.ndarray:
     """Bound factors of the rows N = n (an ascending column) over the ports
-    k at d = k/(N-1) * W.  The padding k >= N and the degenerate ports get a
-    factor of exactly 1; so do the ports closer than d_one in every row,
-    which are left out."""
+    k at d = k/(N-1) * W.  The padding k >= N is port 1 itself, mu = 1, and
+    gets the kernel's factor of exactly 1, as the degenerate ports do; so
+    do the ports closer than d_one in every row, which are left out."""
     # ports 2..N sit at k/(N-1) * W; below k_one every row's d < d_one
     k_one = max(1, int(d_one * (n[0, 0] - 1) / size_wl))
     k = np.arange(k_one, n[-1, 0])
     mu = sp.j0(2.0 * np.pi * (k / (n - 1) * size_wl))
-    masked = (k >= n) | (np.abs(mu) > DEGENERATE_MU)
-    mu[masked] = 0.0
-    factors = per_port_bound_factors(mu, query.snr_ratio, query.constants)
-    factors[masked] = 1.0
-    return factors
+    mu[k >= n] = 1.0
+    return per_port_bound_factors(mu, query.snr_ratio, query.constants)
 
 
 def _certified_start(size_wl: float, query: DesignQuery, n_max: int,
@@ -149,8 +146,8 @@ def _certified_start(size_wl: float, query: DesignQuery, n_max: int,
     """First N >= 2 that a Riemann-sum certificate cannot rule out: every
     N below it, up to n_max, has a bound that does not beat MRC.
 
-    Let g(d) <= 0 be the log of the factor of a port at distance d, and
-    g = 0 for a masked port, so g(0) = 0.  Row N sums g over the ports
+    Let g(d) <= 0 be the log of the factor of a port at distance d, so
+    g(0) = 0 and g = 0 for a degenerate port.  Row N sums g over the ports
     d_k = k h, h = W/(N-1), k = 1..N-1: S_N = sum_k g(k h).  If g is
     non-increasing on [0, W], g(k h) is at most g on [(k-1)h, k h] and at
     least g on [k h, (k+1)h], so with I the integral of g over [0, W],
@@ -166,9 +163,10 @@ def _certified_start(size_wl: float, query: DesignQuery, n_max: int,
     (b) J0(2 pi W) > rho^2: the gain rho/sqrt(mu) stays below 1, on one
         branch, and grows as mu falls; so does exp(-kappa x / (1 - mu^2)),
         and the factor 1 - gain * exp falls;
-    (c) the masked zone mu > DEGENERATE_MU lies inside `_exactly_one_radius`,
-        where the unmasked factor is exactly 1.0 too, so the mask sets no
-        value: with z = 2 pi d_one, J0(z) <= 1 - z^2/4 (1 - z^2/16).
+    (c) the degenerate zone mu > DEGENERATE_MU, where the kernel sets the
+        factor to exactly 1.0, lies inside `_exactly_one_radius`, where the
+        formula's factor is exactly 1.0 too, so that rule changes no value:
+        with z = 2 pi d_one, J0(z) <= 1 - z^2/4 (1 - z^2/16).
     The cushions on (b) and (c) keep rounding off their edges, and the
     margin is ~1e6 times the rounding of a 2000-port log sum.  A row ruled
     out has a product of at least e^(T + margin), so where e^T is a normal
@@ -221,7 +219,7 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     So it is where p_MRC underflows to 0, which no product undercuts.
     """
     x = query.snr_ratio
-    FasConfig(n_ports=1, size_wavelengths=size_wl, snr_ratio=x)  # checks W
+    checked_positive(size_wl, "size_wl")
     n_max = checked_count(n_max, "n_max", 0)
     single = -math.expm1(-x)
     target = _mrc_target(query)

@@ -34,6 +34,8 @@ from scipy import special as sp
 # the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs ~1.3 s
 from scipy.special._ufuncs import _ncx2_sf
 
+from .channel import checked_positive
+
 _EPS = float(np.finfo(float).eps)
 
 # Region served by the noncentral chi-square survival function: arguments
@@ -54,13 +56,6 @@ _SERIES_Z_MAX = 1e8
 # Abscissa from which |J0| at a zero of J1 is taken from the asymptotic
 # modulus of J1 rather than from sp.j0.
 _ASYMPTOTIC_EXTREMUM = 1e4
-
-
-def _check_finite(x, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 def _q1_upper(a: float, b: float) -> float:
@@ -193,10 +188,8 @@ def inv_besselj0_envelope(target: float) -> float:
     longer resolves the phase (about 1e10 and up), to that resolution, on
     the right arc.
     """
-    target = _check_finite(target, "target")
-    if target <= 0:
-        raise ValueError("target must be positive: the |J0| envelope decays "
-                         "like eps**-0.5 and never reaches 0")
+    # the |J0| envelope decays like eps**-0.5 and never reaches 0
+    target = checked_positive(target, "target")
     if target >= 1.0:
         return 0.0
 

@@ -85,9 +85,11 @@ class TestPerPortBoundFactor:
         assert per_port_bound_factor(mu, 0.5, c) == pytest.approx(want,
                                                                   rel=1e-15)
 
-    def test_rejects_unit_mu(self):
-        with pytest.raises(ValueError):
-            per_port_bound_factor(1.0, 1.0, bound_constants())
+    @pytest.mark.parametrize("mu", [1.0, -1.0, DEGENERATE_MU + 1e-10])
+    def test_degenerate_mu_has_factor_one(self, mu):
+        # |mu| = 1 is in checked_mu's domain: port 1 over again.  Just above
+        # DEGENERATE_MU at x = 1e-12 the formula's factor would be ~0.6
+        assert per_port_bound_factor(mu, 1e-12, bound_constants()) == 1.0
 
     def test_rejects_nan(self):
         c = bound_constants()
@@ -120,10 +122,22 @@ class TestPerPortBoundFactors:
     def test_empty_profile(self):
         assert per_port_bound_factors([], 1.0, bound_constants()).size == 0
 
-    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, float("nan")])
-    def test_rejects_mu_outside_open_unit_interval(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad", [1.5, -1.5, float("nan")])
+    def test_rejects_mu_outside_closed_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"^\|mu_k\| must be <= 1, got "):
             per_port_bound_factors([0.1, bad, 0.2], 1.0, bound_constants())
+
+    def test_degenerate_ports_have_factor_one(self):
+        c = bound_constants()
+        near = 1.0 - 5e-10
+        mu = [0.1, 1.0, -1.0, near, -near, DEGENERATE_MU, 0.2]
+        got = per_port_bound_factors(mu, 1e-12, c)
+        np.testing.assert_array_equal(got[1:5], 1.0)
+        # every other port keeps its formula's factor, bit for bit
+        np.testing.assert_array_equal(
+            got[[0, 5, 6]],
+            per_port_bound_factors([0.1, DEGENERATE_MU, 0.2], 1e-12, c))
+        assert got[5] < 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_snr_ratio(self, bad):

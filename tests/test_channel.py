@@ -232,7 +232,9 @@ class TestDopplerTraceConfig:
         values = dict(speed_mps=1.0, carrier_hz=5e9, duration_s=1.0,
                       sample_rate_hz=1000.0)
         values[field] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        rule = ("must be finite" if field == "speed_mps"
+                else "must be positive and finite")
+        with pytest.raises(ValueError, match=f"^{field} {rule}"):
             DopplerTraceConfig(**values)
 
 

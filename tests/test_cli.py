@@ -187,6 +187,90 @@ def test_no_option_parses_with_bare_float_or_int():
     assert len(typed) == 38
 
 
+# one out-of-range value per numeric flag of each subcommand, and the
+# message of the rule that rejects it: the library's, but for the dB
+# conversion of an SNR flag
+_SNR_DB_RULE = "must be a dB value whose linear ratio is finite and > 0, got "
+_SWEEP_FLAG_RULES = [
+    ("--n-ports", "0", "n_ports must be a whole number >= 1, got 0"),
+    ("--size-wl", "0", "size_wl must be positive and finite, got 0.0"),
+    ("--snr-db", "4000", _SNR_DB_RULE + "4000.0"),
+    ("--kappa", "1", "kappa must be a finite real > 1, got 1.0"),
+    ("--sweep-n", "0:3:1", "n_ports must be a whole number >= 1, got 0"),
+    ("--sweep-w", "0:1:0.5", "size_wl must be positive and finite, got 0.0"),
+    ("--sweep-snr-db", "0:4000:1000", _SNR_DB_RULE + "4000.0"),
+    ("--seed", "-1", "seed must be a whole number >= 0, got -1"),
+]
+FLAG_RULES = [
+    *(("outage-curve", *rule) for rule in _SWEEP_FLAG_RULES),
+    ("outage-curve", "--trials", "500",
+     "trials must be an integer >= 1000, got 500"),
+    ("outage-curve", "--workers", "1025", "workers must be <= 1024 "
+     "(at most 1024 and at most trials), got 1025"),
+    *(("bounds-compare", *rule) for rule in _SWEEP_FLAG_RULES),
+    ("bounds-compare", "--mrc-l", "2,0",
+     "mrc_l must be a whole number >= 1, got 0"),
+    ("design", "--mrc-l", "0", "mrc_l must be a whole number >= 1, got 0"),
+    ("design", "--snr-db", "nan", _SNR_DB_RULE + "nan"),
+    ("design", "--kappa", "0.5", "kappa must be a finite real > 1, got 0.5"),
+    ("design", "--n-ports", "1", "n_ports must be a whole number >= 2, got 1"),
+    ("design", "--size-wl", "inf",
+     "size_wl must be positive and finite, got inf"),
+    ("design", "--sweep-n", "1:5:1",
+     "n_ports must be a whole number >= 2, got 1"),
+    ("design", "--seed", "-1", "seed must be a whole number >= 0, got -1"),
+    ("envelope", "--n-ports", "0", "n_ports must be a whole number >= 1, got 0"),
+    ("envelope", "--size-wl", "-1",
+     "size_wl must be positive and finite, got -1.0"),
+    ("envelope", "--freq-ghz", "inf",
+     "freq_ghz must be positive and finite, got inf"),
+    # parsed only: DopplerTraceConfig rejects the speed in m/s
+    ("envelope", "--speed-kmh", "nan", "speed_mps must be finite and nonnegative"),
+    ("envelope", "--duration-s", "nan",
+     "duration_s must be positive and finite, got nan"),
+    ("envelope", "--rate-hz", "0", "rate_hz must be positive and finite, got 0.0"),
+    ("envelope", "--scatterers", "4",
+     "scatterers must be a whole number >= 8, got 4"),
+    ("envelope", "--mrc-l", "0", "mrc_l must be a whole number >= 1, got 0"),
+    ("envelope", "--seed", "-1", "seed must be a whole number >= 0, got -1"),
+    ("validate", "--trials", "500", "trials must be an integer >= 1000, got 500"),
+    ("validate", "--workers", "0", "workers must be an integer >= 1, got 0"),
+    ("validate", "--seed", "-1", "seed must be a whole number >= 0, got -1"),
+]
+
+
+def _flag_argv(command, flag, value):
+    """A command line whose one bad value is `flag`'s."""
+    argv = [command, f"{flag}={value}"]
+    if command in ("outage-curve", "bounds-compare") and "sweep" not in flag:
+        argv += ["--sweep-n", "1:3:1"]
+    if command == "design" and flag not in ("--n-ports", "--size-wl",
+                                            "--sweep-n"):
+        argv += ["--n-ports", "10"]
+    return argv
+
+
+@pytest.mark.parametrize("command, flag, value, message", FLAG_RULES,
+                         ids=[f"{c}{f}" for c, f, _, _ in FLAG_RULES])
+def test_flag_rejects_by_the_rule_its_value_feeds(command, flag, value,
+                                                  message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_flag_argv(command, flag, value))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": {message}\n")
+
+
+def test_flag_rules_cover_every_numeric_flag():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    typed = sorted((command, action.option_strings[0])
+                   for command, sub in subparsers.choices.items()
+                   for action in sub._actions
+                   if action.type not in (None, str))
+    assert typed == sorted((c, f) for c, f, _, _ in FLAG_RULES)
+
+
 def test_readme_commands_parse():
     # every `fas` line of README's shell blocks must parse (nothing runs),
     # so that the documentation names no removed or misspelled flag

@@ -97,10 +97,21 @@ class TestMinPortsGeneral:
         assert not answer.feasible
         assert answer.guard_report == GUARD_N_EXHAUSTED
 
-    @pytest.mark.parametrize("bad", [1.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [1.5, -1.5, float("nan")])
     def test_rejects_invalid_mu(self, bad):
         with pytest.raises(ValueError):
             min_ports_general([0.0, 0.5, bad, 0.5], query())
+
+    @pytest.mark.parametrize("unit", [1.0, -1.0, 1.0 - 5e-10])
+    def test_degenerate_port_adds_nothing(self, unit):
+        # a port as correlated as port 1 counts toward N but has factor 1,
+        # as in outage_upper_bound_profile, which drops it; at x = 1e-10
+        # the formula would give 1 - 5e-10 a factor of ~0.7
+        mu = wide_profile_mu(200)
+        q = query(x=1e-10)
+        want = min_ports_general(mu, q).value
+        got = min_ports_general(np.insert(mu, 1, [unit] * 20), q)
+        assert got.value == want + 20
 
     def test_profile_exhaustion(self):
         q = query(branches=8)
@@ -128,6 +139,13 @@ class TestMinPortsHomogeneous:
         target = outage_mrc(2, 1.0) / (1.0 - math.exp(-1.0))
         assert factor ** (n - 1) < target
         assert factor ** (n - 2) >= target
+
+    def test_degenerate_mu_has_no_n(self):
+        # ports as correlated as port 1 add nothing: the bound and the exact
+        # outage of any such profile read 1 - e^-x, above p_MRC
+        answer = min_ports_homogeneous(1.0 - 5e-10, query(x=1e-12))
+        assert not answer.feasible
+        assert answer.guard_report == GUARD_FACTOR_RANGE
 
     def test_small_mu_fallback_still_finite(self):
         q = query()

@@ -64,6 +64,37 @@ def _query():
     return fas.DesignQuery(2, 1.0, fas.bound_constants())
 
 
+def _doppler_with(field, value):
+    values = dict(speed_mps=1.0, carrier_hz=5e9, duration_s=1.0,
+                  sample_rate_hz=1000.0)
+    values[field] = value
+    return fas.DopplerTraceConfig(**values)
+
+
+# every public function that takes a value that must be positive and
+# finite, other than an SNR ratio: (its name, a call with value v)
+POSITIVE_TAKERS = {
+    "FasConfig": ("size_wavelengths", lambda v: fas.FasConfig(1, v, 1.0)),
+    "min_ports_for_size": ("size_wl", lambda v: fas.min_ports_for_size(
+        v, _query())),
+    "inv_besselj0_envelope": ("target", fas.inv_besselj0_envelope),
+    **{f"DopplerTraceConfig.{field}": (
+        field, lambda v, field=field: _doppler_with(field, v))
+       for field in ("carrier_hz", "duration_s", "sample_rate_hz")},
+}
+
+
+@pytest.mark.parametrize("taker", sorted(POSITIVE_TAKERS))
+@pytest.mark.parametrize("v", [0.0, -1.0, float("nan"), float("inf")])
+def test_every_positive_taker_checks_through_checked_positive(taker, v):
+    # one rule, 0 < v < inf, in channel.checked_positive, one message per
+    # value
+    name, call = POSITIVE_TAKERS[taker]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be positive and finite, got "):
+        call(v)
+
+
 def _doppler(n_scatterers=64):
     return fas.DopplerTraceConfig(1.0, 5e9, 1.0, 1000.0, n_scatterers)
 
