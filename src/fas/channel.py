@@ -142,7 +142,8 @@ class DopplerTraceConfig:
 
     def __post_init__(self):
         if not (0 <= self.speed_mps < np.inf):
-            raise ValueError("speed_mps must be finite and nonnegative")
+            raise ValueError("speed_mps must be finite and nonnegative, "
+                             f"got {self.speed_mps}")
         for name in ("carrier_hz", "duration_s", "sample_rate_hz"):
             checked_positive(getattr(self, name), name)
         object.__setattr__(self, "n_scatterers",

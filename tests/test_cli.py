@@ -225,7 +225,8 @@ FLAG_RULES = [
     ("envelope", "--freq-ghz", "inf",
      "freq_ghz must be positive and finite, got inf"),
     # parsed only: DopplerTraceConfig rejects the speed in m/s
-    ("envelope", "--speed-kmh", "nan", "speed_mps must be finite and nonnegative"),
+    ("envelope", "--speed-kmh", "nan",
+     "speed_mps must be finite and nonnegative, got nan"),
     ("envelope", "--duration-s", "nan",
      "duration_s must be positive and finite, got nan"),
     ("envelope", "--rate-hz", "0", "rate_hz must be positive and finite, got 0.0"),

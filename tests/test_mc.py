@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestMcOutageFas:
         assert mc_outage_fas(c, s) == mc_outage_fas(c, s)
 
     # N = 1 draws no per-trial variate, only one binomial count per chunk,
-    # so the trial cap costs 5,000 draws.  Sidak: the z that holds the
+    # so the trial cap costs 15,259 draws.  Sidak: the z that holds the
     # chance of any false alarm over the four thresholds at 1e-4.
     @pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 10.0])
     def test_single_port_at_the_trial_cap(self, x):
@@ -132,12 +133,28 @@ class TestMcOutageFas:
         assert est.trials == TRIALS_CAP
         assert within(est, -math.expm1(-x), sigmas=z)
 
-    def test_fully_correlated_ports_add_nothing(self):
+    # past one chunk too: a twin that drew any variate would move the next
+    # chunk's binomial count to another place in the stream
+    @pytest.mark.parametrize("trials", [100_000, 3 * _CHUNK + 1])
+    def test_fully_correlated_ports_add_nothing(self, trials):
         # a port with |mu_k| = 1 is port 1 itself, or its negative
         one = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=0.7)
         twins = np.array([0.0, 1.0, -1.0, 1.0])
-        s = McSettings(trials=100_000, seed=16)
+        s = McSettings(trials=trials, seed=16)
         assert mc_outage_fas(one, s, mu=twins) == mc_outage_fas(one, s)
+
+    def test_working_set_is_a_few_chunks(self):
+        # N = 100 at 10 dB: nearly every trial survives every port, over
+        # 16 chunks; the peak must not grow with N or the trial count
+        c = FasConfig(n_ports=100, size_wavelengths=5.0, snr_ratio=10.0)
+        s = McSettings(trials=10 ** 6, seed=22)
+        tracemalloc.start()
+        try:
+            mc_outage_fas(c, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * _CHUNK
 
     def test_no_survivor_gives_zero(self):
         c = FasConfig(n_ports=8, size_wavelengths=1.0, snr_ratio=1e-12)
