@@ -6,7 +6,8 @@ at 1: every analytic quantity downstream depends only on the SNR ratio.
 A correlation profile is the 1-D float array of those mu_k, port 1 first;
 `checked_mu` holds its rules, and every function that takes one calls it.
 `checked_positive` does the same for a value that must be positive and
-finite, `checked_snr` for an SNR ratio and `checked_count` for a count.
+finite, `checked_nonnegative` for one that may also be 0, `checked_snr` for
+an SNR ratio and `checked_count` for a count.
 """
 from __future__ import annotations
 
@@ -38,6 +39,13 @@ def checked_positive(value, name: str) -> float:
     """value as a float, once 0 < value < inf (NaN is not)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
+def checked_nonnegative(value, name: str) -> float:
+    """value as a float, once 0 <= value < inf (NaN is not)."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return float(value)
 
 
@@ -141,9 +149,7 @@ class DopplerTraceConfig:
     n_scatterers: int = 64
 
     def __post_init__(self):
-        if not (0 <= self.speed_mps < np.inf):
-            raise ValueError("speed_mps must be finite and nonnegative, "
-                             f"got {self.speed_mps}")
+        checked_nonnegative(self.speed_mps, "speed_mps")
         for name in ("carrier_hz", "duration_s", "sample_rate_hz"):
             checked_positive(getattr(self, name), name)
         object.__setattr__(self, "n_scatterers",

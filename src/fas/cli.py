@@ -24,7 +24,7 @@ import orjson
 
 from . import __version__, analytic, bounds, design, mc
 from .channel import (DopplerTraceConfig, FasConfig, checked_count,
-                      checked_positive, envelope_trace)
+                      checked_nonnegative, checked_positive, envelope_trace)
 from .validation import GRID_PRESETS, ValidationSettings, run_validation
 
 _log = logging.getLogger("fas")
@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-ports", type=_count("n_ports"), default=100)
     p.add_argument("--size-wl", type=_positive("size_wl"), default=2.0)
     p.add_argument("--freq-ghz", type=_positive("freq_ghz"), default=5.0)
-    # DopplerTraceConfig checks the speed, in m/s
-    p.add_argument("--speed-kmh", type=_checked(float), default=30.0)
+    p.add_argument("--speed-kmh", type=_checked(
+        float, lambda v: checked_nonnegative(v, "speed_kmh")), default=30.0)
     p.add_argument("--duration-s", type=_positive("duration_s"), default=10.0)
     p.add_argument("--rate-hz", type=_positive("rate_hz"), default=1000.0)
     p.add_argument("--scatterers", type=_count("scatterers", 8), default=64)

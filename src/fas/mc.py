@@ -97,48 +97,67 @@ def mc_outage_fas(config: FasConfig, settings: McSettings,
     still below x only, until none is left.  Every port's own component is
     circularly symmetric and independent of g_1, so g_1 is taken real (a
     rotation of all ports by its phase leaves their magnitudes' joint law
-    unchanged), and with a_0 = sqrt(2|g_1|^2), n_1 and n_2 standard normals
-    and r_k = sqrt(1 - mu_k^2), port k stays below x when
-    (r_k n_1 + mu_k a_0)^2 + (r_k n_2)^2 < 2x.
+    unchanged), and with a_0 = sqrt(2|g_1|^2), port k's value is
+    sqrt(1 - mu_k^2)(n_1 + i n_2) + mu_k a_0 for standard normals n_1, n_2.
+
+    That is a point at distance c = |mu_k| a_0 from the origin (the sign
+    of mu_k drops out by symmetry) plus an offset of magnitude
+    rho = sqrt(2(1 - mu_k^2) E), E ~ Exp(1), at an angle phi to it that is
+    uniform and independent of rho; only cos(phi) enters, so phi = pi U
+    serves.  The port stays below x when rho^2 + c^2 + 2 rho c cos(phi) <
+    2x, inside the disk of radius R = sqrt(2x) > c, and the triangle
+    inequality decides most trials on the magnitude alone: t = rho + c < R
+    keeps a trial at every angle, and d = rho - c >= R drops it at every
+    angle.  Only the band between draws U, and there the test reads
+    t^2 + d^2 + (t^2 - d^2) cos(phi) < 4x.  So a port visit costs one
+    exponential, and a uniform only in the band.
 
     The outage is an intersection over ports, so the order of the visits
     sets their cost and not the law: ports go in ascending |mu_k|, as the
     least correlated reject the most trials, and a port with |mu_k| = 1,
     port 1 itself or its negative, passes whenever port 1 does and is not
-    visited.  Each chunk draws every port's normals into one buffer of its
-    survivors' size and tests the disk in place, so a call's working set is
-    a few arrays of _CHUNK doubles whatever N and the trial count.
+    visited.  One buffer per call holds t and d for a chunk's survivors,
+    written in place, so a call's working set is a few arrays of _CHUNK
+    doubles whatever N and the trial count.
 
     A profile mu replaces the geometry-derived correlation, which is how
     forced independent-port checks are run.
     """
     mu = (correlation_profile(config) if mu is None else checked_mu(mu))[1:]
-    mu = mu[np.abs(mu) < 1.0]
-    mu = mu[np.argsort(np.abs(mu), kind="stable")]
-    root = np.sqrt(1.0 - mu ** 2)
+    mu = np.abs(mu)
+    mu = np.sort(mu[mu < 1.0])
+    scale = 2.0 * (1.0 - mu ** 2)
     threshold = config.snr_ratio
+    radius = math.sqrt(2.0 * threshold)
     p1 = -math.expm1(-threshold)
     failures = 0
+    buffer = np.empty((2, min(settings.trials, _CHUNK)))
     for rng, n in _chunks(settings):
         count = int(rng.binomial(n, p1))
         if not mu.size:
             failures += count
             continue
         a0 = np.sqrt(-2.0 * np.log1p(-p1 * rng.random(count)))
-        buffer = np.empty(2 * count)
-        for m, r in zip(mu, root):
+        for m, v in zip(mu, scale):
             if not a0.size:
                 break
-            # row 0 then row 1, as one (2, k) draw would fill them
-            draws = buffer[:2 * a0.size].reshape(2, -1)
-            re, im = rng.standard_normal(out=draws)
-            re *= r
-            re += m * a0
-            re *= re
-            im *= r
-            im *= im
-            re += im
-            a0 = a0[re < 2.0 * threshold]
+            t, d = buffer[:, :a0.size]
+            rng.standard_exponential(out=t)
+            t *= v
+            np.sqrt(t, out=t)
+            np.multiply(a0, m, out=d)
+            t += d
+            d *= -2.0
+            d += t
+            # d <= t, so a trial kept outright has d < R too
+            keep = t < radius
+            band = np.flatnonzero((d < radius) ^ keep)
+            if band.size:
+                tt = np.square(t[band])
+                dd = np.square(d[band])
+                cos = np.cos(math.pi * rng.random(band.size))
+                keep[band] = tt + dd + (tt - dd) * cos < 4.0 * threshold
+            a0 = a0[keep]
         failures += a0.size
     return _estimate(failures, settings.trials)
 

@@ -224,9 +224,8 @@ FLAG_RULES = [
      "size_wl must be positive and finite, got -1.0"),
     ("envelope", "--freq-ghz", "inf",
      "freq_ghz must be positive and finite, got inf"),
-    # parsed only: DopplerTraceConfig rejects the speed in m/s
-    ("envelope", "--speed-kmh", "nan",
-     "speed_mps must be finite and nonnegative, got nan"),
+    ("envelope", "--speed-kmh", "-1",
+     "speed_kmh must be finite and nonnegative, got -1.0"),
     ("envelope", "--duration-s", "nan",
      "duration_s must be positive and finite, got nan"),
     ("envelope", "--rate-hz", "0", "rate_hz must be positive and finite, got 0.0"),

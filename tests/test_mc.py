@@ -205,6 +205,40 @@ class TestAgainstFullDraw:
         assert abs(new.p_hat - old.p_hat) <= self.Z * math.sqrt(2.0) * se
 
 
+class TestMagnitudeCut:
+    # A port visit draws an angle only when the magnitude of its own
+    # component cannot decide the trial.  These profiles span the share of
+    # visits that do, each given as kept / dropped / angle drawn over all
+    # further-port visits of 10^6 trials at seed 7.  Each estimate is
+    # compared with the exact outage and with the full draw, on independent
+    # streams.  Sidak: the per-comparison z that holds the chance of any
+    # false alarm over these 12 comparisons at 1e-4.
+    TRIALS = 200_000
+    Z = float(-sp.ndtri(0.5 * -math.expm1(math.log1p(-1e-4) / 12)))
+
+    @pytest.mark.parametrize("mu, x", [
+        # 99.6 / 0.1 / 0.3%: a large x, nearly every trial kept outright
+        (correlation_profile(FasConfig(8, 5.0, 1.0)), 6.0),
+        # 80.1 / 0.0 / 19.9%
+        (correlation_profile(FasConfig(6, 0.03, 1.0)), 0.2),
+        # 18.7 / 57.8 / 23.5%: mostly dropped outright, mu_k of both signs
+        ([0.0, 0.5, -0.7, 0.3], 0.3),
+        # 42.5 / 0.0 / 57.5%: one port near port 1, at a small x
+        ([0.0, 0.99], 0.1),
+    ])
+    def test_agrees_with_full_draw_and_exact(self, mu, x):
+        mu = np.asarray(mu, dtype=float)
+        c = FasConfig(n_ports=mu.size, size_wavelengths=1.0, snr_ratio=x)
+        exact = outage_exact_profile(mu, x)
+        se = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        new = mc_outage_fas(c, McSettings(trials=self.TRIALS, seed=23), mu=mu)
+        old = reference.mc_outage_fas_full_draw(
+            c, McSettings(trials=self.TRIALS, seed=24), mu=mu)
+        assert abs(new.p_hat - exact) <= self.Z * se
+        assert abs(old.p_hat - exact) <= self.Z * se
+        assert abs(new.p_hat - old.p_hat) <= self.Z * math.sqrt(2.0) * se
+
+
 class TestMcOutageMrc:
     def test_single_branch(self):
         est = mc_outage_mrc(1, 1.0, McSettings(trials=1_000_000, seed=7))

@@ -1,5 +1,6 @@
 """The package's export list, import footprint, and the benchmark's traced
 run: the names it hooks, and tiny commands run under it."""
+import ast
 import importlib
 import importlib.util
 import json
@@ -161,6 +162,24 @@ def test_cli_import_leaves_out_heavy_scipy():
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_monte_carlo_shares_no_code_with_what_it_checks():
+    # the oracle imports neither the evaluators and special functions it is
+    # compared against nor scipy, in which they are written
+    tree = ast.parse((ROOT / "src" / "fas" / "mc.py").read_text())
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        parts.update(part for name in names for part in name.split("."))
+    assert {"numpy", "channel"} <= parts
+    assert parts.isdisjoint({"analytic", "specfun", "bounds", "validation",
+                             "scipy"})
 
 
 def _bench_tracing():
