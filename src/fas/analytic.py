@@ -255,15 +255,16 @@ def outage_approx_profile(mu: Sequence[float], snr_ratio: float) -> float:
 
 def outage_n2_closed_form(mu2: float, snr_ratio: float) -> float:
     """Two-port outage in closed form, exact for N = 2: the approximation's
-    Marcum Q difference for the profile [0, mu2]."""
-    if not abs(mu2) < 1:
-        raise ValueError(f"|mu2| must be < 1, got {mu2}")
+    Marcum Q difference for the profile [0, mu2], which takes
+    `checked_mu`'s rule: mu2 = +-1 is port 1 again, and gives 1 - e^-x."""
     return outage_approx_profile((0.0, mu2), snr_ratio)
 
 
 def outage_approx(config: FasConfig) -> float:
     """Sum-form approximation; tight for strong correlation or stringent
-    targets, and deliberately not clamped when it goes negative."""
+    targets, and deliberately not clamped when it goes negative.  Relative
+    accuracy holds at N <= 2 only: for N >= 3 it is sum_k p2(mu_k) -
+    (N - 2)(1 - e^-x), p2 the N = 2 outage, which cancels by construction."""
     return outage_approx_profile(correlation_profile(config), config.snr_ratio)
 
 

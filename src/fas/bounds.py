@@ -60,7 +60,8 @@ def per_port_bound_factors(mu, snr_ratio: float,
     mag = np.abs(mu)
     inside = mag <= 1.0
     if not np.all(inside):
-        raise ValueError(f"|mu_k| must be <= 1, got {mu[~inside][0]}")
+        raise ValueError("|mu_k| must be <= 1 and not NaN, got "
+                         f"{mu[~inside][0]}")
     with np.errstate(divide="ignore"):  # |mu_k| = 1, and mu_k = 0
         decay = np.exp(-constants.kappa * checked_snr(snr_ratio)
                        / (1.0 - mu * mu))

@@ -302,9 +302,8 @@ def cmd_design(args) -> int:
 
     results: dict = {}
     if args.n_ports is not None:
-        if args.n_ports >= 4:
-            results["min_size_wl"] = _answer_dict(
-                design.min_size(args.n_ports, query))
+        results["min_size_wl"] = _answer_dict(
+            design.min_size(args.n_ports, query))
         results["required_mu"] = _answer_dict(
             design.required_mu_and_size(args.n_ports, query))
     else:

@@ -3,7 +3,7 @@
 All rules are bound-based and therefore sufficient, not necessary: a feasible
 answer guarantees the selection system beats the MRC reference.  For small N
 the guard conditions can fail; infeasibility is a first-class result carrying
-the name of the violated guard.
+the name of the violated guard, `min_size`'s N < 4 included.
 
 The MRC target is capped at one port's outage (`_mrc_target`), and is that
 outage at L = 1; the strict product test cannot undercut it with one port,
@@ -245,9 +245,8 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
 
 def min_ports_homogeneous(mu: float, query: DesignQuery,
                           n_max: int = N_MAX_DEFAULT) -> DesignAnswer:
-    """Closed-form minimum N when every extra port shares the same mu."""
-    if not 0 < mu < 1:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    """Closed-form minimum N when every extra port shares the same mu,
+    |mu| <= 1 (0: independent ports); a factor of 1, as at +-1, is a guard."""
     n_max = checked_count(n_max, "n_max", 0)
     target = _mrc_ratio(query)
     factor = per_port_bound_factor(mu, query.snr_ratio, query.constants)
@@ -294,8 +293,11 @@ def min_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
 
     Uses the worst-case argument that the floor(N/2) outer ports are at
     least d* apart; odd N rounds down, which is the conservative direction.
+    N < 4 has fewer than two outer ports and answers `GUARD_TOO_FEW_PORTS`.
     """
-    n_ports = checked_count(n_ports, "n_ports", 4)
+    n_ports = checked_count(n_ports, "n_ports")
+    if n_ports < 4:
+        return DesignAnswer(None, GUARD_TOO_FEW_PORTS)
     answer = required_mu_and_size(n_ports // 2, query)
     if not answer.feasible:
         return answer
@@ -303,11 +305,7 @@ def min_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
 
 
 def min_size_frontier(query: DesignQuery, n_values: Sequence[int]):
-    """(N, DesignAnswer) pairs of the minimum-size tradeoff curve; N < 4,
-    where min_size does not apply, is reported infeasible."""
-    frontier = []
-    for n in n_values:
-        n = checked_count(n, "n_ports")
-        frontier.append((n, min_size(n, query) if n >= 4
-                         else DesignAnswer(None, GUARD_TOO_FEW_PORTS)))
-    return frontier
+    """(N, min_size(N)) pairs of the minimum-size tradeoff curve, each N as
+    the int `checked_count` makes of it."""
+    return [(n, min_size(n, query))
+            for n in (checked_count(v, "n_ports") for v in n_values)]

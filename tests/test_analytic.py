@@ -274,9 +274,17 @@ class TestOutageN2ClosedForm:
         assert outage_n2_closed_form(-0.6, 1.3) == pytest.approx(
             outage_n2_closed_form(0.6, 1.3), abs=1e-14)
 
-    def test_rejects_unit_mu(self):
-        with pytest.raises(ValueError):
-            outage_n2_closed_form(1.0, 1.0)
+    @pytest.mark.parametrize("mu2", [1.0, -1.0])
+    @pytest.mark.parametrize("x", [1e-6, 0.1, 1.0, 10.0])
+    def test_unit_mu_is_port_one_again(self, mu2, x):
+        # the profile rule: [0, +-1] has one port, outage 1 - e^-x
+        assert outage_n2_closed_form(mu2, x) == pytest.approx(
+            outage_exact_profile([0.0, mu2], x), rel=2.2e-16, abs=0.0)
+
+    @pytest.mark.parametrize("mu2", [1.5, math.nan])
+    def test_rejects_mu_outside_the_profile_rule(self, mu2):
+        with pytest.raises(ValueError, match=r"^\|mu_k\| must be <= 1"):
+            outage_n2_closed_form(mu2, 1.0)
 
     @pytest.mark.parametrize("x, rel", [(1e-8, 1e-7), (1e-6, 1e-9)])
     def test_small_snr_relative_accuracy(self, x, rel, monkeypatch):

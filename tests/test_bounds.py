@@ -124,7 +124,8 @@ class TestPerPortBoundFactors:
 
     @pytest.mark.parametrize("bad", [1.5, -1.5, float("nan")])
     def test_rejects_mu_outside_closed_unit_interval(self, bad):
-        with pytest.raises(ValueError, match=r"^\|mu_k\| must be <= 1, got "):
+        with pytest.raises(ValueError,
+                           match=r"^\|mu_k\| must be <= 1 and not NaN, got "):
             per_port_bound_factors([0.1, bad, 0.2], 1.0, bound_constants())
 
     def test_degenerate_ports_have_factor_one(self):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fas import __version__, cli, mc, validation
+from fas import __version__, cli, design, mc, validation
 from fas.analytic import db_to_linear, outage_exact, outage_mrc
 from fas.channel import DopplerTraceConfig, FasConfig, envelope_trace
 from fas.cli import build_parser, main
@@ -522,6 +522,30 @@ class TestDesign:
         doc = json.loads(out)
         assert doc["results"]["min_size_wl"]["feasible"] is False
         assert doc["guards"]
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_fewer_than_four_ports_reports_the_size_guard(self, capsys, n):
+        code, out = run_cli(capsys, "design", "--n-ports", n, "--mrc-l", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["min_size_wl"] == {
+            "value": None, "feasible": False,
+            "guard_report": design.GUARD_TOO_FEW_PORTS}
+        assert design.GUARD_TOO_FEW_PORTS in doc["guards"]
+
+    def test_four_ports_document(self, capsys):
+        code, out = run_cli(capsys, "design", "--n-ports", "4", "--mrc-l", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "config": {"kappa": 2.0, "mrc_l": 2, "n_ports": 4,
+                       "size_wl": None, "snr_db": 0.0},
+            "guards": [design.GUARD_LOG_NEGATIVE, design.GUARD_COMPLEX_MU],
+            "results": {
+                "min_size_wl": {"feasible": False, "value": None,
+                                "guard_report": design.GUARD_LOG_NEGATIVE},
+                "required_mu": {"feasible": False, "value": None,
+                                "guard_report": design.GUARD_COMPLEX_MU}},
+            "version": __version__}
 
     def test_size_query(self, capsys):
         code, out = run_cli(capsys, "design", "--size-wl", "5.0",

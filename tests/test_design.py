@@ -171,11 +171,24 @@ class TestMinPortsHomogeneous:
                                     n_max=n_max)
         assert min_ports_homogeneous(mu, q, n_max=n_max) == general
 
-    def test_rejects_mu_outside_open_interval(self):
-        with pytest.raises(ValueError):
-            min_ports_homogeneous(0.0, query())
-        with pytest.raises(ValueError):
-            min_ports_homogeneous(1.0, query())
+    @pytest.mark.parametrize("mu", [0.0, -0.3, -0.9])
+    def test_answers_independent_and_negative_mu(self, mu):
+        # mu = 0 is independent ports, and -mu has mu's factor
+        answer = min_ports_homogeneous(mu, query())
+        assert answer.feasible
+        assert answer == min_ports_homogeneous(abs(mu), query())
+        assert answer == min_ports_general(np.r_[0.0, np.full(100_000, mu)],
+                                           query())
+
+    @pytest.mark.parametrize("mu", [1.0, -1.0])
+    def test_unit_mu_is_a_factor_range_guard(self, mu):
+        assert min_ports_homogeneous(mu, query()) == DesignAnswer(
+            None, GUARD_FACTOR_RANGE)
+
+    @pytest.mark.parametrize("mu", [1.5, math.nan])
+    def test_rejects_mu_outside_the_profile_rule(self, mu):
+        with pytest.raises(ValueError, match=r"^\|mu_k\| must be <= 1"):
+            min_ports_homogeneous(mu, query())
 
 
 class TestMinPortsForSize:
@@ -635,10 +648,14 @@ class TestMinSize:
         assert answer == DesignAnswer(0.0)
         assert answer.feasible
 
-    @pytest.mark.parametrize("n", [3, 10.5, math.inf, math.nan])
-    def test_requires_a_count_of_at_least_four_ports(self, n):
+    @pytest.mark.parametrize("n", [0, 10.5, math.inf, math.nan])
+    def test_requires_a_port_count(self, n):
         with pytest.raises(ValueError, match="n_ports"):
             min_size(n, query())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_than_four_ports_is_a_guard(self, n):
+        assert min_size(n, query()) == DesignAnswer(None, GUARD_TOO_FEW_PORTS)
 
     @pytest.mark.parametrize("n", [0, 2.5, 10.5, math.inf, math.nan])
     def test_frontier_rejects_a_port_count_that_is_not_a_count(self, n):

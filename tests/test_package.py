@@ -15,6 +15,7 @@ import pytest
 import fas
 from fas.analytic import outage_approx_profile, outage_exact_profile
 from fas.bounds import outage_upper_bound_profile, per_port_bound_factors
+from fas.channel import active_mu, checked_mu
 from fas.design import min_size_frontier
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,6 +97,63 @@ def test_every_positive_taker_checks_through_checked_positive(taker, v):
         call(v)
 
 
+def _mc(mu, x):
+    return fas.mc_outage_fas(fas.FasConfig(3, 1.0, x), fas.McSettings(1000, 0),
+                             mu=[0.0, 0.5, mu])
+
+
+# every public function that takes a correlation mu, called with mu as the
+# last port of a profile (or as the one mu it takes) at SNR ratio x
+MU_TAKERS = {
+    "checked_mu": lambda mu, x: checked_mu([0.0, 0.5, mu]),
+    "active_mu": lambda mu, x: active_mu([0.0, 0.5, mu]),
+    "outage_exact_profile": lambda mu, x: outage_exact_profile(
+        [0.0, 0.5, mu], x),
+    "outage_approx_profile": lambda mu, x: outage_approx_profile(
+        [0.0, 0.5, mu], x),
+    "outage_n2_closed_form": fas.outage_n2_closed_form,
+    "outage_upper_bound_profile": lambda mu, x: outage_upper_bound_profile(
+        [0.0, 0.5, mu], x, fas.bound_constants()),
+    "per_port_bound_factors": lambda mu, x: per_port_bound_factors(
+        [0.5, mu], x, fas.bound_constants()),
+    "per_port_bound_factor": lambda mu, x: fas.per_port_bound_factor(
+        mu, x, fas.bound_constants()),
+    "min_ports_general": lambda mu, x: fas.min_ports_general(
+        [0.0, 0.5, mu], fas.DesignQuery(2, x, fas.bound_constants())),
+    "min_ports_homogeneous": lambda mu, x: fas.min_ports_homogeneous(
+        mu, fas.DesignQuery(2, x, fas.bound_constants())),
+    "joint_pdf": lambda mu, x: fas.joint_pdf([0.0, 0.5, mu], [x, x, x]),
+    "joint_cdf": lambda mu, x: fas.joint_cdf([0.0, 0.5, mu], [x, x, x]),
+    "mc_outage_fas": _mc,
+}
+# the takers that may answer mu = +-1 otherwise than +-(1 - 5e-10):
+# checked_mu returns the profile itself, joint_pdf and joint_cdf reject
+# |mu_k| = 1 as singular, and Monte Carlo is statistical
+UNIT_MU_EXCEPTIONS = {"checked_mu", "joint_pdf", "joint_cdf", "mc_outage_fas"}
+
+
+@pytest.mark.parametrize("taker", sorted(MU_TAKERS))
+@pytest.mark.parametrize("mu", [1.5, -1.5, float("nan")])
+def test_every_mu_taker_checks_through_checked_mu(taker, mu):
+    # one rule, |mu| <= 1 and not NaN, in channel.checked_mu and the bound
+    # kernel, one message
+    with pytest.raises(ValueError, match=r"^\|mu_k\| must be <= 1"):
+        MU_TAKERS[taker](mu, 1.0)
+
+
+def _bits(value):
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
+@pytest.mark.parametrize("taker", sorted(set(MU_TAKERS) - UNIT_MU_EXCEPTIONS))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("x", [1e-12, 1.0, 10.0])
+def test_every_mu_taker_answers_unit_mu_as_a_degenerate_port(taker, sign, x):
+    # a port with |mu| > DEGENERATE_MU is port 1 again, |mu| = 1 included
+    call = MU_TAKERS[taker]
+    assert _bits(call(sign, x)) == _bits(call(sign * (1.0 - 5e-10), x))
+
+
 def _doppler(n_scatterers=64):
     return fas.DopplerTraceConfig(1.0, 5e9, 1.0, 1000.0, n_scatterers)
 
@@ -115,7 +173,7 @@ COUNT_TAKERS = {
         0.5, _query(), n_max=n)),
     "required_mu_and_size": ("n_ports", 2, lambda n: fas.required_mu_and_size(
         n, _query())),
-    "min_size": ("n_ports", 4, lambda n: fas.min_size(n, _query())),
+    "min_size": ("n_ports", 1, lambda n: fas.min_size(n, _query())),
     "min_size_frontier": ("n_ports", 1, lambda n: min_size_frontier(
         _query(), [8, n])),
     "DopplerTraceConfig": ("n_scatterers", 8, _doppler),
