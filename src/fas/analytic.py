@@ -153,7 +153,9 @@ def _port_cdf_product(a2: np.ndarray, b2: np.ndarray, t) -> np.ndarray:
     taken directly rather than as 1 minus an upper tail, so small P1
     keeps its relative accuracy (Gil, Segura & Temme, ACM TOMS 40(3),
     2014: compute the smaller of P and Q directly).  All t and ports go
-    through one chndtr call.
+    through one chndtr call.  chndtr reads NaN just below its diagonal at
+    large arguments (b^2 = 6.595e9: a^2 t in ~[6.5906e9, 6.5910e9], else 1.0),
+    where `quad` raises and the CLI reports it; ROADMAP item 18 mends it.
     """
     t = np.asarray(t, dtype=float)
     return np.prod(sp.chndtr(b2, 2.0, a2 * t[..., None]), axis=-1)

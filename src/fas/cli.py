@@ -4,9 +4,10 @@ and the self-validation suite.
 Conventions: SNR flags are in dB and converted once at this boundary; sweep
 output is CSV with '#' provenance comments; single answers and validation
 reports are JSON.  Exit status 0 means success (including infeasible design
-answers), 1 means a validation failure, 2 a usage error.  A numeric flag's
-value is checked by the library rule it feeds; the CLI's own rules are the
-dB conversion of SNR flags and the sweep-size cap.
+answers), 1 a validation failure or an exact outage that could not be
+evaluated (nothing is written), 2 a usage error: a bad flag or any library
+ValueError after parsing.  Each numeric flag is checked by the library rule
+it feeds; the CLI's own rules are SNR flags' dB conversion and the sweep cap.
 """
 from __future__ import annotations
 
@@ -195,9 +196,13 @@ def _output(path: Optional[str]):
 def _sweep_config(variable: str, value, args) -> FasConfig:
     point = {"n_ports": args.n_ports, "size_wl": args.size_wl,
              "snr_db": args.snr_db, variable: value}
-    return FasConfig(n_ports=int(point["n_ports"]),
-                     size_wavelengths=float(point["size_wl"]),
-                     snr_ratio=analytic.db_to_linear(float(point["snr_db"])))
+    return FasConfig(point["n_ports"], point["size_wl"],
+                     analytic.db_to_linear(point["snr_db"]))
+
+
+def _point(config: FasConfig) -> str:  # a sweep point, as stderr names it
+    return "n_ports=%d size_wl=%g snr_db=%g" % (
+        config.n_ports, config.size_wavelengths, 10 * math.log10(config.snr_ratio))
 
 
 def _run_sweep(args, fixed: str, run: str, extra_header: list[str],
@@ -213,7 +218,11 @@ def _run_sweep(args, fixed: str, run: str, extra_header: list[str],
     rows = []
     for value in values:
         config = _sweep_config(variable, value, args)
-        exact = analytic.outage_exact(config)
+        try:
+            exact = analytic.outage_exact(config)
+        except analytic.QuadratureError as exc:
+            args.parser.exit(1, f"{args.parser.prog}: error: exact outage at "
+                                f"{_point(config)}: {exc}\n")
         approx = analytic.outage_approx(config)
         ub = bounds.outage_upper_bound(config, constants)
         rows.append([value, exact, approx, ub,
@@ -232,17 +241,13 @@ def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
     if not args.trials:
         return None, None  # MC off: analytic only
     planned = mc.plan_trials(exact, args.trials)
-    point = (config.n_ports, config.size_wavelengths,
-             10.0 * math.log10(config.snr_ratio))
     if planned is None:
-        _log.warning("Monte Carlo at n_ports=%d size_wl=%g snr_db=%g skipped: "
-                     "analytic p %.3g needs over %d trials", *point, exact,
-                     mc.TRIALS_CAP)
+        _log.warning("Monte Carlo at %s skipped: analytic p %.3g needs over "
+                     "%d trials", _point(config), exact, mc.TRIALS_CAP)
         return None, None
     if planned > 10 * args.trials:
-        _log.warning("Monte Carlo at n_ports=%d size_wl=%g snr_db=%g plans "
-                     "%d trials, %.0fx --trials %d", *point, planned,
-                     planned / args.trials, args.trials)
+        _log.warning("Monte Carlo at %s plans %d trials, %.0fx --trials %d",
+                     _point(config), planned, planned / args.trials, args.trials)
     est = mc.mc_outage_fas(config, mc.McSettings(
         trials=planned, seed=args.seed, workers=args.workers))
     return est.p_hat, est.half_width_95
@@ -252,11 +257,7 @@ def cmd_outage_curve(args) -> int:
     if args.trials:
         # each point plans at least --trials trials, so a worker count
         # these settings take is taken at every point
-        try:
-            mc.McSettings(trials=args.trials, seed=args.seed,
-                          workers=args.workers)
-        except ValueError as exc:
-            args.parser.error(str(exc))
+        mc.McSettings(trials=args.trials, seed=args.seed, workers=args.workers)
     return _run_sweep(
         args, "",
         f"seed={args.seed} trials={args.trials} workers={args.workers}",
@@ -327,16 +328,13 @@ def cmd_envelope(args) -> int:
     config = FasConfig(n_ports=args.n_ports, size_wavelengths=args.size_wl,
                        snr_ratio=1.0)
     rng = np.random.Generator(np.random.Philox(args.seed))
-    try:
-        doppler = DopplerTraceConfig(
-            speed_mps=args.speed_kmh / 3.6,
-            carrier_hz=args.freq_ghz * 1e9,
-            duration_s=args.duration_s,
-            sample_rate_hz=args.rate_hz,
-            n_scatterers=args.scatterers)
-        blocks = envelope_trace(config, doppler, rng, mrc_branches=args.mrc_l)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+    doppler = DopplerTraceConfig(
+        speed_mps=args.speed_kmh / 3.6,
+        carrier_hz=args.freq_ghz * 1e9,
+        duration_s=args.duration_s,
+        sample_rate_hz=args.rate_hz,
+        n_scatterers=args.scatterers)
+    blocks = envelope_trace(config, doppler, rng, mrc_branches=args.mrc_l)
     header = ["t_norm"] + [f"port_{k + 1}_db" for k in range(args.n_ports)]
     header += ["fas_db", "mrc_db"]
     with _output(args.out) as out:
@@ -353,11 +351,8 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        settings = ValidationSettings(grid=args.grid, trials=args.trials,
-                                      seed=args.seed, workers=args.workers)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+    settings = ValidationSettings(grid=args.grid, trials=args.trials,
+                                  seed=args.seed, workers=args.workers)
     report = run_validation(settings)
     text = json.dumps(report, indent=2, sort_keys=True)
     with _output(args.out) as out:
@@ -437,8 +432,11 @@ _shared_parser = functools.cache(build_parser)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     # args.parser is the subcommand's own parser, so that usage errors name
-    # the subcommand
-    return args.func(args)
+    # the subcommand; every command checks its settings before any output
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def entrypoint() -> None:  # pragma: no cover - console script shim

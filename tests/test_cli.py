@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import logging
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fas import __version__, cli, design, mc, validation
+from fas import __version__, analytic, cli, design, mc, validation
 from fas.analytic import db_to_linear, outage_exact, outage_mrc
 from fas.channel import DopplerTraceConfig, FasConfig, envelope_trace
 from fas.cli import build_parser, main
@@ -318,6 +319,56 @@ def test_main_reuses_one_parser(capsys):
     sub = next(a for a in cli._shared_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert sub.choices["bounds-compare"].get_default("mrc_l") == [2, 5, 8]
+
+
+def test_library_value_errors_are_caught_in_main_alone():
+    # a command with its own `except ValueError` would be a second way out;
+    # only main and the flag types _checked and _parse_range turn a
+    # ValueError into a usage error
+    tree = ast.parse(Path(cli.__file__).read_text())
+    catchers = {"ValueError", "Exception", "BaseException"}
+
+    def catches_value_error(handler):
+        kinds = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+                 else [handler.type])
+        return any(kind is None or (isinstance(kind, ast.Name)
+                                    and kind.id in catchers) for kind in kinds)
+
+    owners = [getattr(top, "name", "<module>") for top in tree.body
+              for node in ast.walk(top)
+              if isinstance(node, ast.ExceptHandler) and catches_value_error(node)]
+    assert sorted(owners) == ["_checked", "_parse_range", "main"]
+
+
+@pytest.mark.parametrize("command", ["outage-curve", "bounds-compare"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_failed_exact_outage_is_one_stderr_line(command, to_file, tmp_path,
+                                                 capsys, monkeypatch):
+    # the second point's quadrature fails: status 1, one line naming the
+    # point on stderr, and nothing written anywhere
+    real = analytic.outage_exact
+
+    def outage_exact(config):
+        if config.n_ports == 2:
+            raise analytic.QuadratureError(
+                "quadrature returned nan with error estimate nan after 357 "
+                "integrand evaluations on 9 subintervals", math.nan, math.nan,
+                357)
+        return real(config)
+
+    monkeypatch.setattr(analytic, "outage_exact", outage_exact)
+    path = tmp_path / "curve.csv"
+    argv = [command, "--sweep-n", "1:3:1"] + (["--out", str(path)] * to_file)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == (
+        f"fas {command}: error: exact outage at n_ports=2 size_wl=0.5 "
+        "snr_db=0: quadrature returned nan with error estimate nan after 357 "
+        "integrand evaluations on 9 subintervals\n")
+    assert not path.exists()
 
 
 class TestOutputSinks:
