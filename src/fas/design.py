@@ -5,15 +5,15 @@ answer guarantees the selection system beats the MRC reference.  For small N
 the guard conditions can fail; infeasibility is a first-class result carrying
 the name of the violated guard, `min_size`'s N < 4 included.
 
-The MRC target is capped at one port's outage (`_mrc_target`), and is that
-outage at L = 1; the strict product test cannot undercut it with one port,
-so every N solver answers N >= 2, and n_max < 2 gives "no N".
+The MRC target is capped at one port's outage (`DesignQuery.mrc_target`),
+and is that outage at L = 1; the strict product test cannot undercut it
+with one port, so every N solver answers N >= 2, and n_max < 2 gives "no N".
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -51,16 +51,25 @@ _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 @dataclass(frozen=True)
 class DesignQuery:
-    """Inputs every solver reads: the MRC reference and the bound."""
+    """Inputs every solver reads, and the MRC reference computed from them
+    once: mrc_target is the p_MRC a bound must undercut, capped at one
+    port's outage 1 - e^-x and equal to it at L = 1 (one port is 1-branch
+    MRC, whatever P(1, x) rounds to); mrc_ratio is its ratio to 1 - e^-x."""
 
     mrc_branches: int
     snr_ratio: float
     constants: BoundConstants
+    mrc_target: float = field(init=False, compare=False, repr=False)
+    mrc_ratio: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mrc_branches",
-                           checked_count(self.mrc_branches, "mrc_branches"))
-        checked_snr(self.snr_ratio)
+        branches = checked_count(self.mrc_branches, "mrc_branches")
+        single = -math.expm1(-checked_snr(self.snr_ratio))
+        target = single if branches == 1 else min(
+            outage_mrc(branches, self.snr_ratio), single)
+        object.__setattr__(self, "mrc_branches", branches)
+        object.__setattr__(self, "mrc_target", target)
+        object.__setattr__(self, "mrc_ratio", target / single)
 
 
 @dataclass(frozen=True)
@@ -82,27 +91,12 @@ class DesignAnswer:
         return self.value is not None
 
 
-def _mrc_target(query: DesignQuery) -> float:
-    """The MRC outage p_MRC a bound must undercut, capped at one port's
-    outage 1 - e^-x and equal to it at L = 1: one port is 1-branch MRC,
-    whatever P(1, x) rounds to."""
-    single = -math.expm1(-query.snr_ratio)
-    if query.mrc_branches == 1:
-        return single
-    return min(outage_mrc(query.mrc_branches, query.snr_ratio), single)
-
-
-def _mrc_ratio(query: DesignQuery) -> float:
-    """Target ratio p_MRC / (1 - e^-x) the bound product must undercut."""
-    return _mrc_target(query) / -math.expm1(-query.snr_ratio)
-
-
 def min_ports_general(mu, query: DesignQuery,
                       n_max: int = N_MAX_DEFAULT) -> DesignAnswer:
     """Smallest prefix length N of the profile mu whose bound beats MRC."""
     mu = checked_mu(mu)
     n_max = checked_count(n_max, "n_max", 0)
-    target = _mrc_ratio(query)
+    target = query.mrc_ratio
     # prod[j] is the product over ports 2..j+2, so N = j + 2
     prod = np.cumprod(per_port_bound_factors(mu[1:n_max], query.snr_ratio,
                                              query.constants))
@@ -222,7 +216,7 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     checked_positive(size_wl, "size_wl")
     n_max = checked_count(n_max, "n_max", 0)
     single = -math.expm1(-x)
-    target = _mrc_target(query)
+    target = query.mrc_target
     d_one = _exactly_one_radius(x, query.constants)
     if d_one >= size_wl or target == 0.0:
         return DesignAnswer(None, GUARD_N_EXHAUSTED)
@@ -248,7 +242,7 @@ def min_ports_homogeneous(mu: float, query: DesignQuery,
     """Closed-form minimum N when every extra port shares the same mu,
     |mu| <= 1 (0: independent ports); a factor of 1, as at +-1, is a guard."""
     n_max = checked_count(n_max, "n_max", 0)
-    target = _mrc_ratio(query)
+    target = query.mrc_ratio
     factor = per_port_bound_factor(mu, query.snr_ratio, query.constants)
     if not 0.0 < factor < 1.0:
         return DesignAnswer(None, GUARD_FACTOR_RANGE)
@@ -271,7 +265,7 @@ def required_mu_and_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
     n_ports = checked_count(n_ports, "n_ports", 2)
     x = query.snr_ratio
     rho, kappa = query.constants.rho, query.constants.kappa
-    root = _mrc_ratio(query) ** (1.0 / (n_ports - 1))
+    root = query.mrc_ratio ** (1.0 / (n_ports - 1))
     if root >= 1.0:
         # the capped MRC ratio is 1 (L = 1, or x so large that both
         # outages round to 1), or its root rounds to 1; any correlation
@@ -284,7 +278,9 @@ def required_mu_and_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
     if radicand < 0.0:
         return DesignAnswer(None, GUARD_COMPLEX_MU)
     mu_star = math.sqrt(radicand)
-    d_star = inv_besselj0_envelope(mu_star) / (2.0 * math.pi)  # 0 at mu* = 1
+    # 0 at mu* = 1, and inf, the inverse's limit below 1e-154, at mu* = 0
+    d_star = (inv_besselj0_envelope(mu_star) / (2.0 * math.pi)
+              if mu_star > 0.0 else math.inf)
     return DesignAnswer(MuSizeResult(mu_star, d_star))
 
 

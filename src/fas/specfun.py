@@ -56,6 +56,8 @@ _SERIES_Z_MAX = 1e8
 # Abscissa from which |J0| at a zero of J1 is taken from the asymptotic
 # modulus of J1 rather than from sp.j0.
 _ASYMPTOTIC_EXTREMUM = 1e4
+# Abscissa below which sp.j0 resolves the phase of J0 to the ulp.
+_PHASE_RESOLVED = 1e10
 
 
 def _q1_upper(a: float, b: float) -> float:
@@ -184,9 +186,11 @@ def inv_besselj0_envelope(target: float) -> float:
     extremum at or below the target is k ~ 2 / (pi^2 target^2); one step
     either way settles k, in O(1) work at any target.  The crossing is then
     found by Newton's method on |J0| - target, with bisection wherever a
-    step leaves the bracket, to a few ulps; at arguments where sp.j0 no
-    longer resolves the phase (about 1e10 and up), to that resolution, on
-    the right arc.
+    step leaves the bracket.  It ends once a step is below half an ulp on
+    the |J0| <= target side, or else walks up at most 8 ulps to the first
+    double where sp.j0 reads |J0| <= target; where sp.j0 no longer resolves
+    the phase (about 1e10 and up), at that resolution, on the right arc.
+    Below a target of about 1e-154 the answer is inf, the limit at 0.
     """
     # the |J0| envelope decays like eps**-0.5 and never reaches 0
     target = checked_positive(target, "target")
@@ -226,10 +230,19 @@ def inv_besselj0_envelope(target: float) -> float:
             hi = x
         slope = -sign * float(sp.j1(x))
         step = g / slope if slope != 0.0 else math.inf
+        # the crossing lies within half an ulp below x, where g <= 0
+        if g <= 0.0 and abs(step) <= 0.5 * _EPS * x:
+            return x
         new = x - step
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
         if abs(new - x) <= 4.0 * _EPS * x:
-            return new
+            x = new
+            break
         x = new
+    if x < _PHASE_RESOLVED:
+        for _ in range(8):
+            if sign * float(sp.j0(x)) <= target:
+                break
+            x = math.nextafter(x, math.inf)
     return x

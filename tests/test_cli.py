@@ -566,6 +566,18 @@ class TestDesign:
         assert float(answer["d_star_wl"]) == pytest.approx(
             1.0 / (math.pi * mu_star) ** 2, rel=1e-6)
 
+    @pytest.mark.parametrize("n, key, want", [
+        ("9", "required_mu", {"mu_star": "0.0", "d_star_wl": "inf"}),
+        ("18", "min_size_wl", "inf")])
+    def test_zero_mu_star_reports_an_infinite_size(self, capsys, n, key,
+                                                   want):
+        # mu* = 0 once ended in "target must be positive" and status 2
+        code, out = run_cli(capsys, "design", "--n-ports", n, "--mrc-l", "2",
+                            "--snr-db=-5.616559818940315")
+        assert code == 0
+        assert json.loads(out)["results"][key] == {
+            "value": want, "feasible": True, "guard_report": ""}
+
     def test_infeasible_is_exit_zero(self, capsys):
         code, out = run_cli(capsys, "design", "--n-ports", "4",
                             "--mrc-l", "8", "--snr-db", "0")

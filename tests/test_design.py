@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import j0
 
-from fas.analytic import outage_mrc
+from fas.analytic import db_to_linear, outage_mrc
 from fas.bounds import bound_constants, outage_upper_bound_profile, \
     per_port_bound_factor, per_port_bound_factors
 from fas.channel import DEGENERATE_MU, FasConfig, correlation_profile
@@ -595,6 +595,19 @@ class TestRequiredMuAndSize:
         for n in (2, 3, 10, 100):
             answer = required_mu_and_size(n, query(branches=branches, x=x))
             assert answer == DesignAnswer(MuSizeResult(1.0, 0.0))
+
+    @pytest.mark.parametrize("n, x", [(9, 0.2743746718072456),
+                                      (10, db_to_linear(-3.628039743777719)),
+                                      (11, db_to_linear(-2.6072995012535496))])
+    def test_zero_mu_star_is_an_infinite_size(self, n, x):
+        # the radicand is exactly 0: mu* = 0 once went on to the envelope
+        # inverse, which rejects a target of 0; d* = inf is its limit, as
+        # the inverse reads inf already for every target below about 1e-154
+        q = query(x=x)
+        zero = DesignAnswer(MuSizeResult(0.0, math.inf))
+        assert required_mu_and_size(n, q) == zero
+        assert min_size(2 * n, q) == DesignAnswer(math.inf)
+        assert min_size(2 * n + 1, q) == DesignAnswer(math.inf)
 
     @pytest.mark.parametrize("n", [1, 0, 10.5, math.inf, -math.inf, math.nan])
     def test_requires_a_count_of_at_least_two_ports(self, n):

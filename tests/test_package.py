@@ -240,6 +240,25 @@ def test_monte_carlo_shares_no_code_with_what_it_checks():
                              "scipy"})
 
 
+def test_design_decides_the_mrc_reference_in_its_query_alone():
+    # DesignQuery computes the MRC reference once, when it is built, and
+    # every solver reads it there: no other code in design.py names
+    # outage_mrc, or imports it under another name
+    tree = ast.parse((ROOT / "src" / "fas" / "design.py").read_text())
+    query = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef)
+                 and node.name == "DesignQuery")
+    inside = {id(node) for node in ast.walk(query)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "outage_mrc"
+            or isinstance(node, ast.Attribute) and node.attr == "outage_mrc"]
+    assert uses
+    assert [node.lineno for node in uses if id(node) not in inside] == []
+    assert all(alias.asname is None for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name == "outage_mrc")
+
+
 def _bench_tracing():
     """bench/tracing.py, loaded by path and only read."""
     spec = importlib.util.spec_from_file_location("bench_tracing",

@@ -394,3 +394,52 @@ class TestEnvelopeInverseAtAnyTarget:
             want = reference.envelope_inverse_tabled(target, extrema, j0_zeros)
             assert inv_besselj0_envelope(target) == pytest.approx(want,
                                                                   rel=1e-12)
+
+
+class TestEnvelopeInverseEndsAtTheCrossing:
+    # Newton once reached the crossing, then bisected a stale [extremum,
+    # root] bracket for ~45 more steps and ended a few ulps short of it,
+    # where sp.j0 reads |J0| above the target: at 2,152 of these 4,000
+    # targets and 439 of these 2,000
+    GRIDS = {"1e-3..0.999": np.geomspace(1e-3, 0.999, 4000),
+             "1e-8..1e-3": np.geomspace(1e-8, 1e-3, 2000)}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_sp_j0_reads_at_most_the_target(self, grid):
+        for target in self.GRIDS[grid]:
+            eps = inv_besselj0_envelope(target)
+            assert abs(sp.j0(eps)) <= target, target
+
+    def test_evaluations_per_call(self, monkeypatch):
+        # one Newton pass per crossing: the rebisection once took a mean
+        # of 64.6 and up to 135 j0 and j1 calls
+        calls = []
+
+        class CountingSpecial:
+            def __getattr__(self, name):
+                function = getattr(sp, name)
+                if name not in ("j0", "j1"):
+                    return function
+
+                def counted(*args):
+                    calls.append(name)
+                    return function(*args)
+                return counted
+
+        monkeypatch.setattr(specfun, "sp", CountingSpecial())
+        counts = []
+        for target in self.GRIDS["1e-3..0.999"]:
+            calls.clear()
+            inv_besselj0_envelope(target)
+            counts.append(len(calls))
+        assert np.mean(counts) <= 45
+        assert max(counts) <= 90
+
+    def test_newton_landing_on_the_crossing_ends_there(self):
+        # Newton reaches the crossing at step 6, where sp.j0 reads the
+        # target exactly; 46 more bisection steps once ended 3 ulps short
+        target = 0.36556981960684798
+        eps = inv_besselj0_envelope(target)
+        assert eps == 4.272783666276044
+        assert abs(sp.j0(eps)) <= target
+        assert abs(sp.j0(math.nextafter(eps, 0.0))) > target
