@@ -7,7 +7,8 @@ A correlation profile is the 1-D float array of those mu_k, port 1 first;
 `checked_mu` holds its rules, and every function that takes one calls it.
 `checked_positive` does the same for a value that must be positive and
 finite, `checked_nonnegative` for one that may also be 0, `checked_snr` for
-an SNR ratio and `checked_count` for a count.
+an SNR ratio, `checked_size` for an aperture and `checked_count` for a
+count.
 """
 from __future__ import annotations
 
@@ -47,6 +48,15 @@ def checked_nonnegative(value, name: str) -> float:
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return float(value)
+
+
+def checked_size(value, name: str) -> float:
+    """An aperture W in wavelengths as a float, once it is positive and
+    2 pi W is finite, so that every port's J0(2 pi d) is a number."""
+    size = checked_positive(value, name)
+    if not 2.0 * math.pi * size < math.inf:
+        raise ValueError(f"{name} must keep 2 pi {name} finite, got {value}")
+    return size
 
 
 def checked_snr(x) -> float:
@@ -98,7 +108,7 @@ class FasConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_ports",
                            checked_count(self.n_ports, "n_ports"))
-        checked_positive(self.size_wavelengths, "size_wavelengths")
+        checked_size(self.size_wavelengths, "size_wavelengths")
         checked_snr(self.snr_ratio)
 
 

@@ -25,7 +25,8 @@ import orjson
 
 from . import __version__, analytic, bounds, design, mc
 from .channel import (DopplerTraceConfig, FasConfig, checked_count,
-                      checked_nonnegative, checked_positive, envelope_trace)
+                      checked_nonnegative, checked_positive, checked_size,
+                      envelope_trace)
 from .validation import GRID_PRESETS, ValidationSettings, run_validation
 
 _log = logging.getLogger("fas")
@@ -142,6 +143,7 @@ def _check_snr_db(value: float) -> None:
 
 
 _snr_db = _checked(float, _check_snr_db)
+_size_wl = _checked(float, lambda v: checked_size(v, "size_wl"))
 _kappa = _checked(float, bounds.bound_constants)
 _mrc_l = _count("mrc_l")
 # McSettings' worker rule at the most trials, 1..WORKERS_MAX; each command
@@ -164,12 +166,12 @@ _SWEEP_HELP = ("start:stop:step; a negative start needs the = form, "
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
     """The fixed point and the one swept variable of a sweep command."""
     parser.add_argument("--n-ports", type=_count("n_ports"), default=10)
-    parser.add_argument("--size-wl", type=_positive("size_wl"), default=0.5)
+    parser.add_argument("--size-wl", type=_size_wl, default=0.5)
     parser.add_argument("--snr-db", type=_snr_db, default=0.0)
     parser.add_argument("--kappa", type=_kappa, default=bounds.DEFAULT_KAPPA)
     sweep = parser.add_mutually_exclusive_group(required=True)
     for flag, kind, first in (("--sweep-n", int, _count("n_ports")),
-                              ("--sweep-w", float, _positive("size_wl")),
+                              ("--sweep-w", float, _size_wl),
                               ("--sweep-snr-db", float, _snr_db)):
         sweep.add_argument(flag, type=_parse_range(kind, first),
                            metavar="A:B:S", help=_SWEEP_HELP)
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = p.add_mutually_exclusive_group(required=True)
     # no design solver answers for fewer than two ports
     query.add_argument("--n-ports", type=_count("n_ports", 2))
-    query.add_argument("--size-wl", type=_positive("size_wl"))
+    query.add_argument("--size-wl", type=_size_wl)
     query.add_argument("--sweep-n",
                        type=_parse_range(int, _count("n_ports", 2)),
                        metavar="A:B:S", help=_SWEEP_HELP)
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("envelope", help="time-selective fading trace CSV")
     p.add_argument("--n-ports", type=_count("n_ports"), default=100)
-    p.add_argument("--size-wl", type=_positive("size_wl"), default=2.0)
+    p.add_argument("--size-wl", type=_size_wl, default=2.0)
     p.add_argument("--freq-ghz", type=_positive("freq_ghz"), default=5.0)
     p.add_argument("--speed-kmh", type=_checked(
         float, lambda v: checked_nonnegative(v, "speed_kmh")), default=30.0)

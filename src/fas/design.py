@@ -22,8 +22,7 @@ from scipy import special as sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
-from .channel import (DEGENERATE_MU, checked_count, checked_mu,
-                      checked_positive, checked_snr)
+from .channel import checked_count, checked_mu, checked_size, checked_snr
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -107,20 +106,6 @@ def min_ports_general(mu, query: DesignQuery,
     return DesignAnswer(None, guard)
 
 
-def _exactly_one_radius(snr_ratio: float, constants: BoundConstants) -> float:
-    """Port distance d_one (wavelengths) within which every bound factor
-    1 - g e^{-kappa x / (1 - mu^2)}, mu = J0(2 pi d), rounds to exactly 1.0.
-
-    With z = 2 pi d and z^2 <= min(kappa x / 20, 4): the alternating series
-    gives J0(z) >= 1 - z^2/4 >= 0, so 1 - mu^2 <= z^2/2 and the exponent
-    kappa x / (1 - mu^2) >= 40 > 54 ln 2.  Every gain g is below 1
-    (rho < 0.5), so g e^{-40} < 4.3e-18 < 2^-54 and 1 - g e^{-40} rounds
-    to 1.0, about 13x clear of the rounding of j0, 1 - mu^2 and exp.
-    """
-    z_one = math.sqrt(min(constants.kappa * snr_ratio / 20.0, 4.0))
-    return z_one / (2.0 * math.pi)
-
-
 def _block_factors(n: np.ndarray, size_wl: float, d_one: float,
                    query: DesignQuery) -> np.ndarray:
     """Bound factors of the rows N = n (an ascending column) over the ports
@@ -152,30 +137,18 @@ def _certified_start(size_wl: float, query: DesignQuery, n_max: int,
     The bound falls as N grows, so the rows it rules out are N = 2 up to
     the first it does not, which the scan starts at.
 
-    g is non-increasing when
-    (a) 2 pi W < j_{0,1}: mu = J0(2 pi d) falls from 1 as d grows;
-    (b) J0(2 pi W) > rho^2: the gain rho/sqrt(mu) stays below 1, on one
-        branch, and grows as mu falls; so does exp(-kappa x / (1 - mu^2)),
-        and the factor 1 - gain * exp falls;
-    (c) the degenerate zone mu > DEGENERATE_MU, where the kernel sets the
-        factor to exactly 1.0, lies inside `_exactly_one_radius`, where the
-        formula's factor is exactly 1.0 too, so that rule changes no value:
-        with z = 2 pi d_one, J0(z) <= 1 - z^2/4 (1 - z^2/16).
-    The cushions on (b) and (c) keep rounding off their edges, and the
-    margin is ~1e6 times the rounding of a 2000-port log sum.  A row ruled
-    out has a product of at least e^(T + margin), so where e^T is a normal
-    double every partial product of the scan's row is normal too, and its
-    rounding stays relative.  Outside (a)-(c), or where e^T is not normal,
-    the scan starts at N = 2.  The reference row, M = min(n_max,
-    `_SCAN_BLOCK_CELLS`) but at least 2, fits in one block.
+    g is non-increasing when 2 pi W < j_{0,1}, so mu = J0(2 pi d) falls
+    from 1 to J0(2 pi W) as d grows, and the factor falls with mu
+    (`BoundConstants.factor_falls_to`).  The margin is ~1e6 times the
+    rounding of a 2000-port log sum.  A ruled-out row's product is at least
+    e^(T + margin), so where e^T is normal, every partial product of the
+    scan's row is normal and its rounding relative.  Elsewhere, or where
+    e^T is not normal, the scan starts at N = 2.  The reference row,
+    M = min(n_max, `_SCAN_BLOCK_CELLS`) but at least 2, fits in one block.
     """
-    rho = query.constants.rho
     z_w = 2.0 * math.pi * size_wl
-    z_one = 2.0 * math.pi * d_one
     if not (z_w < _J0_FIRST_ZERO
-            and sp.j0(z_w) > rho * rho * (1.0 + 1e-9)
-            and z_one ** 2 / 4.0 * (1.0 - z_one ** 2 / 16.0)
-            > 2.0 * (1.0 - DEGENERATE_MU)
+            and query.constants.factor_falls_to(sp.j0(z_w), query.snr_ratio)
             and log_target > _LOG_FLOAT_MIN):
         return 2
     m = max(2, min(n_max, _SCAN_BLOCK_CELLS))
@@ -204,20 +177,20 @@ def min_ports_for_size(size_wl: float, query: DesignQuery,
     and at most about `_SCAN_BLOCK_CELLS` cells: rows shrink as N grows,
     and the scan's working set stays under a megabyte up to any n_max.
 
-    Ports closer to the reference than `_exactly_one_radius` have a factor
-    of exactly 1.0 in double, so each block starts at the first column
-    that is outside that radius for some row of the block; the rows only
-    get denser as N grows.  Where the radius reaches W, every factor of
+    Ports closer to the reference than `BoundConstants.exactly_one_radius`
+    have a factor of exactly 1.0 in double, so each block starts at the
+    first column outside that radius for some row of the block; the rows
+    only get denser as N grows.  Where the radius reaches W, every factor of
     every N is exactly 1 and the answer is known without evaluating one:
     at x = 1 and kappa = 2 that holds for W up to 0.05 (W = 0.01 included).
     So it is where p_MRC underflows to 0, which no product undercuts.
     """
     x = query.snr_ratio
-    checked_positive(size_wl, "size_wl")
+    checked_size(size_wl, "size_wl")
     n_max = checked_count(n_max, "n_max", 0)
     single = -math.expm1(-x)
     target = query.mrc_target
-    d_one = _exactly_one_radius(x, query.constants)
+    d_one = query.constants.exactly_one_radius(x)
     if d_one >= size_wl or target == 0.0:
         return DesignAnswer(None, GUARD_N_EXHAUSTED)
     n0 = 2
@@ -302,6 +275,9 @@ def min_size(n_ports: int, query: DesignQuery) -> DesignAnswer:
 
 def min_size_frontier(query: DesignQuery, n_values: Sequence[int]):
     """(N, min_size(N)) pairs of the minimum-size tradeoff curve, each N as
-    the int `checked_count` makes of it."""
-    return [(n, min_size(n, query))
-            for n in (checked_count(v, "n_ports") for v in n_values)]
+    the int `checked_count` makes of it.  min_size reads floor(N/2) alone,
+    so it is called once per distinct floor(N/2)."""
+    ns = [checked_count(v, "n_ports") for v in n_values]
+    one_per_half = {n // 2: n for n in ns}
+    answers = {h: min_size(n, query) for h, n in one_per_half.items()}
+    return [(n, answers[n // 2]) for n in ns]

@@ -43,6 +43,35 @@ class TestBoundConstants:
                 bound_constants(bad)
 
 
+class TestRhoIsDerivedFromKappa:
+    # rho is the closed-form companion of kappa; as a settable field it
+    # let BoundConstants(2.0, 1.5) give an "upper bound" of -0.0205 at
+    # N = 2, W = 1, x = 0.1, where the exact outage is 0.0095
+    @pytest.mark.parametrize("rho", [1.5, 0.3])
+    def test_rho_cannot_be_set(self, rho):
+        with pytest.raises(TypeError):
+            BoundConstants(2.0, rho=rho)
+        with pytest.raises(TypeError):
+            BoundConstants(2.0, rho)
+
+    @pytest.mark.parametrize("kappa", [1.05, 1.2, 1.5, 2, 3, 8])
+    def test_constants_are_bound_constants(self, kappa):
+        c = BoundConstants(kappa)
+        assert c == bound_constants(kappa)
+        assert hash(c) == hash(bound_constants(kappa))
+        assert type(c.kappa) is float
+        km1 = kappa - 1.0
+        assert c.rho == (math.exp(1.0 / (math.pi * km1 + 2.0)) / (2.0 * kappa)
+                         * math.sqrt(km1 * (math.pi * km1 + 2.0) / math.pi))
+
+    def test_constants_check_kappa(self):
+        with pytest.raises(ValueError,
+                           match="^kappa must be a finite real > 1, got 1.0$"):
+            BoundConstants(1.0)
+        with pytest.raises(ConstantsError, match="rho=inf outside"):
+            BoundConstants(1e200)
+
+
 class TestPerPortBoundFactor:
     def test_in_unit_interval(self):
         c = bound_constants()
@@ -151,6 +180,21 @@ class TestOutageUpperBound:
         c = FasConfig(n_ports=1, size_wavelengths=1.0, snr_ratio=1.0)
         assert outage_upper_bound(c, bound_constants()) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-15)
+
+    def test_degenerate_ports_leave_the_bound_unchanged(self):
+        # the kernel gives them a factor of exactly 1, so the product is
+        # the one over the other ports, bit for bit
+        c = bound_constants()
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            mu = rng.uniform(-0.99, 0.99, 40)
+            mu[0] = 0.0
+            with_degenerate = np.insert(
+                mu, rng.integers(1, mu.size, 6),
+                [1.0, -1.0, 1.0 - 5e-10, -(1.0 - 5e-10), 1.0, 1.0])
+            for x in (1e-9, 0.1, 1.0):
+                assert (outage_upper_bound_profile(with_degenerate, x, c)
+                        == outage_upper_bound_profile(mu, x, c))
 
     def test_single_port_tiny_snr_ratio(self):
         # 1 - exp(-x) would be 8e-8 off here; the bound takes -expm1(-x)

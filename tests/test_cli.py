@@ -272,6 +272,23 @@ def test_flag_rules_cover_every_numeric_flag():
     assert typed == sorted((c, f) for c, f, _, _ in FLAG_RULES)
 
 
+@pytest.mark.parametrize("argv", [
+    ["design", "--size-wl", "{0}"],
+    ["outage-curve", "--sweep-n", "3:3:1", "--size-wl", "{0}"],
+    ["outage-curve", "--sweep-w", "{0}:{0}:1e307"],
+])
+def test_size_flags_keep_2_pi_size_finite(argv, capsys):
+    # at 2.9e307, 2 pi W overflows: once a usage error that blamed mu, after
+    # a numpy overflow warning
+    with pytest.raises(SystemExit) as exc:
+        main([a.format("2.9e307") for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        ": size_wl must keep 2 pi size_wl finite, got 2.9e+307\n")
+    code, out = run_cli(capsys, *(a.format("2.8e307") for a in argv))
+    assert code == 0 and out
+
+
 def test_readme_commands_parse():
     # every `fas` line of README's shell blocks must parse (nothing runs),
     # so that the documentation names no removed or misspelled flag

@@ -319,7 +319,7 @@ class TestExactlyOneZone:
     @pytest.mark.parametrize("x", SNR_RATIOS)
     def test_every_factor_inside_the_radius_is_exactly_one(self, kappa, x):
         constants = bound_constants(kappa)
-        d_one = design._exactly_one_radius(x, constants)
+        d_one = constants.exactly_one_radius(x)
         z_one = math.sqrt(min(kappa * x / 20.0, 4.0))
         assert d_one == z_one / (2.0 * math.pi)
         d = np.append(np.linspace(0.0, d_one, 100_001)[1:],
@@ -370,7 +370,7 @@ class TestExactlyOneZone:
 
 def certified_start(w, q, n_max):
     x = q.snr_ratio
-    d_one = design._exactly_one_radius(x, q.constants)
+    d_one = q.constants.exactly_one_radius(x)
     log_target = (math.log(outage_mrc(q.mrc_branches, x))
                   - math.log(-math.expm1(-x)))
     return design._certified_start(w, q, n_max, d_one, log_target)
@@ -649,6 +649,25 @@ class TestMinSize:
             assert frontier[n].guard_report == GUARD_TOO_FEW_PORTS
         for n in (4, 5, 6):
             assert frontier[n] == min_size(n, query())
+
+    def test_frontier_solves_each_half_once(self, monkeypatch):
+        # N = 2m and 2m + 1 share floor(N/2): 99 distinct halves in 4..200,
+        # where one solve per N made 197 calls
+        q = query()
+        want = [(n, min_size(n, q)) for n in range(1, 201)]
+        calls = []
+
+        def counted(n_ports, query):
+            calls.append(n_ports)
+            return required_mu_and_size(n_ports, query)
+
+        monkeypatch.setattr(design, "required_mu_and_size", counted)
+        assert min_size_frontier(q, range(4, 201)) == want[3:]
+        assert sorted(calls) == list(range(2, 101))
+        calls.clear()
+        assert min_size_frontier(q, [9, 1, 3, 8, 2, 9.0]) == [
+            want[8], want[0], want[2], want[7], want[1], want[8]]
+        assert calls == [4]
 
     def test_infeasible_small_n(self):
         answer = min_size(4, query())

@@ -49,6 +49,10 @@ SNR_TAKERS = {
         [0.5], x, fas.bound_constants()),
     "per_port_bound_factor": lambda x: fas.per_port_bound_factor(
         0.5, x, fas.bound_constants()),
+    "BoundConstants.exactly_one_radius":
+        lambda x: fas.bound_constants().exactly_one_radius(x),
+    "BoundConstants.factor_falls_to":
+        lambda x: fas.bound_constants().factor_falls_to(0.5, x),
 }
 
 
@@ -95,6 +99,17 @@ def test_every_positive_taker_checks_through_checked_positive(taker, v):
     with pytest.raises(ValueError,
                        match=f"^{name} must be positive and finite, got "):
         call(v)
+
+
+@pytest.mark.parametrize("taker", ["FasConfig", "min_ports_for_size"])
+def test_every_size_taker_keeps_2_pi_size_finite(taker):
+    # 2 pi W overflows above 2.861e307; J0(inf) is NaN, and the error once
+    # blamed mu.  One rule, channel.checked_size, names the size instead
+    name, call = POSITIVE_TAKERS[taker]
+    with pytest.raises(ValueError, match=fr"^{name} must keep 2 pi {name} "
+                                         r"finite, got 2\.9e\+307$"):
+        call(2.9e307)
+    call(2.8e307)
 
 
 def _mc(mu, x):
@@ -257,6 +272,36 @@ def test_design_decides_the_mrc_reference_in_its_query_alone():
     assert all(alias.asname is None for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name == "outage_mrc")
+
+
+def _names(tree, name):
+    """Lines of tree that name `name`: as a name, an attribute or an
+    import."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == name for alias in node.names)]
+
+
+def test_bounds_decides_its_own_facts():
+    # bounds.py alone knows the bound: design.py reads the scan's facts
+    # from BoundConstants' methods, and .rho and .kappa only in the closed
+    # form of required_mu_and_size; the kernel alone decides degenerate
+    # ports, with no active_mu pass before it
+    design = ast.parse((ROOT / "src" / "fas" / "design.py").read_text())
+    closed_form = next(node for node in design.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "required_mu_and_size")
+    inside = {id(node) for node in ast.walk(closed_form)}
+    reads = [node for node in ast.walk(design)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("rho", "kappa")]
+    assert reads
+    assert sorted([node.lineno for node in reads if id(node) not in inside]
+                  + _names(design, "DEGENERATE_MU")) == []
+    bounds = ast.parse((ROOT / "src" / "fas" / "bounds.py").read_text())
+    assert _names(bounds, "active_mu") == []
 
 
 def _bench_tracing():
