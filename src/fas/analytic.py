@@ -15,8 +15,8 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special as sp
 
+from ._special import sp
 from .channel import (FasConfig, active_mu, checked_count, checked_mu,
                       checked_snr, correlation_profile)
 

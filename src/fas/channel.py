@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import special as sp
+
+from ._special import j0, sp
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -270,7 +271,10 @@ def envelope_trace(config: FasConfig, doppler: DopplerTraceConfig,
             f"{doppler.n_scatterers} scatterers need {angle_bytes} bytes of "
             f"sum-of-sinusoids angles, over the {_TRACE_BUDGET}-byte trace "
             "budget")
-    mu = correlation_profile(config)
+    # correlation_profile's mu, from the numpy J0: it equals scipy's bit
+    # for bit, and the trace loads no scipy
+    mu = j0(2.0 * np.pi * port_displacements(config))
+    mu[0] = 0.0
     angles = rng.uniform(0.0, 2.0 * np.pi, (n_proc, 2, doppler.n_scatterers))
     freqs = 2.0 * np.pi * doppler.max_doppler_hz * np.cos(angles[:, 0])
     return _trace_rows(mu, freqs, angles[:, 1], doppler)

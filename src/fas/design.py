@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special as sp
 
+from ._special import sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
@@ -115,8 +115,9 @@ def _block_factors(n: np.ndarray, size_wl: float, d_one: float,
     # ports 2..N sit at k/(N-1) * W; below k_one every row's d < d_one
     k_one = max(1, int(d_one * (n[0, 0] - 1) / size_wl))
     k = np.arange(k_one, n[-1, 0])
-    mu = sp.j0(2.0 * np.pi * (k / (n - 1) * size_wl))
-    mu[k >= n] = 1.0
+    # the padding takes argument 0, where J0 is exactly 1: its d = k/(N-1) W
+    # exceeds W, and 2 pi d can overflow
+    mu = sp.j0(2.0 * np.pi * (np.where(k < n, k, 0) / (n - 1) * size_wl))
     return per_port_bound_factors(mu, query.snr_ratio, query.constants)
 
 

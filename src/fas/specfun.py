@@ -1,9 +1,15 @@
 """Special functions underpinning the outage analysis.
 
-Provides the first-order Marcum Q-function and the envelope inverse of J0
-(smallest argument beyond which |J0| stays at or below a target level).
+Provides the first-order Marcum Q-function, the envelope inverse of J0
+(smallest argument beyond which |J0| stays at or below a target level), and
+`j0`, Bessel J0 in numpy, equal to scipy.special.j0 bit for bit.
 
-All functions are pure and keep no module state.
+All functions are pure and keep no module state.  They reach scipy.special
+through the package's lazy handle (`fas._special.sp`), so importing this
+module loads no scipy: the first Marcum or envelope-inverse call does, and
+`j0` never does.  `fas envelope` takes its correlations from `j0` and runs
+without scipy; `design`, `outage-curve`, `bounds-compare` and `validate`
+load scipy.special on their first special-function call.
 
 The Marcum Q-function takes one of two routes:
 
@@ -30,10 +36,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
-# the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs ~1.3 s
-from scipy.special._ufuncs import _ncx2_sf
 
+# j0 is part of this module's interface
+from ._special import j0, sp, ufuncs
 from .channel import checked_positive
 
 _EPS = float(np.finfo(float).eps)
@@ -119,7 +124,7 @@ def marcum_q1(a, b):
     # the sf only inside its box: outside it the ufunc can raise
     box = ((_SF_ARG_MIN <= a) & (a <= _SF_ARG_MAX)
            & (_SF_ARG_MIN <= b) & (b <= _SF_ARG_MAX))
-    q[box] = _ncx2_sf(b[box] ** 2, 2.0, a[box] ** 2)
+    q[box] = ufuncs._ncx2_sf(b[box] ** 2, 2.0, a[box] ** 2)
     for i in np.flatnonzero(~(q >= _SF_MIN_VALUE)):
         q.flat[i] = _q1_point(float(a.flat[i]), float(b.flat[i]))
     return float(q) if q.ndim == 0 else q

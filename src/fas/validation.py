@@ -7,9 +7,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import __version__, analytic, bounds, mc
+from ._special import sp
 from .channel import FasConfig
 from .specfun import marcum_q1
 
@@ -88,7 +88,7 @@ def check_mc_vs_exact(settings: ValidationSettings) -> dict:
     # Sidak: the per-point two-sided level that holds the chance of any
     # false alarm over the grid at MC_FAMILY_LEVEL, correlated or not
     per_point = -math.expm1(math.log1p(-MC_FAMILY_LEVEL) / len(configs))
-    z_max = float(-special.ndtri(0.5 * per_point))
+    z_max = float(-sp.ndtri(0.5 * per_point))
     failures = []
     for config in configs:
         exact = analytic.outage_exact(config)

@@ -324,6 +324,21 @@ class TestEnvelopeTrace:
         with pytest.raises(NoDraws.Drew):
             envelope_trace(c, self.DOPPLER, NoDraws())
 
+    @pytest.mark.parametrize("n_ports", [1, 2, 4, 100, 4094])
+    @pytest.mark.parametrize("size_wl", [1e-3, 0.5, 2.0, 1e6])
+    def test_profile_is_correlation_profiles(self, monkeypatch, n_ports,
+                                             size_wl):
+        # the trace takes mu from the numpy J0, which loads no scipy; it must
+        # be correlation_profile's, from scipy's J0, bit for bit
+        seen = []
+        monkeypatch.setattr(channel, "_trace_rows",
+                            lambda mu, *rest: seen.append(mu))
+        c = FasConfig(n_ports=n_ports, size_wavelengths=size_wl, snr_ratio=1.0)
+        envelope_trace(c, self.DOPPLER, rng(0))
+        want = correlation_profile(c)
+        assert seen[0].shape == want.shape
+        assert np.array_equal(seen[0].view(np.int64), want.view(np.int64))
+
     def test_fas_column_is_port_maximum(self):
         c = FasConfig(n_ports=6, size_wavelengths=1.0, snr_ratio=1.0)
         d = DopplerTraceConfig(speed_mps=5.0, carrier_hz=5e9, duration_s=0.5,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ class TestMinPortsForSize:
         # W = 0.2 wavelengths against 4-branch MRC at x = 1
         answer = min_ports_for_size(0.2, query(branches=4))
         assert answer == DesignAnswer(1659)
+
+    @pytest.mark.parametrize("size_wl", [2e307, 2.8e307])
+    def test_padding_cells_do_not_overflow(self, size_wl):
+        # a block's padding cells k >= N once took d = k/(N-1) W > W, and
+        # 2 pi d overflowed with a RuntimeWarning; the answers stay
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert min_ports_for_size(size_wl, query()) == DesignAnswer(18)
+            assert (min_ports_for_size(size_wl, query(branches=5, x=0.1))
+                    == DesignAnswer(38))
 
     def test_tiny_aperture_exhausts_scan(self):
         answer = min_ports_for_size(0.01, query(branches=2))

@@ -237,6 +237,51 @@ def test_cli_import_leaves_out_heavy_scipy():
     assert run.stdout == "[]\n"
 
 
+def test_import_and_envelope_load_no_scipy(tmp_path):
+    # scipy.special is ~0.2 s of a fresh process's import; `fas envelope`
+    # needs none of it (its J0 is specfun.j0), while `design` does, on its
+    # first special-function call, as do outage-curve, bounds-compare and
+    # validate
+    src = ROOT / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "def scipy():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import fas\n"
+        "print(scipy())\n"
+        "import fas.cli\n"
+        "print(scipy())\n"
+        "fas.cli.main(['envelope', '--n-ports', '3', '--duration-s', '0.2',\n"
+        f"              '--out', {out!r}])\n"
+        "print(scipy())\n"
+        f"fas.cli.main(['design', '--n-ports', '10', '--out', {out!r}])\n"
+        "print('scipy.special' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n[]\n[]\nTrue\n"
+
+
+def test_scipy_is_reached_through_the_handle_alone():
+    # every module reaches scipy.special through fas._special's lazy
+    # handles, which import it on first use: an import statement naming
+    # scipy anywhere in the package would load it with the module
+    found = []
+    for path in sorted((ROOT / "src" / "fas").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_monte_carlo_shares_no_code_with_what_it_checks():
     # the oracle imports neither the evaluators and special functions it is
     # compared against nor scipy, in which they are written

@@ -47,6 +47,51 @@ class TestBesselJ0:
             assert mu == pytest.approx(want, abs=1e-13, rel=1e-12)
 
 
+def _neighbours(x: float, steps: int) -> list[float]:
+    """x and the `steps` doubles on either side of it."""
+    below, above, out = x, x, [x]
+    for _ in range(steps):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+class TestPortedJ0:
+    """specfun.j0, the numpy port of Cephes j0, is scipy's J0 bit for bit."""
+
+    def test_bit_identical_to_scipy(self):
+        gen = np.random.default_rng(43)
+        x = np.concatenate([
+            gen.uniform(0.0, 5.0, 400_000),         # the rational branch
+            gen.uniform(5.0, 60.0, 300_000),        # the Hankel branch
+            10.0 ** gen.uniform(-300.0, 300.0, 300_000),
+            -gen.uniform(0.0, 60.0, 50_000),
+            _neighbours(5.0, 64), _neighbours(1e-5, 64),
+            _neighbours(2.404825557695773, 64),  # j_{0,1}
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
+             1.3e154, 1e308, 5e-324],
+        ])
+        assert x.size >= 10 ** 6
+        want, got = sp.j0(x), specfun.j0(x)
+        assert got.shape == x.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.isnan(want[np.isinf(x)]).all()
+        assert np.array_equal(got[~nan].view(np.int64),
+                              want[~nan].view(np.int64))
+
+    def test_no_warning_at_any_argument(self):
+        # 25 / x^2 overflows from ~1.3e154, and cos and sin of inf are NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            specfun.j0([1e200, 1e308, math.inf, -math.inf, math.nan])
+
+    def test_scalar_argument(self):
+        assert specfun.j0(2.0).shape == ()
+        assert float(specfun.j0(2.0)) == float(sp.j0(2.0))
+
+
 class TestBesselI0Scaled:
     """scipy's scaled I0, behind the Marcum reflection identity."""
 
