@@ -1,10 +1,9 @@
 """The package's one route to scipy.special, and a J0 that needs none.
 
-`sp` is scipy.special and `ufuncs` its private `_ufuncs` module, each
-imported on first attribute access: importing scipy.special costs a fresh
-process about 0.2 s, and `fas envelope` needs no function of it.  Every
-module reaches scipy.special through these handles and imports no scipy at
-module level.
+`sp` is scipy.special, imported on first attribute access: importing it
+costs a fresh process about 0.2 s, and `fas envelope` needs no function of
+it.  Every module reaches scipy.special, its private `_ufuncs` included,
+through this handle and imports no scipy at module level.
 
 `j0` is Bessel J0 in numpy: the Cephes `j0` (S. L. Moshier) that
 scipy.special.j0 also evaluates, with its coefficients, Horner order and
@@ -36,9 +35,6 @@ class _LazyModule:
 
 
 sp = _LazyModule("scipy.special")
-# holds _ncx2_sf, the ufunc behind scipy.stats.ncx2.sf; importing
-# scipy.stats costs ~1.3 s
-ufuncs = _LazyModule("scipy.special._ufuncs")
 
 # Cephes j0.c: P(z)/Q(z) and the modulus and phase rational functions of
 # 25/x^2, highest power first

@@ -19,6 +19,7 @@ import numpy as np
 from ._special import sp
 from .channel import (FasConfig, active_mu, checked_count, checked_mu,
                       checked_snr, correlation_profile)
+from .specfun import port_cdf
 
 
 # `quad`'s stopping rule: the summed error estimate at most
@@ -146,19 +147,10 @@ def quad(f, lo: float, hi: float, full_output=0):
 
 
 def _port_cdf_product(a2: np.ndarray, b2: np.ndarray, t) -> np.ndarray:
-    """prod_k P1(a_k sqrt(t), b_k) over the non-reference ports, at each t.
-
-    a2 and b2 hold a_k^2 and b_k^2.  Each conditional cdf
-    P1 = 1 - Q1 is the noncentral chi-square cdf chndtr(b^2, 2, a^2 t),
-    taken directly rather than as 1 minus an upper tail, so small P1
-    keeps its relative accuracy (Gil, Segura & Temme, ACM TOMS 40(3),
-    2014: compute the smaller of P and Q directly).  All t and ports go
-    through one chndtr call.  chndtr reads NaN just below its diagonal at
-    large arguments (b^2 = 6.595e9: a^2 t in ~[6.5906e9, 6.5910e9], else 1.0),
-    where `quad` raises and the CLI reports it; ROADMAP item 18 mends it.
-    """
+    """prod_k P1(a_k sqrt(t), b_k) over the non-reference ports at each t,
+    from a_k^2 and b_k^2 in one `port_cdf` call."""
     t = np.asarray(t, dtype=float)
-    return np.prod(sp.chndtr(b2, 2.0, a2 * t[..., None]), axis=-1)
+    return np.prod(port_cdf(a2 * t[..., None], b2), axis=-1)
 
 
 def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq) -> float:
@@ -232,27 +224,42 @@ def outage_exact(config: FasConfig) -> float:
     return outage_exact_profile(correlation_profile(config), config.snr_ratio)
 
 
-def _marcum_difference(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Q1(a, b) - Q1(b, a) elementwise from a^2 and b^2, as two cdfs
-    chndtr(a^2, 2, b^2) - chndtr(b^2, 2, a^2), since 1 - Q1(a, b) =
-    chndtr(b^2, 2, a^2).  NaN where chndtr fails: on overflow, and for
-    a^2 >= ~4e10 within ~1e-8 of the diagonal."""
-    return sp.chndtr(a2, 2.0, b2) - sp.chndtr(b2, 2.0, a2)
+# terms of the two-port series: wherever s <= 1, P(k + 1, s)^2 is below
+# s^(2k+2) / ((k+1)!)^2, so the terms from k = 20 on add less than 1e-38 of
+# the first
+_N2_SERIES_TERMS = 20
+
+
+def _n2_series(mu2: float, x: float) -> float:
+    """Two-port outage for the profile [0, mu2] as the bivariate Rayleigh
+    series (Tan & Beaulieu, IEEE Trans. Commun. 45(10), 1997):
+    (1 - mu2^2) sum_k mu2^(2k) P(k+1, s)^2, s = x / (1 - mu2^2), P the
+    regularized lower incomplete gamma function.  Every term is positive;
+    it is taken for s <= 1, where 20 terms suffice."""
+    one_minus = (1.0 - mu2) * (1.0 + mu2)
+    k = np.arange(_N2_SERIES_TERMS)
+    terms = mu2 ** (2 * k) * sp.gammainc(k + 1.0, x / one_minus) ** 2
+    return one_minus * float(np.sum(terms))
 
 
 def outage_approx_profile(mu: Sequence[float], snr_ratio: float) -> float:
     """Closed-form outage approximation; may go negative for large N.
 
     1 - e^-x - e^-x sum_k [Q1(a_k, b_k) - Q1(b_k, a_k)] over the ports
-    k >= 2, with a_k^2 = 2x/(1 - mu_k^2) and b_k = |mu_k| a_k.  A port whose
-    difference is not finite contributes 0: that needs x >= 42, where its
-    term is below 3e-19, or an overflowing a_k^2, where e^-x is 0."""
+    k >= 2, with a_k^2 = 2x/(1 - mu_k^2) and b_k = |mu_k| a_k, each
+    difference taken as two port cdfs.  Beyond x = _EXP_ZERO, e^-x is 0 and
+    the value is 1.  With one port k = 2 and x / (1 - mu_2^2) <= 1, where
+    the Marcum form cancels, it is the two-port series `_n2_series`."""
     x = checked_snr(snr_ratio)
     mu = active_mu(mu)[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        a2 = 2.0 * x / (1.0 - mu ** 2)
-        delta = _marcum_difference(a2, mu ** 2 * a2)
-    return float(-math.expm1(-x) - math.exp(-x) * np.sum(delta[np.isfinite(delta)]))
+    if x > _EXP_ZERO:
+        return 1.0
+    if mu.size == 1 and x <= (1.0 - mu[0]) * (1.0 + mu[0]):
+        return _n2_series(float(mu[0]), x)
+    # 1 - mu^2 >= 2e-9 once active_mu has run, so a2 <= 7.5e11
+    a2 = 2.0 * x / (1.0 - mu ** 2)
+    delta = port_cdf(mu ** 2 * a2, a2) - port_cdf(a2, mu ** 2 * a2)
+    return float(-math.expm1(-x) - math.exp(-x) * np.sum(delta))
 
 
 def outage_n2_closed_form(mu2: float, snr_ratio: float) -> float:

@@ -1,13 +1,13 @@
 """Special functions underpinning the outage analysis.
 
-Provides the first-order Marcum Q-function, the envelope inverse of J0
-(smallest argument beyond which |J0| stays at or below a target level), and
-`j0`, Bessel J0 in numpy, equal to scipy.special.j0 bit for bit.
+Provides the port cdf, the first-order Marcum Q-function, the envelope
+inverse of J0 (smallest argument beyond which |J0| stays at or below a
+target level), and `j0`: Bessel J0 in numpy, scipy.special.j0 bit for bit.
 
 All functions are pure and keep no module state.  They reach scipy.special
 through the package's lazy handle (`fas._special.sp`), so importing this
-module loads no scipy: the first Marcum or envelope-inverse call does, and
-`j0` never does.  `fas envelope` takes its correlations from `j0` and runs
+module loads no scipy: the first call of another function does, and `j0`
+never does.  `fas envelope` takes its correlations from `j0` and runs
 without scipy; `design`, `outage-curve`, `bounds-compare` and `validate`
 load scipy.special on their first special-function call.
 
@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 # j0 is part of this module's interface
-from ._special import j0, sp, ufuncs
+from ._special import j0, sp
 from .channel import checked_positive
 
 _EPS = float(np.finfo(float).eps)
@@ -54,8 +54,8 @@ _SF_MIN_VALUE = 1e-180
 # to far better than double precision.
 _GAP_CUTOFF = 39.0
 # Largest Bessel argument handled by the series; beyond it the evaluation
-# falls back to the Q(b-a) + phi(b-a)/(2a) tail form (only reachable far
-# outside the a,b <= 50 accuracy contract).
+# falls back to the Q(b-a) + phi(b-a)/(2a) tail form (far outside the
+# a,b <= 50 accuracy contract, where port_cdf reaches it).
 _SERIES_Z_MAX = 1e8
 
 # Abscissa from which |J0| at a zero of J1 is taken from the asymptotic
@@ -124,10 +124,26 @@ def marcum_q1(a, b):
     # the sf only inside its box: outside it the ufunc can raise
     box = ((_SF_ARG_MIN <= a) & (a <= _SF_ARG_MAX)
            & (_SF_ARG_MIN <= b) & (b <= _SF_ARG_MAX))
-    q[box] = ufuncs._ncx2_sf(b[box] ** 2, 2.0, a[box] ** 2)
+    q[box] = sp._ufuncs._ncx2_sf(b[box] ** 2, 2.0, a[box] ** 2)
     for i in np.flatnonzero(~(q >= _SF_MIN_VALUE)):
         q.flat[i] = _q1_point(float(a.flat[i]), float(b.flat[i]))
     return float(q) if q.ndim == 0 else q
+
+
+def port_cdf(a2, b2) -> np.ndarray:
+    """P1 = P[chi'^2_2(a2) <= b2] = 1 - Q1(sqrt(a2), sqrt(b2)) elementwise, as
+    an array: Boost's chndtr(b2, 2, a2), taken directly so a small P1 keeps
+    its relative accuracy (Gil, Segura & Temme, ACM TOMS 40(3), 2014), or
+    1 - marcum_q1 (O(1) there) where Boost reads NaN at finite, nonnegative
+    arguments: b2 = 6.595e9 and a2 in ~[6.5906e9, 6.5910e9], for one."""
+    p = np.asarray(sp.chndtr(b2, 2.0, a2))
+    # each p is in [0, 1] or NaN, so the sum is NaN exactly when one is
+    if math.isnan(p.sum()):
+        a2, b2 = np.broadcast_arrays(a2, b2)
+        lost = (np.isnan(p) & (0.0 <= a2) & (a2 < math.inf)
+                & (0.0 <= b2) & (b2 < math.inf))
+        p[lost] = 1.0 - marcum_q1(np.sqrt(a2[lost]), np.sqrt(b2[lost]))
+    return p
 
 
 def _bessel_zero(order: int, k: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from . import __version__, analytic, bounds, mc
 from ._special import sp
 from .channel import FasConfig
-from .specfun import marcum_q1
+from .specfun import marcum_q1, port_cdf
 
 # Chance that mc_vs_exact fails a correct estimator, over its whole grid.
 MC_FAMILY_LEVEL = 1e-6
@@ -66,14 +66,15 @@ def check_n2_closed_form(settings: ValidationSettings) -> dict:
 
 
 def check_marcum_integral_identity(settings: ValidationSettings) -> dict:
-    # integral identity behind the closed forms:
+    # integral identity behind the closed forms, with the evaluators'
+    # Q1 = 1 - port_cdf on the left and marcum_q1 on the right:
     # int_0^c e^-t Q1(a sqrt(t), b) dt
     #   = e^{-b^2/(a^2+2)} Q1(sqrt(c(a^2+2)), ab/sqrt(a^2+2)) - e^-c Q1(a sqrt(c), b)
     a, b, c = np.random.default_rng(settings.seed + 1).uniform(
         0.1, 3.0, (10, 3)).T
-    lhs = np.array([analytic.quad(lambda t: np.exp(-t) * marcum_q1(ai * np.sqrt(t), bi),
-                                  0.0, ci)[0]
-                    for ai, bi, ci in zip(a, b, c)])
+    lhs = np.array([analytic.quad(
+        lambda t: np.exp(-t) * (1.0 - port_cdf(ai * ai * t, bi * bi)),
+        0.0, ci)[0] for ai, bi, ci in zip(a, b, c)])
     a2 = a * a + 2.0
     rhs = (np.exp(-b * b / a2) * marcum_q1(np.sqrt(c * a2), a * b / np.sqrt(a2))
            - np.exp(-c) * marcum_q1(a * np.sqrt(c), b))

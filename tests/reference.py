@@ -114,6 +114,23 @@ def marcum_q1_mpmath(a: float, b: float, dps: int = 50):
                                     for k, r in enumerate(ratios) if k)
 
 
+def n2_outage_mpmath(mu2: float, x: float, dps: int = 120):
+    """Two-port selection outage for the profile [0, mu2] at SNR ratio x,
+    as an mpmath number: the Marcum closed form
+    1 - e^-x (1 + Q1(a, b) - Q1(b, a)), a^2 = 2x/(1 - mu2^2), b = |mu2| a,
+    with `marcum_q1_mpmath` at dps digits.  The form cancels to about
+    x^2 / (1 - mu2^2) as x -> 0, so dps must exceed the digits lost there
+    (120 holds 1e-30 relative down to x = 1e-30)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m = mp.mpf(mu2)
+        a = mp.sqrt(2 * mp.mpf(x) / (1 - m * m))
+        b = abs(m) * a
+        delta = marcum_q1_mpmath(a, b, dps) - marcum_q1_mpmath(b, a, dps)
+        return -mp.expm1(-mp.mpf(x)) - mp.exp(-mp.mpf(x)) * delta
+
+
 def n2_joint_pdf(mu2: float, r1: float, r2: float) -> float:
     """Two-port joint density, written out directly (sigma = 1)."""
     om = 1.0 - mu2 ** 2

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special as sp
 from scipy.integrate import quad
 
 from fas import analytic
-from fas.analytic import (QuadratureError, _marcum_difference,
-                          _port_cdf_product, db_to_linear, joint_cdf,
-                          joint_pdf, outage_approx, outage_approx_profile,
-                          outage_exact, outage_exact_profile, outage_mrc,
+from fas.analytic import (QuadratureError, _port_cdf_product, db_to_linear,
+                          joint_cdf, joint_pdf, outage_approx,
+                          outage_approx_profile, outage_exact,
+                          outage_exact_profile, outage_mrc,
                           outage_n2_closed_form)
+from fas.bounds import bound_constants, outage_upper_bound
 from fas.channel import (DEGENERATE_MU, FasConfig, active_mu,
                          correlation_profile)
 from fas.mc import McSettings, mc_outage_fas
-from fas.specfun import marcum_q1
+from fas.specfun import marcum_q1, port_cdf
 
 import reference
 
@@ -296,6 +299,40 @@ class TestOutageN2ClosedForm:
             assert outage_n2_closed_form(mu2, x) == pytest.approx(
                 exact, rel=rel, abs=0.0)
 
+    def test_deep_tail_matches_mpmath(self):
+        # x / (1 - mu2^2) <= 1 at every point, so each value is the two-port
+        # series (measured within 8.2e-15); the Marcum form it replaces
+        # there read -1.4e-34 at mu2 = J0(2 pi 0.02) and -200 dB, where the
+        # outage is 1.27e-38
+        for mu2 in (0.01, 0.3, 0.9, 0.999, -0.6):
+            for db in range(-30, -301, -30):
+                x = db_to_linear(db)
+                want = float(reference.n2_outage_mpmath(mu2, x))
+                assert outage_n2_closed_form(mu2, x) == pytest.approx(
+                    want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mu2", [0.01, 0.3, 0.9, 0.99, 0.999, -0.6])
+    def test_both_sides_of_the_series_switch(self, mu2):
+        # the series up to s = x / (1 - mu2^2) = 1, the Marcum form beyond
+        # (measured within 2.3e-14 on these points)
+        one_minus = (1.0 - mu2) * (1.0 + mu2)
+        for s in (0.5, 1.0, 1.001, 2.0):
+            want = float(reference.n2_outage_mpmath(mu2, s * one_minus))
+            assert outage_n2_closed_form(mu2, s * one_minus) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+
+    def test_never_negative(self):
+        # from 10 dB down to -3100 dB, where x is subnormal
+        for mu2 in (0.0, 0.01, 0.3, -0.6, 0.9, 0.999, 1.0 - 1e-8):
+            for db in np.arange(10.0, -3101.0, -10.0):
+                assert outage_n2_closed_form(mu2, db_to_linear(db)) >= 0.0
+
+
+def marcum_difference(a2, b2):
+    """Q1(a, b) - Q1(b, a) from a^2 and b^2, as the approximation takes it:
+    two port cdfs."""
+    return port_cdf(b2, a2) - port_cdf(a2, b2)
+
 
 class TestMarcumDifference:
     """Q1(a, b) - Q1(b, a), the one kernel of the approximation and of the
@@ -303,7 +340,7 @@ class TestMarcumDifference:
 
     def test_diagonal_is_zero(self):
         for s in (0.0, 0.25, 9.0, 400.0):
-            assert _marcum_difference(np.array(s), np.array(s)) == 0.0
+            assert marcum_difference(np.array(s), np.array(s)) == 0.0
         # a fully correlated port (a = b) adds nothing to the approximation
         for x in (0.5, 3.0, 20.0):
             assert outage_approx_profile([0.0, 0.4, 1.0, -1.0], x) == \
@@ -312,8 +349,8 @@ class TestMarcumDifference:
     def test_antisymmetry(self):
         rng = np.random.default_rng(3)
         a2, b2 = rng.uniform(0.0, 100.0, (2, 50))
-        assert np.array_equal(_marcum_difference(a2, b2),
-                              -_marcum_difference(b2, a2))
+        assert np.array_equal(marcum_difference(a2, b2),
+                              -marcum_difference(b2, a2))
 
     def test_independent_port_special_case(self):
         # mu = 0: Q1(sqrt(2x), 0) - Q1(0, sqrt(2x)) = 1 - e^-x
@@ -337,7 +374,7 @@ class TestMarcumDifference:
         one_minus = np.logspace(math.log10(2e-9), 0.0, 120)
         a2 = 2.0 * x / one_minus
         b2 = (1.0 - one_minus) * a2
-        assert np.all(np.isfinite(_marcum_difference(a2, b2)))
+        assert np.all(np.isfinite(marcum_difference(a2, b2)))
 
     @pytest.mark.parametrize("x", [50.0, 100.0, 745.0, 1e3, 1e300])
     def test_large_snr_matches_marcum_loop(self, x):
@@ -347,12 +384,10 @@ class TestMarcumDifference:
             mu = mu[:5]  # the loop's a^2 overflows closer to |mu| = 1
         assert outage_approx_profile(mu, x) == pytest.approx(
             reference.outage_approx_marcum(mu, x), abs=1e-15)
-        # a port the kernel cannot evaluate has a negligible term
+        # the kernel evaluates every port, Boost's NaN band included
         mu = np.asarray(mu[1:])
         a2 = 2.0 * x / (1.0 - mu ** 2)
-        lost = ~np.isfinite(_marcum_difference(a2, mu ** 2 * a2))
-        for m in mu[lost]:
-            assert reference.outage_approx_marcum([0.0, m], x) == 1.0
+        assert np.all(np.isfinite(marcum_difference(a2, mu ** 2 * a2)))
 
     def test_matches_marcum_loop_on_curve_points(self):
         for n in (5, 20, 100):
@@ -489,6 +524,76 @@ class TestPortCdfKernel:
         got = outage_exact(FasConfig(n_ports=n, size_wavelengths=w,
                                      snr_ratio=x))
         assert abs(got - want) <= x * (n - 1) * 1e-10
+
+
+class TestBoostsNanBand:
+    """A profile whose ports reach the band just below its diagonal where
+    Boost's chndtr reads NaN: b^2 ~ 6.6e9 at 9 dB."""
+    X = db_to_linear(9.0)
+    # 1 - mu^2 = 2.41e-9, the third port of the 148-port profile at
+    # W = 5.413e-4 wavelengths
+    BAND_MU = math.sqrt(1.0 - 2.41e-9)
+    # a port at 1 - mu^2 = 3e-5 makes `quad` refine near t = x, and four of
+    # its nodes there put BAND_MU's port in the band
+    MU = [0.0, BAND_MU, math.sqrt(1.0 - 3e-5)]
+
+    def test_exact_outage_through_the_band(self, monkeypatch):
+        got = outage_exact_profile(self.MU, self.X)
+        # the per-port 1 - marcum_q1 loop under scipy's qags (measured
+        # within 7.8e-16)
+        mu = np.array(self.MU[1:])
+        a = np.sqrt(2.0 * mu ** 2 / (1.0 - mu ** 2))
+        b = np.sqrt(2.0 * self.X / (1.0 - mu ** 2))
+
+        def integrand(t):
+            return math.exp(-t) * math.prod(
+                1.0 - marcum_q1(ak * math.sqrt(t), bk) for ak, bk in zip(a, b))
+
+        want, _ = quad(integrand, 0.0, self.X, epsabs=1e-12, epsrel=1e-12,
+                       limit=2000, points=[self.X * (1.0 - 1e-3)])
+        assert got == pytest.approx(want, rel=analytic._REL_TOL, abs=0.0)
+        # Boost's cdf alone reads NaN at those nodes, and the quadrature
+        # gives up
+        monkeypatch.setattr(analytic, "port_cdf",
+                            lambda a2, b2: sp.chndtr(b2, 2.0, a2))
+        with pytest.raises(QuadratureError, match="returned nan"):
+            outage_exact_profile(self.MU, self.X)
+
+    def test_two_port_profile_at_the_band(self):
+        # the first port alone: the first round's nodes stop at
+        # t = 0.9978 x, short of the band at 0.9994 x, and it is accepted.
+        # The measured gap to the closed form, 2.8e-8, is the step just
+        # past t = x that those nodes do not see
+        got = outage_exact_profile([0.0, self.BAND_MU], self.X)
+        assert got == pytest.approx(
+            outage_n2_closed_form(self.BAND_MU, self.X), rel=1e-7, abs=0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(n=st.integers(2, 300),
+       log_w=st.floats(math.log10(0.005), math.log10(50.0)),
+       db=st.floats(-40.0, 20.0))
+def test_exact_outage_contract(n, log_w, db):
+    # over N <= 300, W log-uniform on [0.005, 50] and -40 to 20 dB: the
+    # exact outage is a finite probability inside the one-interval bracket
+    # (1 - e^-x) prod_k P1_k(x) <= p <= (1 - e^-x) prod_k
+    # (1 - e^{-x/(1 - mu_k^2)}), since each P1_k falls with t from
+    # 1 - e^{-x/(1 - mu_k^2)} at t = 0, and below the kappa = 2 bound;
+    # each within the quadrature's tolerance
+    config = FasConfig(n_ports=n, size_wavelengths=10.0 ** log_w,
+                       snr_ratio=db_to_linear(db))
+    x = config.snr_ratio
+    p = outage_exact(config)
+    assert math.isfinite(p) and p >= 0.0
+    mu = active_mu(correlation_profile(config))[1:]
+    one_minus = 1.0 - mu ** 2
+    single = -math.expm1(-x)
+    lower = single * float(np.prod(port_cdf(2.0 * mu ** 2 / one_minus * x,
+                                            2.0 * x / one_minus)))
+    upper = single * float(np.prod(-np.expm1(-x / one_minus)))
+    tol = max(1e-10, 1e-8 * p)
+    assert lower - tol <= p <= upper + tol
+    assert p <= outage_upper_bound(config, bound_constants(2.0)) + tol
 
 
 class TestEightBranchCrossingAtW5:

@@ -521,6 +521,30 @@ class TestOutageCurve:
         assert out == ""
         assert path.read_text().count("\n") >= 4
 
+    @pytest.mark.parametrize("size_wl", ["0.02", "0.5"])
+    def test_two_port_approx_in_the_deep_tail(self, size_wl, capsys):
+        # N = 2 takes the two-port series here: the Marcum form read
+        # -1.4e-34 at W = 0.02 and -200 dB, and -1.2e-32 at W = 0.5 and
+        # -160 dB
+        code, out = run_cli(capsys, "outage-curve",
+                            "--sweep-snr-db=-200:-140:20", "--n-ports", "2",
+                            "--size-wl", size_wl)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            exact, approx = float(row[1]), float(row[2])
+            assert approx == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+    def test_two_port_approx_at_subnormal_snr(self, capsys):
+        # the outage, about x^2, rounds to 0 at x = 1e-310; the Marcum form
+        # read -1e-323 at N = 2.  N = 3 keeps the sum form, which cancels
+        code, out = run_cli(capsys, "outage-curve", "--sweep-n", "1:3:1",
+                            "--snr-db=-3100")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[:3] for row in rows[1:2]] == [["2", "0.0", "0.0"]]
+
 
 class TestBoundsCompare:
     @pytest.mark.parametrize("sweep", [["--sweep-n", "1:12:1"],

@@ -349,6 +349,25 @@ def test_bounds_decides_its_own_facts():
     assert _names(bounds, "active_mu") == []
 
 
+def test_specfun_alone_calls_boosts_port_cdf():
+    # specfun.port_cdf is the one caller of Boost's noncentral chi-square
+    # cdf, and marcum_q1 of its survival function: no other module names
+    # either; and fas._special makes one lazy handle
+    found = []
+    for path in sorted((ROOT / "src" / "fas").glob("*.py")):
+        if path.name != "specfun.py":
+            tree = ast.parse(path.read_text())
+            found += [f"{path.name}:{line}" for name in ("chndtr", "_ncx2_sf")
+                      for line in _names(tree, name)]
+    assert found == []
+    special = ast.parse((ROOT / "src" / "fas" / "_special.py").read_text())
+    handles = [node.lineno for node in ast.walk(special)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name)
+               and node.func.id == "_LazyModule"]
+    assert len(handles) == 1
+
+
 def _bench_tracing():
     """bench/tracing.py, loaded by path and only read."""
     spec = importlib.util.spec_from_file_location("bench_tracing",

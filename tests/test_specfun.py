@@ -9,7 +9,7 @@ from scipy import special as sp
 
 from fas import specfun
 from fas.channel import FasConfig, correlation_profile, port_displacements
-from fas.specfun import inv_besselj0_envelope, marcum_q1
+from fas.specfun import inv_besselj0_envelope, marcum_q1, port_cdf
 
 import reference
 
@@ -311,6 +311,47 @@ class TestMarcumQ1Routes:
             # the sf gives up here with a RuntimeWarning and reads 0.00168
             far = marcum_q1(1e7, 1e7 + 1.0)
         assert far == pytest.approx(0.158655, abs=1e-4)
+
+
+class TestPortCdf:
+    """P1 = P[chi'^2_2(a^2) <= b^2]: Boost's chndtr(b^2, 2, a^2), and
+    1 - marcum_q1 where Boost reads NaN at finite arguments."""
+
+    # just below the diagonal at large arguments
+    NAN_BAND = [(6.5908e9, 6.595e9), (6.5910e9, 6.595e9),
+                (1e11, 1e11 * (1.0 + 1e-8))]
+
+    def test_is_boosts_cdf_where_that_is_finite(self):
+        a2 = np.geomspace(1e-6, 1e6, 40)[:, None]
+        b2 = np.geomspace(1e-6, 1e6, 50)
+        got = port_cdf(a2, b2)
+        assert got.shape == (40, 50)
+        assert np.array_equal(got, sp.chndtr(b2, 2.0, a2))
+
+    def test_nan_band_reads_1_minus_marcum_q1(self):
+        a2, b2 = np.array(self.NAN_BAND).T
+        # Boost gives up at each of these points
+        assert np.all(np.isnan(sp.chndtr(b2, 2.0, a2)))
+        got = port_cdf(a2, b2)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, 1.0 - marcum_q1(np.sqrt(a2), np.sqrt(b2)))
+        # b - a is about 25 at the first two, where P1 is 1.0 in double,
+        # and 1.6e-3 at the third
+        assert got.tolist()[:2] == [1.0, 1.0]
+        assert got[2] == pytest.approx(0.5006, abs=1e-4)
+
+    def test_scalar_arguments(self):
+        a2, b2 = self.NAN_BAND[2]
+        got = port_cdf(a2, b2)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == 1.0 - marcum_q1(math.sqrt(a2), math.sqrt(b2))
+
+    def test_non_finite_arguments_keep_boosts_value(self):
+        # marcum_q1 raises on these, so the kernel never hands them over
+        a2 = np.array([math.inf, math.nan, 1.0, 1.0, -1.0])
+        b2 = np.array([math.inf, 1.0, math.inf, math.nan, 1.0])
+        assert np.array_equal(port_cdf(a2, b2), sp.chndtr(b2, 2.0, a2),
+                              equal_nan=True)
 
 
 def test_marcum_integral_identity():

@@ -43,7 +43,7 @@ class TestChecks:
 
     def test_negative_control_faulty_marcum(self, monkeypatch):
         # a Marcum Q 1e-6 too high: errors of 1e-6 against a 1e-12 bound,
-        # and of 8.7e-7 against 1e-8.  The identity is linear in Q1, so a
+        # and of 6.6e-7 against 1e-8.  The identity is linear in Q1, so a
         # scaling fault would pass it
         real = validation.marcum_q1
         monkeypatch.setattr(validation, "marcum_q1",
