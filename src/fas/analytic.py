@@ -160,6 +160,8 @@ def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq) -> float:
     int_0^r1_sq e^-t prod_k P1(a_k sqrt(t), b_k) dt with a_k^2 =
     2 mu_k^2/(1 - mu_k^2) and b_k^2 = 2 rk_sq/(1 - mu_k^2); rk_sq is one
     squared radius per port k >= 2, or a scalar shared by all of them.
+    The ports are positively associated (every factor falls with t), so the
+    value is clamped between the product of their marginals and the least.
     """
     one_minus = 1.0 - mu[1:] ** 2
     a2 = 2.0 * mu[1:] ** 2 / one_minus
@@ -168,7 +170,10 @@ def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq) -> float:
     # keeps the first nodes where the mass is when r1_sq is large
     p, _ = quad(lambda t: np.exp(-t) * _port_cdf_product(a2, b2, t),
                 0.0, min(r1_sq, _EXP_ZERO))
-    return min(p, 1.0)
+    radii = np.empty(a2.size + 1)
+    radii[0], radii[1:] = r1_sq, rk_sq
+    marginals = (-np.expm1(-radii)).tolist()
+    return min(max(p, math.prod(marginals)), min(marginals))
 
 
 def _validated_mu(mu, r) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ Each correlated port contributes a factor 1 - (rho/sqrt(|mu_k|)) *
 exp(-kappa*x/(1-mu_k^2)); when that expression could reach zero or below
 (small |mu_k|), the safe fallback factor 1 - rho*exp(-kappa*x/(1-mu_k^2))
 is used instead, which keeps every factor inside (0, 1].  The factors take
-`checked_mu`'s domain, |mu_k| <= 1: a degenerate port, |mu_k| >
-`DEGENERATE_MU`, is port 1 over again and gets a factor of exactly 1.
+`channel`'s rules on mu: its range, |mu_k| <= 1, and its degenerate ports,
+port 1 over again, which get a factor of exactly 1.
 """
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (DEGENERATE_MU, FasConfig, checked_mu, checked_snr,
-                      correlation_profile)
+from .channel import (DEGENERATE_MU, FasConfig, checked_mu,
+                      checked_mu_range, checked_snr, correlation_profile,
+                      is_degenerate)
 
 DEFAULT_KAPPA = 2.0
 
@@ -84,21 +85,18 @@ def per_port_bound_factors(mu, snr_ratio: float,
 
     The gain rho/sqrt(|mu_k|) applies where it is below 1; elsewhere,
     mu_k = 0 included, the fallback gain rho keeps the factor positive.
-    Every |mu_k| must be <= 1, and a degenerate port's factor is exactly 1.
+    mu, of any shape, takes `checked_mu_range`'s rule, and a degenerate
+    port's factor is exactly 1.
     """
-    mu = np.asarray(mu, dtype=float)
+    mu = checked_mu_range(mu)
     mag = np.abs(mu)
-    inside = mag <= 1.0
-    if not np.all(inside):
-        raise ValueError("|mu_k| must be <= 1 and not NaN, got "
-                         f"{mu[~inside][0]}")
     with np.errstate(divide="ignore"):  # |mu_k| = 1, and mu_k = 0
         decay = np.exp(-constants.kappa * checked_snr(snr_ratio)
                        / (1.0 - mu * mu))
         gain = constants.rho / np.sqrt(mag)
     # small-|mu| fallback: rho < 0.5 keeps the factor strictly positive
     gain = np.where(gain < 1.0, gain, constants.rho)
-    return np.where(mag > DEGENERATE_MU, 1.0, 1.0 - gain * decay)
+    return np.where(is_degenerate(mag), 1.0, 1.0 - gain * decay)
 
 
 def per_port_bound_factor(mu_k: float, snr_ratio: float,

@@ -4,7 +4,8 @@ The model ties every port to port 1 through a shared in-phase/quadrature
 pair, with per-port correlation mu_k = J0(2*pi*d_k/lambda).  Sigma is fixed
 at 1: every analytic quantity downstream depends only on the SNR ratio.
 A correlation profile is the 1-D float array of those mu_k, port 1 first;
-`checked_mu` holds its rules, and every function that takes one calls it.
+`checked_mu` holds its rules, and every function that takes one calls it;
+`port_mu` alone maps ports to mu, for one profile or a block of them.
 `checked_positive` does the same for a value that must be positive and
 finite, `checked_nonnegative` for one that may also be 0, `checked_snr` for
 an SNR ratio, `checked_size` for an aperture and `checked_count` for a
@@ -79,18 +80,31 @@ def checked_mu(mu) -> np.ndarray:
     if mu[0] != 0.0:
         raise ValueError("mu[0] is the reference port and must be 0, "
                          f"got {mu[0]}")
-    bad = np.flatnonzero(~(np.abs(mu) <= 1.0))
-    if bad.size:
+    return checked_mu_range(mu)
+
+
+def checked_mu_range(mu) -> np.ndarray:
+    """mu, of any shape, as a float array once every |mu_k| <= 1 (NaN is
+    not); the error names the first entry that is not."""
+    mu = np.asarray(mu, dtype=float)
+    inside = np.abs(mu) <= 1.0
+    if not inside.all():
+        at = np.unravel_index(np.argmin(inside), mu.shape)
         raise ValueError("|mu_k| must be <= 1 and not NaN, got "
-                         f"mu[{bad[0]}] = {mu[bad[0]]}")
+                         f"mu[{', '.join(map(str, at))}] = {mu[at]}")
     return mu
 
 
+def is_degenerate(mu) -> np.ndarray:
+    """|mu_k| > `DEGENERATE_MU`: the ports that are port 1 over again."""
+    return np.abs(mu) > DEGENERATE_MU
+
+
 def active_mu(mu) -> np.ndarray:
-    """The checked profile mu without its degenerate ports, which contribute
-    nothing; the reference port, mu[0] = 0, always stays."""
+    """The checked profile mu without its degenerate ports; the reference
+    port, mu[0] = 0, always stays."""
     mu = checked_mu(mu)
-    return mu[np.abs(mu) <= DEGENERATE_MU]
+    return mu[~is_degenerate(mu)]
 
 
 @dataclass(frozen=True)
@@ -116,14 +130,28 @@ class FasConfig:
 def port_displacements(config: FasConfig) -> np.ndarray:
     """Evenly spaced port positions d_k = (k-1)/(N-1) * W, in wavelengths."""
     n = config.n_ports
-    if n == 1:
-        return np.zeros(1)
-    return np.arange(n) / (n - 1) * config.size_wavelengths
+    return np.arange(n) / max(n - 1, 1) * config.size_wavelengths
+
+
+def port_mu(k, n, size_wl: float) -> np.ndarray:
+    """mu = J0(2 pi d) of the ports k = 0, 1, ... of N-port rows at aperture
+    W, d = k/(N-1) * W, with k and N (>= 2) broadcast against each other.
+    A port k >= N is padding: port 1 itself, mu = 1, from J0's argument 0,
+    since its d would exceed W and 2 pi d can overflow."""
+    return sp.j0(2.0 * np.pi * (np.where(k < n, k, 0) / (n - 1) * size_wl))
+
+
+def first_lobe_end(size_wl: float) -> float | None:
+    """mu_W = J0(2 pi W) if mu falls from 1 to it over the aperture, where
+    2 pi W < j_{0,1} = 2.404825557695773 (J0's first zero); else None."""
+    return (port_mu(1, 2, size_wl)
+            if 2.0 * math.pi * size_wl < 2.404825557695773 else None)
 
 
 def correlation_profile(config: FasConfig) -> np.ndarray:
-    """Jakes-model spatial profile: mu_k = J0(2*pi*d_k) with mu_1 = 0."""
-    mu = sp.j0(2.0 * np.pi * port_displacements(config))
+    """Jakes-model profile: row N of `port_mu`, mu_1 = 0 ([0.0] at N = 1)."""
+    n = config.n_ports
+    mu = port_mu(np.arange(n), max(n, 2), config.size_wavelengths)
     mu[0] = 0.0
     return mu
 

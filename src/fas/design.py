@@ -18,11 +18,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._special import sp
 from .analytic import outage_mrc
 from .bounds import (BoundConstants, per_port_bound_factor,
                      per_port_bound_factors)
-from .channel import checked_count, checked_mu, checked_size, checked_snr
+from .channel import (checked_count, checked_mu, checked_size, checked_snr,
+                      first_lobe_end, port_mu)
 from .specfun import inv_besselj0_envelope
 
 N_MAX_DEFAULT = 100_000
@@ -43,8 +43,6 @@ _SCAN_BLOCK_CELLS = 16_384
 # Log-space margin by which a row that `_certified_start` rules out misses
 # the MRC target; the rounding of a 2000-port row's log sum is ~1e-12.
 _CERTIFICATE_MARGIN = 1e-6
-# j_{0,1}, the first zero of J0
-_J0_FIRST_ZERO = 2.404825557695773
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
@@ -109,15 +107,12 @@ def min_ports_general(mu, query: DesignQuery,
 def _block_factors(n: np.ndarray, size_wl: float, d_one: float,
                    query: DesignQuery) -> np.ndarray:
     """Bound factors of the rows N = n (an ascending column) over the ports
-    k at d = k/(N-1) * W.  The padding k >= N is port 1 itself, mu = 1, and
+    k at d = k/(N-1) * W, from `port_mu`.  Its padding k >= N, mu = 1,
     gets the kernel's factor of exactly 1, as the degenerate ports do; so
     do the ports closer than d_one in every row, which are left out."""
     # ports 2..N sit at k/(N-1) * W; below k_one every row's d < d_one
     k_one = max(1, int(d_one * (n[0, 0] - 1) / size_wl))
-    k = np.arange(k_one, n[-1, 0])
-    # the padding takes argument 0, where J0 is exactly 1: its d = k/(N-1) W
-    # exceeds W, and 2 pi d can overflow
-    mu = sp.j0(2.0 * np.pi * (np.where(k < n, k, 0) / (n - 1) * size_wl))
+    mu = port_mu(np.arange(k_one, n[-1, 0]), n, size_wl)
     return per_port_bound_factors(mu, query.snr_ratio, query.constants)
 
 
@@ -138,18 +133,19 @@ def _certified_start(size_wl: float, query: DesignQuery, n_max: int,
     The bound falls as N grows, so the rows it rules out are N = 2 up to
     the first it does not, which the scan starts at.
 
-    g is non-increasing when 2 pi W < j_{0,1}, so mu = J0(2 pi d) falls
-    from 1 to J0(2 pi W) as d grows, and the factor falls with mu
-    (`BoundConstants.factor_falls_to`).  The margin is ~1e6 times the
-    rounding of a 2000-port log sum.  A ruled-out row's product is at least
-    e^(T + margin), so where e^T is normal, every partial product of the
-    scan's row is normal and its rounding relative.  Elsewhere, or where
-    e^T is not normal, the scan starts at N = 2.  The reference row,
-    M = min(n_max, `_SCAN_BLOCK_CELLS`) but at least 2, fits in one block.
+    g is non-increasing where mu = J0(2 pi d) falls from 1 to J0(2 pi W)
+    as d grows (2 pi W < j_{0,1}: `channel.first_lobe_end`), and the
+    factor falls with mu (`BoundConstants.factor_falls_to`).  The margin is
+    ~1e6 times the rounding of a 2000-port log sum.  A ruled-out row's
+    product is at least e^(T + margin), so where e^T is normal, every
+    partial product of the scan's row is normal and its rounding relative.
+    Elsewhere, or where e^T is not normal, the scan starts at N = 2.  The
+    reference row, M = min(n_max, `_SCAN_BLOCK_CELLS`) but at least 2,
+    fits in one block.
     """
-    z_w = 2.0 * math.pi * size_wl
-    if not (z_w < _J0_FIRST_ZERO
-            and query.constants.factor_falls_to(sp.j0(z_w), query.snr_ratio)
+    mu_w = first_lobe_end(size_wl)
+    if not (mu_w is not None
+            and query.constants.factor_falls_to(mu_w, query.snr_ratio)
             and log_target > _LOG_FLOAT_MIN):
         return 2
     m = max(2, min(n_max, _SCAN_BLOCK_CELLS))

@@ -54,14 +54,16 @@ def check_marcum_specials(settings: ValidationSettings) -> dict:
 
 
 def check_n2_closed_form(settings: ValidationSettings) -> dict:
+    # relative error, at 20 draws and at the first five's mu at -60, -100 dB
     rng = np.random.default_rng(settings.seed)
+    draws = [(rng.uniform(-0.98, 0.98), rng.uniform(0.05, 8.0))
+             for _ in range(20)]
     worst = 0.0
-    for _ in range(20):
-        mu2 = rng.uniform(-0.98, 0.98)
-        x = rng.uniform(0.05, 8.0)
+    for mu2, x in draws + [(mu2, x) for mu2, _ in draws[:5]
+                           for x in (1e-6, 1e-10)]:
         exact = analytic.outage_exact_profile([0.0, mu2], x)
         closed = analytic.outage_n2_closed_form(mu2, x)
-        worst = max(worst, abs(exact - closed))
+        worst = max(worst, abs(exact - closed) / closed)
     return {"pass": worst <= 1e-8, "worst_error": repr(worst)}
 
 

@@ -79,6 +79,31 @@ class TestCorrelationProfile:
             want = reference.j0_series(2.0 * math.pi * k * 2.0 / 4.0)
             assert mu[k] == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("size_wl", [1e-3, 0.2, 0.38, 0.5, 2.0, 5.0, 1e6])
+    def test_is_one_row_of_the_port_mu_block(self, size_wl):
+        # the profile is the block's row N bit for bit, port 1 aside, and
+        # the arithmetic it had, J0(2 pi (k/(N-1)) W); the block pads k >= N
+        # with mu = 1, and its port k = N - 1 is J0(2 pi W)
+        ns = np.array([2, 3, 7, 100, 2000, 4094])
+        block = channel.port_mu(np.arange(4094), ns[:, None], size_wl)
+        edge = sp.j0(2.0 * math.pi * size_wl)
+        for n, row in zip(ns.tolist(), block):
+            mu = correlation_profile(FasConfig(n, size_wl, 1.0))
+            had = sp.j0(2.0 * np.pi * (np.arange(n) / (n - 1) * size_wl))
+            assert mu[0] == 0.0
+            assert mu[1:].tobytes() == row[1:n].tobytes() == had[1:].tobytes()
+            assert np.all(row[n:] == 1.0)
+            assert row[n - 1].tobytes() == edge.tobytes()
+        one = correlation_profile(FasConfig(1, size_wl, 1.0))
+        assert one.tolist() == [0.0]
+
+    @pytest.mark.parametrize("size_wl", [1e-3, 0.2, 0.38, 0.5, 2.0, 5.0, 1e6])
+    def test_first_lobe_end(self, size_wl):
+        # J0(2 pi W) where mu falls from 1 over the whole aperture
+        z = 2.0 * math.pi * size_wl
+        want = sp.j0(z) if z < 2.404825557695773 else None
+        assert channel.first_lobe_end(size_wl) == want
+
     # every public function that takes a profile, on the 2-port point
     # (1, 1) where one applies
     TAKERS = {

@@ -150,8 +150,8 @@ UNIT_MU_EXCEPTIONS = {"checked_mu", "joint_pdf", "joint_cdf", "mc_outage_fas"}
 @pytest.mark.parametrize("taker", sorted(MU_TAKERS))
 @pytest.mark.parametrize("mu", [1.5, -1.5, float("nan")])
 def test_every_mu_taker_checks_through_checked_mu(taker, mu):
-    # one rule, |mu| <= 1 and not NaN, in channel.checked_mu and the bound
-    # kernel, one message
+    # one rule, |mu| <= 1 and not NaN, in channel.checked_mu_range, which
+    # checked_mu and the bound kernel call, one message
     with pytest.raises(ValueError, match=r"^\|mu_k\| must be <= 1"):
         MU_TAKERS[taker](mu, 1.0)
 
@@ -347,6 +347,31 @@ def test_bounds_decides_its_own_facts():
                   + _names(design, "DEGENERATE_MU")) == []
     bounds = ast.parse((ROOT / "src" / "fas" / "bounds.py").read_text())
     assert _names(bounds, "active_mu") == []
+
+
+def test_channel_alone_rules_on_mu():
+    # channel.py maps ports to mu, rules on mu's range and names the
+    # degenerate ports: design.py reads its blocks and mu_W from there,
+    # only channel.py builds the range message, and bounds.py uses
+    # DEGENERATE_MU only in the proof clause of factor_falls_to
+    src = ROOT / "src" / "fas"
+    design = ast.parse((src / "design.py").read_text())
+    assert [line for name in ("sp", "j0", "_J0_FIRST_ZERO")
+            for line in _names(design, name)] == []
+    builds = [path.name for path in sorted(src.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith("|mu_k| must be <= 1")]
+    assert builds == ["channel.py"]
+    bounds = ast.parse((src / "bounds.py").read_text())
+    proof = next(node for node in ast.walk(bounds)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "factor_falls_to")
+    inside = {id(node) for node in ast.walk(proof)}
+    uses = [node for node in ast.walk(bounds)
+            if isinstance(node, ast.Name) and node.id == "DEGENERATE_MU"]
+    assert uses and [node.lineno for node in uses
+                     if id(node) not in inside] == []
 
 
 def test_specfun_alone_calls_boosts_port_cdf():

@@ -4,7 +4,7 @@ import math
 import pytest
 from scipy import stats
 
-from fas import mc, validation
+from fas import analytic, mc, validation
 from fas.analytic import outage_exact
 from fas.validation import (ALL_CHECKS, GRID_PRESETS, MC_FAMILY_LEVEL,
                             ValidationSettings, _grid_configs,
@@ -52,6 +52,17 @@ class TestChecks:
             result = ALL_CHECKS[name](self.settings())
             assert not result["pass"], name
             assert float(result["worst_error"]) > 5e-7
+
+    def test_n2_closed_form_is_relative_in_the_deep_tail(self, monkeypatch):
+        # its draws at -60 and -100 dB read outages near 1e-12 and 1e-20:
+        # relative to them the two routes agree to rounding, and an absolute
+        # fault of 1e-12, nothing beside 1e-8, fails the check
+        result = ALL_CHECKS["n2_closed_form"](self.settings())
+        assert float(result["worst_error"]) <= 1e-14
+        real = analytic.outage_n2_closed_form
+        monkeypatch.setattr(analytic, "outage_n2_closed_form",
+                            lambda mu2, x: real(mu2, x) + 1e-12)
+        assert not ALL_CHECKS["n2_closed_form"](self.settings())["pass"]
 
     def test_identity_is_met_to_rounding(self):
         # one G10/K21 round resolves the integrand, which is entire in t
