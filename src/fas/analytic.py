@@ -172,8 +172,12 @@ def _cdf_integral(mu: np.ndarray, r1_sq: float, rk_sq) -> float:
                 0.0, min(r1_sq, _EXP_ZERO))
     radii = np.empty(a2.size + 1)
     radii[0], radii[1:] = r1_sq, rk_sq
-    marginals = (-np.expm1(-radii)).tolist()
-    return min(max(p, math.prod(marginals)), min(marginals))
+    marginals = -np.expm1(-radii)
+    # port 1's marginal times the others' product, summed in logs so that
+    # it underflows to 0.0 where a running product would stick at 5e-324
+    with np.errstate(divide="ignore"):
+        others = math.exp(math.fsum(np.log(marginals[1:]).tolist()))
+    return min(max(p, float(marginals[0]) * others), float(marginals.min()))
 
 
 def _validated_mu(mu, r) -> tuple[np.ndarray, np.ndarray]:

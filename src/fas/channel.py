@@ -30,9 +30,13 @@ DEGENERATE_MU = 1.0 - 1e-9
 
 def checked_count(value, name: str, least: int = 1) -> int:
     """value as an int, once it is a whole number >= least and not a bool:
-    150.0 is one; inf and NaN are not, and never reach int()."""
-    if (isinstance(value, (bool, np.bool_)) or not least <= value < math.inf
-            or int(value) != value):
+    150.0 is one; inf and NaN are not, and never reach int(), and a str or
+    None fails by the same ValueError."""
+    try:
+        whole = least <= value < math.inf and int(value) == value
+    except TypeError:  # no order against an int: "100", None
+        whole = False
+    if isinstance(value, (bool, np.bool_)) or not whole:
         raise ValueError(f"{name} must be a whole number >= {least}, "
                          f"got {value!r}")
     return int(value)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import logging
@@ -239,32 +240,34 @@ def _run_sweep(args, fixed: str, run: str, extra_header: list[str],
     return 0
 
 
-def _mc_columns(config: FasConfig, exact: float, args) -> tuple:
-    if not args.trials:
+def _mc_columns(config: FasConfig, exact: float,
+                settings: Optional[mc.McSettings]) -> tuple:
+    if settings is None:
         return None, None  # MC off: analytic only
-    planned = mc.plan_trials(exact, args.trials)
+    planned = mc.plan_trials(exact, settings.trials)
     if planned is None:
         _log.warning("Monte Carlo at %s skipped: analytic p %.3g needs over "
                      "%d trials", _point(config), exact, mc.TRIALS_CAP)
         return None, None
-    if planned > 10 * args.trials:
+    if planned > 10 * settings.trials:
         _log.warning("Monte Carlo at %s plans %d trials, %.0fx --trials %d",
-                     _point(config), planned, planned / args.trials, args.trials)
-    est = mc.mc_outage_fas(config, mc.McSettings(
-        trials=planned, seed=args.seed, workers=args.workers))
+                     _point(config), planned, planned / settings.trials,
+                     settings.trials)
+    est = mc.mc_outage_fas(config, dataclasses.replace(settings,
+                                                       trials=planned))
     return est.p_hat, est.half_width_95
 
 
 def cmd_outage_curve(args) -> int:
-    if args.trials:
-        # each point plans at least --trials trials, so a worker count
-        # these settings take is taken at every point
-        mc.McSettings(trials=args.trials, seed=args.seed, workers=args.workers)
+    # each point plans at least --trials trials, so a worker count these
+    # settings take is taken at every point
+    settings = (mc.McSettings(trials=args.trials, seed=args.seed,
+                              workers=args.workers) if args.trials else None)
     return _run_sweep(
         args, "",
         f"seed={args.seed} trials={args.trials} workers={args.workers}",
         ["mc", "mc_ci"],
-        lambda config, exact, approx: _mc_columns(config, exact, args))
+        lambda config, exact, approx: _mc_columns(config, exact, settings))
 
 
 def cmd_bounds_compare(args) -> int:
@@ -353,9 +356,8 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    settings = ValidationSettings(grid=args.grid, trials=args.trials,
-                                  seed=args.seed, workers=args.workers)
-    report = run_validation(settings)
+    report = run_validation(ValidationSettings(args.grid, mc.McSettings(
+        trials=args.trials, seed=args.seed, workers=args.workers)))
     text = json.dumps(report, indent=2, sort_keys=True)
     with _output(args.out) as out:
         out.write(text + "\n")

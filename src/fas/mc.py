@@ -7,13 +7,13 @@ fixed (trials, seed, workers) triple regardless of execution order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .channel import FasConfig, checked_mu, correlation_profile
+from .channel import (FasConfig, checked_count, checked_mu,
+                      correlation_profile)
 
 _CHUNK = 2 ** 16
 
@@ -32,15 +32,10 @@ class McSettings:
     workers: int = 1
 
     def __post_init__(self):
-        # stricter than channel.checked_count on purpose: numpy's binomial
-        # would take a whole float count without a word
         for name, least in (("trials", MIN_TRIALS), ("workers", 1),
                             ("seed", 0)):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool) or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}, "
-                                 f"got {value!r}")
+            object.__setattr__(self, name,
+                               checked_count(getattr(self, name), name, least))
         most = min(WORKERS_MAX, self.trials)
         if self.workers > most:
             raise ValueError(f"workers must be <= {most} (at most "

@@ -3,8 +3,9 @@ independent route (Monte Carlo, closed forms, quadrature identities, and the
 Marcum Q inequalities used by the bound)."""
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,24 +26,22 @@ GRID_PRESETS = {
 
 @dataclass(frozen=True)
 class ValidationSettings:
-    grid: str = "quick"
-    trials: int = 200_000
-    seed: int = 42
-    workers: int = 1
+    grid: str
+    mc: mc.McSettings
 
     def __post_init__(self):
         if self.grid not in GRID_PRESETS:
             raise ValueError(f"grid must be one of {sorted(GRID_PRESETS)}, "
                              f"got {self.grid!r}")
-        # the Monte-Carlo check's settings, checked here so that a float or
-        # bool count fails before any check runs
-        mc.McSettings(trials=self.trials, seed=self.seed, workers=self.workers)
 
-
-def _grid_configs(preset: str) -> list[FasConfig]:
-    spec = GRID_PRESETS[preset]
-    return [FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=x)
-            for n in spec["n"] for w in spec["w"] for x in spec["x"]]
+    @functools.cached_property
+    def exact_points(self) -> list[tuple[FasConfig, float]]:
+        """Each grid point's config and exact outage, evaluated once for
+        the checks that read them."""
+        spec = GRID_PRESETS[self.grid]
+        return [(config, analytic.outage_exact(config)) for config in
+                (FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=x)
+                 for n in spec["n"] for w in spec["w"] for x in spec["x"])]
 
 
 def check_marcum_specials(settings: ValidationSettings) -> dict:
@@ -55,7 +54,7 @@ def check_marcum_specials(settings: ValidationSettings) -> dict:
 
 def check_n2_closed_form(settings: ValidationSettings) -> dict:
     # relative error, at 20 draws and at the first five's mu at -60, -100 dB
-    rng = np.random.default_rng(settings.seed)
+    rng = np.random.default_rng(settings.mc.seed)
     draws = [(rng.uniform(-0.98, 0.98), rng.uniform(0.05, 8.0))
              for _ in range(20)]
     worst = 0.0
@@ -72,7 +71,7 @@ def check_marcum_integral_identity(settings: ValidationSettings) -> dict:
     # Q1 = 1 - port_cdf on the left and marcum_q1 on the right:
     # int_0^c e^-t Q1(a sqrt(t), b) dt
     #   = e^{-b^2/(a^2+2)} Q1(sqrt(c(a^2+2)), ab/sqrt(a^2+2)) - e^-c Q1(a sqrt(c), b)
-    a, b, c = np.random.default_rng(settings.seed + 1).uniform(
+    a, b, c = np.random.default_rng(settings.mc.seed + 1).uniform(
         0.1, 3.0, (10, 3)).T
     lhs = np.array([analytic.quad(
         lambda t: np.exp(-t) * (1.0 - port_cdf(ai * ai * t, bi * bi)),
@@ -85,18 +84,15 @@ def check_marcum_integral_identity(settings: ValidationSettings) -> dict:
 
 
 def check_mc_vs_exact(settings: ValidationSettings) -> dict:
-    mc_settings = mc.McSettings(trials=settings.trials, seed=settings.seed,
-                                workers=settings.workers)
-    configs = _grid_configs(settings.grid)
+    points = settings.exact_points
     # Sidak: the per-point two-sided level that holds the chance of any
     # false alarm over the grid at MC_FAMILY_LEVEL, correlated or not
-    per_point = -math.expm1(math.log1p(-MC_FAMILY_LEVEL) / len(configs))
+    per_point = -math.expm1(math.log1p(-MC_FAMILY_LEVEL) / len(points))
     z_max = float(-sp.ndtri(0.5 * per_point))
     failures = []
-    for config in configs:
-        exact = analytic.outage_exact(config)
-        est = mc.mc_outage_fas(config, mc_settings)
-        se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / settings.trials)
+    for config, exact in points:
+        est = mc.mc_outage_fas(config, settings.mc)
+        se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / settings.mc.trials)
         if abs(est.p_hat - exact) > z_max * se:
             failures.append({"n": config.n_ports, "w": config.size_wavelengths,
                              "x": config.snr_ratio,
@@ -107,8 +103,7 @@ def check_mc_vs_exact(settings: ValidationSettings) -> dict:
 
 def check_bound_ordering(settings: ValidationSettings) -> dict:
     violations = []
-    for config in _grid_configs(settings.grid):
-        exact = analytic.outage_exact(config)
+    for config, exact in settings.exact_points:
         for kappa in (1.5, 2.0, 3.0):
             ub = bounds.outage_upper_bound(config, bounds.bound_constants(kappa))
             if exact > ub + 1e-12:
@@ -130,7 +125,7 @@ def check_special_case_independent(settings: ValidationSettings) -> dict:
 
 
 def check_marcum_ratio_upper_bound(settings: ValidationSettings) -> dict:
-    rng = np.random.default_rng(settings.seed + 2)
+    rng = np.random.default_rng(settings.mc.seed + 2)
     b = rng.uniform(1e-3, 20.0, 500)
     a = rng.uniform(0.0, b * 0.999)
     bound = (b / (b - a)) / np.sqrt(1.0 + 2.0 * a * b)
@@ -139,7 +134,7 @@ def check_marcum_ratio_upper_bound(settings: ValidationSettings) -> dict:
 
 
 def check_marcum_scaled_lower_bound(settings: ValidationSettings) -> dict:
-    rng = np.random.default_rng(settings.seed + 3)
+    rng = np.random.default_rng(settings.mc.seed + 3)
     violations = 0
     for kappa in (1.5, 2.0, 3.0):
         rho = bounds.bound_constants(kappa).rho
@@ -166,12 +161,7 @@ def run_validation(settings: ValidationSettings) -> dict:
     """Run every check; the report is byte-identical for identical settings."""
     results = {name: fn(settings) for name, fn in ALL_CHECKS.items()}
     return {
-        "config": {
-            "grid": settings.grid,
-            "trials": settings.trials,
-            "seed": settings.seed,
-            "workers": settings.workers,
-        },
+        "config": {"grid": settings.grid, **asdict(settings.mc)},
         "results": results,
         "version": __version__,
         "all_passed": all(r["pass"] for r in results.values()),

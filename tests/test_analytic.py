@@ -273,6 +273,21 @@ class TestOutageExact:
         assert exc_info.value.error_estimate > 1e-8
         assert exc_info.value.n_evals == 21
 
+    @pytest.mark.parametrize("n", [2_000, 10_000])
+    def test_below_the_smallest_double_under_its_upper_side(self, n):
+        # at W = 5, 0 dB the model's outage is under U = (1 - e^-x)
+        # prod_k (1 - e^{-x/(1 - mu_k^2)}), 10^-368.29 at N = 2,000 and
+        # 10^-1841.01 at N = 10,000; the clamp from below by the marginals'
+        # running product stuck at 5e-324 above both
+        config = FasConfig(n_ports=n, size_wavelengths=5.0, snr_ratio=1.0)
+        mu = active_mu(correlation_profile(config))[1:]
+        log_upper = math.log(-math.expm1(-1.0)) + float(
+            np.sum(np.log(-np.expm1(-1.0 / (1.0 - mu ** 2)))))
+        assert log_upper < math.log(5e-324)
+        p = outage_exact(config)
+        assert p >= 0.0
+        assert (math.log(p) if p > 0.0 else -math.inf) <= log_upper
+
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
             outage_exact_profile([0.0, 0.5], 0.0)

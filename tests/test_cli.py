@@ -205,7 +205,7 @@ _SWEEP_FLAG_RULES = [
 FLAG_RULES = [
     *(("outage-curve", *rule) for rule in _SWEEP_FLAG_RULES),
     ("outage-curve", "--trials", "500",
-     "trials must be an integer >= 1000, got 500"),
+     "trials must be a whole number >= 1000, got 500"),
     ("outage-curve", "--workers", "1025", "workers must be <= 1024 "
      "(at most 1024 and at most trials), got 1025"),
     *(("bounds-compare", *rule) for rule in _SWEEP_FLAG_RULES),
@@ -234,8 +234,9 @@ FLAG_RULES = [
      "scatterers must be a whole number >= 8, got 4"),
     ("envelope", "--mrc-l", "0", "mrc_l must be a whole number >= 1, got 0"),
     ("envelope", "--seed", "-1", "seed must be a whole number >= 0, got -1"),
-    ("validate", "--trials", "500", "trials must be an integer >= 1000, got 500"),
-    ("validate", "--workers", "0", "workers must be an integer >= 1, got 0"),
+    ("validate", "--trials", "500",
+     "trials must be a whole number >= 1000, got 500"),
+    ("validate", "--workers", "0", "workers must be a whole number >= 1, got 0"),
     ("validate", "--seed", "-1", "seed must be a whole number >= 0, got -1"),
 ]
 
@@ -431,6 +432,14 @@ class TestOutageCurve:
         assert len(exact) == 30
         assert all(a >= b - 1e-12 for a, b in zip(exact, exact[1:]))
 
+    def test_exact_outage_below_the_smallest_double_reads_zero(self, capsys):
+        # the model's outage at N = 10,000, W = 5, 0 dB is 10^-1843: its
+        # clamp from below once stuck at the subnormal 5e-324
+        _, out = run_cli(capsys, "outage-curve", "--sweep-n=10000:10000:1",
+                         "--size-wl", "5", "--snr-db", "0")
+        header, rows = parse_csv(out)
+        assert rows[0][header.index("exact")] == "0.0"
+
     def test_provenance_comments(self, capsys):
         _, out = run_cli(capsys, "outage-curve", "--sweep-n", "1:3:1")
         comments = [l for l in out.splitlines() if l.startswith("#")]
@@ -467,9 +476,9 @@ class TestOutageCurve:
                             mc.McEstimate(0.5, 0.0, settings.trials))
         config = FasConfig(n_ports=8, size_wavelengths=1.0,
                            snr_ratio=db_to_linear(snr_db))
-        args = argparse.Namespace(trials=100_000, seed=42, workers=1)
+        settings = mc.McSettings(trials=100_000, seed=42)
         with caplog.at_level(logging.WARNING, logger="fas"):
-            cli._mc_columns(config, outage_exact(config), args)
+            cli._mc_columns(config, outage_exact(config), settings)
         records = [r for r in caplog.records if r.name == "fas"]
         if not warned:
             assert records == []

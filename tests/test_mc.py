@@ -30,18 +30,27 @@ class TestMcSettings:
             McSettings(trials=10_000, seed=1, workers=0)
 
     @pytest.mark.parametrize("field, value", [
-        # a float count used to reach numpy (a TypeError at 1e5) or to give
-        # p_hat = nan without an error
-        ("trials", 1e5), ("trials", math.nan), ("trials", math.inf),
-        ("trials", True), ("trials", "100000"),
-        ("workers", 2.0), ("workers", math.nan), ("workers", True),
-        ("seed", -1), ("seed", 1.0), ("seed", math.nan), ("seed", False),
-        ("seed", None),
+        # a NaN count once gave p_hat = nan without an error
+        ("trials", math.nan), ("trials", math.inf), ("trials", 1e5 + 0.5),
+        ("trials", True), ("trials", "100000"), ("trials", None),
+        ("workers", math.nan), ("workers", True), ("workers", "2"),
+        ("seed", -1), ("seed", math.nan), ("seed", False), ("seed", None),
     ])
     def test_rejects_non_integer_counts_and_seeds(self, field, value):
         kwargs = {"trials": 10_000, "seed": 1, "workers": 1, field: value}
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a whole number >= "):
             McSettings(**kwargs)
+
+    def test_keeps_whole_float_counts_as_ints(self):
+        # a whole float count reaches numpy as the int checked_count makes
+        # of it (1e5 trials once raised a TypeError in the draw)
+        s = McSettings(trials=1e5, seed=1.0, workers=2.0)
+        assert [type(v) for v in (s.trials, s.seed, s.workers)] == [int] * 3
+        assert s == McSettings(trials=100_000, seed=1, workers=2)
+        c = FasConfig(n_ports=3, size_wavelengths=0.5, snr_ratio=1.0)
+        assert mc_outage_fas(c, s) == mc_outage_fas(
+            c, McSettings(trials=100_000, seed=1, workers=2))
 
     @pytest.mark.parametrize("trials, workers", [
         (10_000, 1025), (10 ** 9, 10 ** 6), (1000, 1001), (5000, 5000)])

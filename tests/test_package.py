@@ -196,16 +196,22 @@ COUNT_TAKERS = {
     "envelope_trace": ("mrc_branches", 1, lambda n: fas.envelope_trace(
         fas.FasConfig(2.0, 1.0, 1.0), _doppler(64.0),
         np.random.default_rng(0), n)),
+    "McSettings.trials": ("trials", fas.mc.MIN_TRIALS,
+                          lambda n: fas.McSettings(n, 0)),
+    "McSettings.workers": ("workers", 1,
+                           lambda n: fas.McSettings(10_000, 0, n)),
+    "McSettings.seed": ("seed", 0, lambda n: fas.McSettings(10_000, n)),
 }
 
 
 @pytest.mark.parametrize("taker", sorted(COUNT_TAKERS))
 @pytest.mark.parametrize("bad", [True, 2.5, float("nan"), float("inf"),
-                                 "least - 1"])
+                                 "least - 1", "100", None])
 def test_every_count_taker_checks_through_checked_count(taker, bad):
     # one rule, a whole number >= least and not a bool, in
     # channel.checked_count; True once passed everywhere, and NaN, inf and
-    # 8.5 scatterers, and any MRC branch count of the trace
+    # 8.5 scatterers, and any MRC branch count of the trace; a str or None
+    # once raised TypeError from the comparison
     name, least, call = COUNT_TAKERS[taker]
     if bad == "least - 1":
         bad = least - 1

@@ -7,34 +7,48 @@ from scipy import stats
 from fas import analytic, mc, validation
 from fas.analytic import outage_exact
 from fas.validation import (ALL_CHECKS, GRID_PRESETS, MC_FAMILY_LEVEL,
-                            ValidationSettings, _grid_configs,
-                            check_mc_vs_exact, run_validation)
+                            ValidationSettings, check_mc_vs_exact,
+                            run_validation)
+
+
+def _settings(grid="quick", trials=50_000, seed=42, workers=1):
+    return ValidationSettings(grid, mc.McSettings(trials, seed, workers))
 
 
 class TestValidationSettings:
-    @pytest.mark.parametrize("field, bad", [
-        ("grid", "huge"),
-        ("trials", mc.MIN_TRIALS - 1),
-        ("trials", math.nan),
-        ("trials", 20_000.0),
-        ("workers", 0),
-        ("workers", True),
-        ("seed", -1),
-        ("seed", 1.5),
-    ])
-    def test_rejects_invalid_field(self, field, bad):
-        with pytest.raises(ValueError, match=field):
-            ValidationSettings(**{field: bad})
+    def test_rejects_unknown_grid(self):
+        with pytest.raises(ValueError, match="^grid must be one of "):
+            _settings(grid="huge")
 
     def test_accepts_smallest_valid_values(self):
-        s = ValidationSettings(grid="full", trials=mc.MIN_TRIALS, workers=1,
-                               seed=0)
-        assert s.trials == mc.MIN_TRIALS
+        s = _settings(grid="full", trials=mc.MIN_TRIALS, seed=0)
+        assert s.mc.trials == mc.MIN_TRIALS
+
+    def test_reports_a_whole_float_trial_count_as_an_int(self):
+        # 20,000.0 trials was rejected; McSettings now keeps it as the int
+        # checked_count makes of it, and the report reads 20000
+        report = run_validation(_settings(trials=20_000.0))
+        assert report == run_validation(_settings(trials=20_000))
+        assert type(report["config"]["trials"]) is int
+
+
+class TestExactPoints:
+    def test_each_grid_point_is_evaluated_once_per_run(self, monkeypatch):
+        # mc_vs_exact and bound_ordering read one list of exact outages,
+        # and a second run's settings evaluate their own
+        calls = []
+        real = analytic.outage_exact
+        monkeypatch.setattr(analytic, "outage_exact",
+                            lambda config: calls.append(config) or real(config))
+        for runs in (1, 2):
+            run_validation(_settings(trials=20_000))
+            assert len(calls) == 8 * runs  # the quick grid's 8 points
+        assert len(set(calls)) == 8
 
 
 class TestChecks:
     def settings(self):
-        return ValidationSettings(grid="quick", trials=50_000, seed=42)
+        return _settings()
 
     @pytest.mark.parametrize("name", sorted(ALL_CHECKS))
     def test_individual_checks_pass(self, name):
@@ -73,7 +87,7 @@ class TestChecks:
 class TestMcVsExact:
     def test_report_states_level_and_sidak_threshold(self):
         # 8 quick-grid points at a family-wise level of 1e-6: 5.286 s.e.
-        result = check_mc_vs_exact(ValidationSettings(trials=20_000))
+        result = check_mc_vs_exact(_settings(trials=20_000))
         assert result["family_level"] == repr(MC_FAMILY_LEVEL) == "1e-06"
         z = float(result["z_threshold"])
         per_point = 2.0 * stats.norm.sf(z)
@@ -87,19 +101,19 @@ class TestMcVsExact:
         # 2.87, 2.67 and 1.97 on Philox streams drawing |g_1|^2 for every
         # trial; 3.08, 3.93, 3.32 and 3.34 when every port of every trial
         # was drawn)
-        settings = ValidationSettings(grid="quick", trials=50_000, seed=seed)
+        settings = _settings(seed=seed)
         assert check_mc_vs_exact(settings)["pass"]
 
     def test_rejects_estimate_biased_by_7_se_at_one_point(self, monkeypatch):
-        settings = ValidationSettings(grid="quick", trials=50_000, seed=42)
+        settings = _settings()
         unbiased = mc.mc_outage_fas
-        for target in _grid_configs("quick"):
+        for target, _ in settings.exact_points:
             def biased(config, mc_settings):
                 est = unbiased(config, mc_settings)
                 if config != target:
                     return est
                 exact = outage_exact(config)
-                se = math.sqrt(exact * (1.0 - exact) / settings.trials)
+                se = math.sqrt(exact * (1.0 - exact) / settings.mc.trials)
                 shift = math.copysign(7.0 * se, est.p_hat - exact)
                 return dataclasses.replace(est, p_hat=est.p_hat + shift)
 
@@ -113,15 +127,14 @@ class TestMcVsExact:
 
 class TestRunValidation:
     def test_full_report_shape(self):
-        report = run_validation(ValidationSettings(grid="quick",
-                                                   trials=20_000, seed=42))
+        report = run_validation(_settings(trials=20_000))
         assert set(report) == {"config", "results", "version", "all_passed"}
         assert set(report["results"]) == set(ALL_CHECKS)
         assert report["all_passed"]
 
     def test_report_holds_python_types(self):
         # numpy scalars would make json.dumps raise on np.bool_
-        report = run_validation(ValidationSettings(trials=20_000))
+        report = run_validation(_settings(trials=20_000))
         for result in report["results"].values():
             assert type(result["pass"]) is bool
             if "violations" in result and not isinstance(
@@ -133,7 +146,7 @@ class TestRunValidation:
 
     def test_byte_identical_repeat(self):
         import json
-        s = ValidationSettings(grid="quick", trials=20_000, seed=7)
+        s = _settings(trials=20_000, seed=7)
         a = json.dumps(run_validation(s), sort_keys=True)
         b = json.dumps(run_validation(s), sort_keys=True)
         assert a == b
