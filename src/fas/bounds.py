@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (DEGENERATE_MU, FasConfig, checked_mu,
-                      checked_mu_range, checked_snr, correlation_profile,
-                      is_degenerate)
+from .channel import (DEGENERATE_MU, FasConfig, checked_mu_range,
+                      checked_row, checked_rows, checked_snr,
+                      correlation_profile, is_degenerate)
 
 DEFAULT_KAPPA = 2.0
 
@@ -79,6 +79,18 @@ def bound_constants(kappa: float = DEFAULT_KAPPA) -> BoundConstants:
     return BoundConstants(kappa)
 
 
+def _bound_factors(mu: np.ndarray, x, constants: BoundConstants) -> np.ndarray:
+    """The factors of ports mu at SNR ratios x, which broadcast against
+    mu; both already checked."""
+    mag = np.abs(mu)
+    with np.errstate(divide="ignore"):  # |mu_k| = 1, and mu_k = 0
+        decay = np.exp(-constants.kappa * x / (1.0 - mu * mu))
+        gain = constants.rho / np.sqrt(mag)
+    # small-|mu| fallback: rho < 0.5 keeps the factor strictly positive
+    gain = np.where(gain < 1.0, gain, constants.rho)
+    return np.where(is_degenerate(mag), 1.0, 1.0 - gain * decay)
+
+
 def per_port_bound_factors(mu, snr_ratio: float,
                            constants: BoundConstants) -> np.ndarray:
     """Outage-bound scaling of each correlated port of `mu`; each in (0, 1].
@@ -88,15 +100,8 @@ def per_port_bound_factors(mu, snr_ratio: float,
     mu, of any shape, takes `checked_mu_range`'s rule, and a degenerate
     port's factor is exactly 1.
     """
-    mu = checked_mu_range(mu)
-    mag = np.abs(mu)
-    with np.errstate(divide="ignore"):  # |mu_k| = 1, and mu_k = 0
-        decay = np.exp(-constants.kappa * checked_snr(snr_ratio)
-                       / (1.0 - mu * mu))
-        gain = constants.rho / np.sqrt(mag)
-    # small-|mu| fallback: rho < 0.5 keeps the factor strictly positive
-    gain = np.where(gain < 1.0, gain, constants.rho)
-    return np.where(is_degenerate(mag), 1.0, 1.0 - gain * decay)
+    return _bound_factors(checked_mu_range(mu), checked_snr(snr_ratio),
+                          constants)
 
 
 def per_port_bound_factor(mu_k: float, snr_ratio: float,
@@ -105,11 +110,27 @@ def per_port_bound_factor(mu_k: float, snr_ratio: float,
     return float(per_port_bound_factors([mu_k], snr_ratio, constants)[0])
 
 
+def outage_upper_bound_rows(mu, snr_ratio,
+                            constants: BoundConstants) -> np.ndarray:
+    """Bound of each row of a block of profiles at its own SNR ratio
+    (`channel.checked_rows`), from one pass of the factor kernel: the
+    padding and the degenerate ports add factors of exactly 1."""
+    return _bound_rows(*checked_rows(mu, snr_ratio), constants)
+
+
+def _bound_rows(mu: np.ndarray, x: np.ndarray,
+                constants: BoundConstants) -> np.ndarray:
+    factors = _bound_factors(mu[:, 1:], x[:, None], constants)
+    # one port's outage 1 - e^-x from math.expm1, as `design` takes it:
+    # numpy's array expm1 can round to the neighbouring double
+    single = -np.array([math.expm1(-v) for v in x.tolist()])
+    return single * np.multiply.reduce(factors, 1)
+
+
 def outage_upper_bound_profile(mu: Sequence[float], snr_ratio: float,
                                constants: BoundConstants) -> float:
     """Bound for an explicit profile; a degenerate port's factor is 1."""
-    factors = per_port_bound_factors(checked_mu(mu)[1:], snr_ratio, constants)
-    return -math.expm1(-snr_ratio) * float(np.prod(factors))
+    return float(_bound_rows(*checked_row(mu, snr_ratio), constants)[0])
 
 
 def outage_upper_bound(config: FasConfig, constants: BoundConstants) -> float:

@@ -99,6 +99,31 @@ def checked_mu_range(mu) -> np.ndarray:
     return mu
 
 
+def checked_rows(mu, snr_ratio) -> tuple[np.ndarray, np.ndarray]:
+    """A block of profiles and their SNR ratios as float arrays, once their
+    rules hold: mu is 2-D, one profile per row under `checked_mu`'s rules,
+    a row of fewer ports padded with mu = 1 (port 1 over again, as
+    `port_mu` pads), and snr_ratio holds one ratio per row under
+    `checked_snr`'s."""
+    mu = np.asarray(mu, dtype=float)
+    x = np.asarray(snr_ratio, dtype=float)
+    if mu.ndim != 2 or mu.shape[1] < 1 or x.shape != mu.shape[:1]:
+        raise ValueError("a block is a 2-D array of profiles, one per row, "
+                         "and one snr_ratio per row, got shapes "
+                         f"{mu.shape} and {x.shape}")
+    if mu[:, 0].any():
+        raise ValueError("mu[:, 0] holds the reference ports and must be 0")
+    for value in x.tolist():
+        checked_snr(value)
+    return checked_mu_range(mu), x
+
+
+def checked_row(mu, snr_ratio) -> tuple[np.ndarray, np.ndarray]:
+    """One profile and its SNR ratio, under `checked_mu`'s and
+    `checked_snr`'s rules, as a block of one row (`checked_rows`)."""
+    return checked_mu(mu)[None], np.array([checked_snr(snr_ratio)])
+
+
 def is_degenerate(mu) -> np.ndarray:
     """|mu_k| > `DEGENERATE_MU`: the ports that are port 1 over again."""
     return np.abs(mu) > DEGENERATE_MU
@@ -137,12 +162,13 @@ def port_displacements(config: FasConfig) -> np.ndarray:
     return np.arange(n) / max(n - 1, 1) * config.size_wavelengths
 
 
-def port_mu(k, n, size_wl: float) -> np.ndarray:
+def port_mu(k, n, size_wl) -> np.ndarray:
     """mu = J0(2 pi d) of the ports k = 0, 1, ... of N-port rows at aperture
-    W, d = k/(N-1) * W, with k and N (>= 2) broadcast against each other.
+    W, d = k/max(N-1, 1) * W, with k, N and W broadcast against each other.
     A port k >= N is padding: port 1 itself, mu = 1, from J0's argument 0,
     since its d would exceed W and 2 pi d can overflow."""
-    return sp.j0(2.0 * np.pi * (np.where(k < n, k, 0) / (n - 1) * size_wl))
+    return sp.j0(2.0 * np.pi * (np.where(k < n, k, 0) / np.maximum(n - 1, 1)
+                                * size_wl))
 
 
 def first_lobe_end(size_wl: float) -> float | None:
@@ -155,7 +181,7 @@ def first_lobe_end(size_wl: float) -> float | None:
 def correlation_profile(config: FasConfig) -> np.ndarray:
     """Jakes-model profile: row N of `port_mu`, mu_1 = 0 ([0.0] at N = 1)."""
     n = config.n_ports
-    mu = port_mu(np.arange(n), max(n, 2), config.size_wavelengths)
+    mu = port_mu(np.arange(n), n, config.size_wavelengths)
     mu[0] = 0.0
     return mu
 

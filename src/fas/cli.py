@@ -27,16 +27,23 @@ import orjson
 from . import __version__, analytic, bounds, design, mc
 from .channel import (DopplerTraceConfig, FasConfig, checked_count,
                       checked_nonnegative, checked_positive, checked_size,
-                      envelope_trace)
+                      envelope_trace, port_mu)
 from .validation import GRID_PRESETS, ValidationSettings, run_validation
 
 _log = logging.getLogger("fas")
 
 _ROW_BLOCK = 128  # rows per block of the envelope CSV writer
-# Most points a sweep flag accepts: each costs an exact outage (about a
-# millisecond), so a larger sweep is a typo whose list of points could
-# exhaust memory.  The count is checked before any list is built.
+# Most points a sweep flag accepts: each costs an exact outage (tenths of
+# a millisecond to milliseconds), so a larger sweep is a typo whose list of
+# points could exhaust memory.  The count is checked before any list is
+# built.
 _SWEEP_POINTS_MAX = 10 ** 6
+# Most (row, node, port) cells of one block of sweep points: a quadrature
+# round evaluates up to 42 nodes of every row, each over the block's widest
+# row.  It bounds a block's working arrays to a few MB, so a long or
+# large-N sweep runs in bounded memory.
+_SWEEP_BLOCK_CELLS = 2 ** 18
+_ROUND_NODES = 42
 
 
 def _fmt(value) -> str:
@@ -196,11 +203,42 @@ def _output(path: Optional[str]):
             yield out
 
 
-def _sweep_config(variable: str, value, args) -> FasConfig:
+@dataclasses.dataclass(frozen=True)
+class _Sweep:
+    """A sweep's points as columns: port count, aperture and SNR ratio."""
+    n_ports: np.ndarray
+    size_wl: np.ndarray
+    snr_ratio: np.ndarray
+
+    def config(self, i: int) -> FasConfig:
+        return FasConfig(int(self.n_ports[i]), float(self.size_wl[i]),
+                         float(self.snr_ratio[i]))
+
+    def blocks(self):
+        """(start, stop) of consecutive points whose quadrature rounds take
+        at most `_SWEEP_BLOCK_CELLS` cells, each block at least one point."""
+        start, widest = 0, 0
+        for i, n in enumerate(self.n_ports.tolist()):
+            widest = max(widest, n)
+            if (i > start
+                    and (i + 1 - start) * _ROUND_NODES * widest
+                    > _SWEEP_BLOCK_CELLS):
+                yield start, i
+                start, widest = i, n
+        yield start, len(self.n_ports)
+
+
+def _sweep_points(variable: str, values: list, args) -> _Sweep:
     point = {"n_ports": args.n_ports, "size_wl": args.size_wl,
-             "snr_db": args.snr_db, variable: value}
-    return FasConfig(point["n_ports"], point["size_wl"],
-                     analytic.db_to_linear(point["snr_db"]))
+             "snr_db": args.snr_db}
+
+    def column(name: str) -> list:
+        return values if name == variable else [point[name]] * len(values)
+
+    return _Sweep(np.array(column("n_ports")),
+                  np.array(column("size_wl"), dtype=float),
+                  np.array([analytic.db_to_linear(db)
+                            for db in column("snr_db")]))
 
 
 def _point(config: FasConfig) -> str:  # a sweep point, as stderr names it
@@ -209,34 +247,44 @@ def _point(config: FasConfig) -> str:  # a sweep point, as stderr names it
 
 
 def _run_sweep(args, fixed: str, run: str, extra_header: list[str],
-               extra_cells) -> int:
+               extra_columns) -> int:
     """Exact, approximate and bound outage at each sweep point, as CSV, then
-    the command's own `extra_cells(config, exact, approx)`; `fixed` ends the
-    fixed-point comment and `run` is the last comment line."""
+    the command's own columns `extra_columns(sweep, exact, approx)`;
+    `fixed` ends the fixed-point comment and `run` is the last comment line.
+    Each block of points (`_Sweep.blocks`) is one profile block from
+    `port_mu`, one call of each evaluator."""
     # argparse admits exactly one swept variable
     variable, values = next((name, values) for name, values in
                             [("n_ports", args.sweep_n), ("size_wl", args.sweep_w),
                              ("snr_db", args.sweep_snr_db)] if values is not None)
+    sweep = _sweep_points(variable, values, args)
     constants = bounds.bound_constants(args.kappa)
-    rows = []
-    for value in values:
-        config = _sweep_config(variable, value, args)
+    exact, approx, ub = [], [], []
+    for start, stop in sweep.blocks():
+        n = sweep.n_ports[start:stop, None]
+        mu = port_mu(np.arange(n.max()), n, sweep.size_wl[start:stop, None])
+        mu[:, 0] = 0.0  # the reference ports
+        x = sweep.snr_ratio[start:stop]
         try:
-            exact = analytic.outage_exact(config)
+            exact.append(analytic.outage_exact_rows(mu, x))
         except analytic.QuadratureError as exc:
             args.parser.exit(1, f"{args.parser.prog}: error: exact outage at "
-                                f"{_point(config)}: {exc}\n")
-        approx = analytic.outage_approx(config)
-        ub = bounds.outage_upper_bound(config, constants)
-        rows.append([value, exact, approx, ub,
-                     *extra_cells(config, exact, approx)])
+                                f"{_point(sweep.config(start + exc.index))}: "
+                                f"{exc}\n")
+        approx.append(analytic.outage_approx_rows(mu, x))
+        ub.append(bounds.outage_upper_bound_rows(mu, x, constants))
+    exact, approx = np.concatenate(exact), np.concatenate(approx)
+    columns = [values, exact.tolist(), approx.tolist(),
+               np.concatenate(ub).tolist(),
+               *extra_columns(sweep, exact, approx)]
     with _output(args.out) as out:
         _write_csv(out, [
             f"fas {__version__} {args.command}",
             f"sweep={variable} fixed: n_ports={args.n_ports} size_wl={args.size_wl} "
             f"snr_db={args.snr_db} kappa={args.kappa}{fixed}",
             run,
-        ], [variable, "exact", "approx", "upper_bound", *extra_header], rows)
+        ], [variable, "exact", "approx", "upper_bound", *extra_header],
+            zip(*columns))
     return 0
 
 
@@ -263,20 +311,27 @@ def cmd_outage_curve(args) -> int:
     # settings take is taken at every point
     settings = (mc.McSettings(trials=args.trials, seed=args.seed,
                               workers=args.workers) if args.trials else None)
+
+    def mc_columns(sweep: _Sweep, exact: np.ndarray, approx) -> list:
+        if settings is None:
+            return [[None] * len(exact)] * 2
+        return list(zip(*(_mc_columns(sweep.config(i), p, settings)
+                          for i, p in enumerate(exact.tolist()))))
+
     return _run_sweep(
         args, "",
         f"seed={args.seed} trials={args.trials} workers={args.workers}",
-        ["mc", "mc_ci"],
-        lambda config, exact, approx: _mc_columns(config, exact, settings))
+        ["mc", "mc_ci"], mc_columns)
 
 
 def cmd_bounds_compare(args) -> int:
     return _run_sweep(
         args, f" mrc_l={args.mrc_l}", f"seed={args.seed}",
         ["approx_out_of_regime", *(f"mrc_{b}" for b in args.mrc_l)],
-        lambda config, exact, approx: [
-            1 if approx < 0 else 0,
-            *(analytic.outage_mrc(b, config.snr_ratio) for b in args.mrc_l)])
+        lambda sweep, exact, approx: [
+            (approx < 0).astype(int).tolist(),
+            *(analytic.outage_mrc(b, sweep.snr_ratio).tolist()
+              for b in args.mrc_l)])
 
 
 def _answer_dict(answer: design.DesignAnswer) -> dict:

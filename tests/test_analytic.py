@@ -38,6 +38,55 @@ def set_quadrature(monkeypatch, **constants):
         monkeypatch.setattr(analytic, name, value)
 
 
+class TestManyRanges:
+    """`quad` over P ranges walks each integrand's intervals as it would
+    alone."""
+
+    @staticmethod
+    def integrand(t):
+        return np.exp(-t) * np.cos(7.0 * t) + np.sqrt(t)
+
+    def test_stacked_rule_rows_are_the_rows_alone(self):
+        # each interval's value, error and resasc do not depend on the
+        # other intervals of the call (a matrix-vector product's do)
+        rng = np.random.default_rng(48)
+        for size in (2, 3, 7, 40, 130):
+            lo = rng.uniform(0.0, 5.0, size)
+            hi = lo + rng.uniform(1e-6, 20.0, size)
+            stacked = analytic._gk21(self.integrand, lo, hi)
+            for i in range(size):
+                alone = analytic._gk21(self.integrand, lo[i:i + 1],
+                                       hi[i:i + 1])
+                assert [part[i] for part in stacked] == [
+                    part[0] for part in alone]
+
+    def test_each_range_is_its_scalar_call(self):
+        # an integrand per range: t^k e^-t on [0, hi_k]
+        powers = np.array([0.0, 0.5, 3.0, 9.0])
+        hi = np.array([1.0, 40.0, 3.0, 700.0])
+        got, err, info = analytic.quad(
+            lambda t, at: t ** powers[at, None] * np.exp(-t), 0.0, hi,
+            full_output=1)
+        nevals = 0
+        for k, (power, top) in enumerate(zip(powers, hi)):
+            want = analytic.quad(lambda t: t ** power * np.exp(-t), 0.0, top,
+                                 full_output=1)
+            assert (got[k], err[k]) == want[:2]
+            nevals += want[2]["neval"]
+        assert info == {"neval": nevals}
+
+    def test_failure_names_the_first_failing_range(self):
+        def integrand(t, at):
+            value = np.exp(-t)
+            value[at >= 2] = math.nan
+            return value
+
+        with pytest.raises(QuadratureError) as exc_info:
+            analytic.quad(integrand, 0.0, np.ones(4))
+        assert exc_info.value.index == 2
+        assert exc_info.value.n_evals == 21
+
+
 class TestQuadratureFailure:
     def test_nan_integrand_raises(self):
         with pytest.raises(QuadratureError) as exc_info:

@@ -83,17 +83,21 @@ class TestCorrelationProfile:
     def test_is_one_row_of_the_port_mu_block(self, size_wl):
         # the profile is the block's row N bit for bit, port 1 aside, and
         # the arithmetic it had, J0(2 pi (k/(N-1)) W); the block pads k >= N
-        # with mu = 1, and its port k = N - 1 is J0(2 pi W)
-        ns = np.array([2, 3, 7, 100, 2000, 4094])
+        # with mu = 1, and its port k = N - 1 is J0(2 pi W); an N = 1 row
+        # is port 1 and padding
+        ns = np.array([2, 3, 1, 7, 100, 2000, 4094])
         block = channel.port_mu(np.arange(4094), ns[:, None], size_wl)
         edge = sp.j0(2.0 * math.pi * size_wl)
         for n, row in zip(ns.tolist(), block):
             mu = correlation_profile(FasConfig(n, size_wl, 1.0))
-            had = sp.j0(2.0 * np.pi * (np.arange(n) / (n - 1) * size_wl))
+            had = sp.j0(2.0 * np.pi * (np.arange(n) / max(n - 1, 1)
+                                       * size_wl))
             assert mu[0] == 0.0
             assert mu[1:].tobytes() == row[1:n].tobytes() == had[1:].tobytes()
             assert np.all(row[n:] == 1.0)
-            assert row[n - 1].tobytes() == edge.tobytes()
+            if n > 1:
+                assert row[n - 1].tobytes() == edge.tobytes()
+        assert np.all(block[2] == 1.0)
         one = correlation_profile(FasConfig(1, size_wl, 1.0))
         assert one.tolist() == [0.0]
 
@@ -136,6 +140,21 @@ class TestCorrelationProfile:
         # port after it with it; a nonzero one was ignored
         with pytest.raises(ValueError):
             self.TAKERS[taker](bad)
+
+
+@pytest.mark.parametrize("mu, x, message", [
+    ([0.0, 0.5], [1.0], "a block is a 2-D array"),
+    ([[0.0, 0.5]], 1.0, "a block is a 2-D array"),
+    ([[0.0, 0.5], [0.0, 0.3]], [1.0], "a block is a 2-D array"),
+    (np.zeros((1, 0)), [1.0], "a block is a 2-D array"),
+    ([[0.0, 0.5], [1.0, 1.0]], [1.0, 1.0], "reference ports"),
+    ([[0.0, 0.5], [0.0, 1.5]], [1.0, 1.0], r"\|mu_k\| must be <= 1"),
+    ([[0.0, 0.5], [0.0, 0.3]], [1.0, 0.0], "snr_ratio must be positive"),
+])
+def test_checked_rows_rejects_a_bad_block(mu, x, message):
+    # one profile per row and one SNR ratio per row, each under its rule
+    with pytest.raises(ValueError, match=message):
+        channel.checked_rows(mu, x)
 
 
 class TestCorrelationDiscrepancy:

@@ -19,7 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 from fas import __version__, analytic, cli, design, mc, validation
 from fas.analytic import db_to_linear, outage_exact, outage_mrc
-from fas.channel import DopplerTraceConfig, FasConfig, envelope_trace
+from fas.channel import (DopplerTraceConfig, FasConfig, envelope_trace,
+                         port_mu)
 from fas.cli import build_parser, main
 
 
@@ -360,23 +361,30 @@ def test_library_value_errors_are_caught_in_main_alone():
 
 @pytest.mark.parametrize("command", ["outage-curve", "bounds-compare"])
 @pytest.mark.parametrize("to_file", [False, True])
-def test_failed_exact_outage_is_one_stderr_line(command, to_file, tmp_path,
-                                                 capsys, monkeypatch):
-    # the second point's quadrature fails: status 1, one line naming the
-    # point on stderr, and nothing written anywhere
-    real = analytic.outage_exact
+@pytest.mark.parametrize("sweep", [
+    # point 2 alone holds the port at W = 0.5 of a 2-port row
+    ["--sweep-w", "0.25:0.75:0.25", "--n-ports", "2"],
+    # points 2 and 3 both hold it: the first is named
+    ["--sweep-n", "1:3:1"],
+])
+def test_failed_exact_outage_is_one_stderr_line(command, to_file, sweep,
+                                                tmp_path, capsys,
+                                                monkeypatch):
+    # the port cdf reads NaN for the port mu = J0(pi) at 0 dB, so the
+    # quadrature of each sweep row that holds it fails: status 1, one line
+    # naming the first such point on stderr, and nothing written anywhere
+    real = analytic.port_cdf
+    mu = float(port_mu(1, 2, 0.5))
+    b2_failing = 2.0 / (1.0 - mu ** 2)
 
-    def outage_exact(config):
-        if config.n_ports == 2:
-            raise analytic.QuadratureError(
-                "quadrature returned nan with error estimate nan after 357 "
-                "integrand evaluations on 9 subintervals", math.nan, math.nan,
-                357)
-        return real(config)
+    def port_cdf(a2, b2):
+        p = real(a2, b2)
+        p[np.broadcast_to(b2, p.shape) == b2_failing] = math.nan
+        return p
 
-    monkeypatch.setattr(analytic, "outage_exact", outage_exact)
+    monkeypatch.setattr(analytic, "port_cdf", port_cdf)
     path = tmp_path / "curve.csv"
-    argv = [command, "--sweep-n", "1:3:1"] + (["--out", str(path)] * to_file)
+    argv = [command, *sweep] + (["--out", str(path)] * to_file)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -384,9 +392,115 @@ def test_failed_exact_outage_is_one_stderr_line(command, to_file, tmp_path,
     assert got.out == ""
     assert got.err == (
         f"fas {command}: error: exact outage at n_ports=2 size_wl=0.5 "
-        "snr_db=0: quadrature returned nan with error estimate nan after 357 "
-        "integrand evaluations on 9 subintervals\n")
+        "snr_db=0: quadrature returned nan with error estimate nan after 21 "
+        "integrand evaluations on 1 subintervals\n")
     assert not path.exists()
+
+
+def _sweep_table(capsys, *argv) -> list:
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    return parse_csv(out)[1]
+
+
+# sweeps whose blocks mix the evaluators' branches: N = 1; every port
+# degenerate (W = 1e-9); x beyond e^-x's underflow (30 dB); the
+# approximation's two-port series (N = 2 below about 0 dB); the deep tail
+# (N = 100, W = 0.5, -20 dB, about 1e-164); and points whose quadrature
+# takes more than one round (N = 20, W = 0.2, 0 dB)
+BRANCH_SWEEPS = [
+    ["--sweep-n", "1:4:1"],
+    ["--sweep-n", "1:7:3", "--size-wl", "1e-9"],
+    ["--sweep-snr-db=20:30:5", "--n-ports", "5"],
+    ["--sweep-snr-db=-20:5:5", "--n-ports", "2"],
+    ["--sweep-snr-db=-20:-10:5", "--n-ports", "100"],
+    ["--sweep-n", "2:41:3", "--size-wl", "0.2"],
+    ["--sweep-w", "0.1:0.4:0.1", "--n-ports", "20"],
+]
+
+
+class TestSweepBlocks:
+    """A sweep evaluates its points in blocks, one call of each evaluator
+    per block, with the values the one-point functions give."""
+
+    @pytest.mark.parametrize("sweep", BRANCH_SWEEPS)
+    def test_cells_are_the_one_point_functions(self, sweep, capsys):
+        parser = build_parser()
+        args = parser.parse_args(["bounds-compare", *sweep])
+        constants = cli.bounds.bound_constants(args.kappa)
+        rows = _sweep_table(capsys, "bounds-compare", *sweep,
+                            "--mrc-l", "1,3")
+        variable = {"--sweep-n": "n_ports", "--sweep-w": "size_wl"}.get(
+            sweep[0], "snr_db")
+        for row in rows:
+            point = {"n_ports": args.n_ports, "size_wl": args.size_wl,
+                     "snr_db": args.snr_db,
+                     variable: (int if variable == "n_ports" else float)(
+                         row[0])}
+            config = FasConfig(point["n_ports"], point["size_wl"],
+                               db_to_linear(point["snr_db"]))
+            x = config.snr_ratio
+            approx = analytic.outage_approx(config)
+            assert row[1:] == [
+                repr(outage_exact(config)), repr(approx),
+                repr(cli.bounds.outage_upper_bound(config, constants)),
+                str(int(approx < 0)), repr(outage_mrc(1, x)),
+                repr(outage_mrc(3, x))]
+
+    @pytest.mark.parametrize("command", ["outage-curve", "bounds-compare"])
+    def test_split_blocks_write_the_same_bytes(self, command, capsys,
+                                               monkeypatch):
+        # a cap of three 12-port rows' round cells splits a 12-point sweep
+        # into blocks of rows N = 1-6, 7-9 and 10-12
+        argv = [command, "--sweep-n", "1:12:1", "--size-wl", "0.3"]
+        calls = []
+        real = analytic.outage_exact_rows
+        monkeypatch.setattr(analytic, "outage_exact_rows",
+                            lambda mu, x: calls.append(len(mu)) or real(mu, x))
+        whole = run_cli(capsys, *argv)
+        assert calls == [12]
+        calls.clear()
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 3 * 42 * 12)
+        split = run_cli(capsys, *argv)
+        assert calls == [6, 3, 3]
+        assert split == whole
+
+    def test_one_kernel_call_per_quadrature_round(self, capsys, monkeypatch):
+        # the exact outage calls port_cdf once per round for all 20 points,
+        # the approximation twice, on the elements the one-point functions
+        # take point by point
+        real = analytic.port_cdf
+
+        def counting(record):
+            def port_cdf(a2, b2):
+                record.append(np.broadcast(a2, b2).size)
+                return real(a2, b2)
+            return port_cdf
+
+        def rounds_counted(record):
+            real = analytic.quad
+
+            def quad(f, lo, hi, full_output=0):
+                def counted(*args):
+                    record.append(1)
+                    return f(*args)
+                return real(counted, lo, hi, full_output)
+            return quad
+
+        sweep, rounds = [], []
+        monkeypatch.setattr(analytic, "port_cdf", counting(sweep))
+        monkeypatch.setattr(analytic, "quad", rounds_counted(rounds))
+        run_cli(capsys, "outage-curve", "--sweep-n=5:100:5", "--size-wl",
+                "0.5")
+        assert len(sweep) <= 2 + len(rounds)
+        assert len(sweep) < 20
+        one_point = []
+        monkeypatch.setattr(analytic, "port_cdf", counting(one_point))
+        for n in range(5, 101, 5):
+            config = FasConfig(n, 0.5, 1.0)
+            outage_exact(config)
+            analytic.outage_approx(config)
+        assert sum(sweep) == sum(one_point)
 
 
 class TestOutputSinks:

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import fas
-from fas.analytic import outage_approx_profile, outage_exact_profile
-from fas.bounds import outage_upper_bound_profile, per_port_bound_factors
+from fas.analytic import (outage_approx_profile, outage_approx_rows,
+                          outage_exact_profile, outage_exact_rows)
+from fas.bounds import (outage_upper_bound_profile, outage_upper_bound_rows,
+                        per_port_bound_factors)
 from fas.channel import active_mu, checked_mu
 from fas.design import min_size_frontier
 
@@ -41,6 +43,13 @@ SNR_TAKERS = {
     "DesignQuery": lambda x: fas.DesignQuery(2, x, fas.bound_constants()),
     "outage_exact_profile": lambda x: outage_exact_profile([0.0, 0.5], x),
     "outage_approx_profile": lambda x: outage_approx_profile([0.0, 0.5], x),
+    # a block's second row: each row's ratio is checked
+    "outage_exact_rows": lambda x: outage_exact_rows(
+        [[0.0, 0.5], [0.0, 1.0]], [1.0, x]),
+    "outage_approx_rows": lambda x: outage_approx_rows(
+        [[0.0, 0.5], [0.0, 1.0]], [1.0, x]),
+    "outage_upper_bound_rows": lambda x: outage_upper_bound_rows(
+        [[0.0, 0.5], [0.0, 1.0]], [1.0, x], fas.bound_constants()),
     "outage_n2_closed_form": lambda x: fas.outage_n2_closed_form(0.5, x),
     "outage_mrc": lambda x: fas.outage_mrc(2, x),
     "outage_upper_bound_profile": lambda x: outage_upper_bound_profile(
@@ -126,6 +135,13 @@ MU_TAKERS = {
         [0.0, 0.5, mu], x),
     "outage_approx_profile": lambda mu, x: outage_approx_profile(
         [0.0, 0.5, mu], x),
+    # as a block's first row, above a padded second
+    "outage_exact_rows": lambda mu, x: outage_exact_rows(
+        [[0.0, 0.5, mu], [0.0, 0.3, 1.0]], [x, x]),
+    "outage_approx_rows": lambda mu, x: outage_approx_rows(
+        [[0.0, 0.5, mu], [0.0, 0.3, 1.0]], [x, x]),
+    "outage_upper_bound_rows": lambda mu, x: outage_upper_bound_rows(
+        [[0.0, 0.5, mu], [0.0, 0.3, 1.0]], [x, x], fas.bound_constants()),
     "outage_n2_closed_form": fas.outage_n2_closed_form,
     "outage_upper_bound_profile": lambda mu, x: outage_upper_bound_profile(
         [0.0, 0.5, mu], x, fas.bound_constants()),
