@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from ._special import sp
-from .channel import (FasConfig, checked_count, checked_mu, checked_row,
-                      checked_rows, checked_snr, correlation_profile,
-                      is_degenerate)
+from .channel import (FasConfig, checked_count, checked_mu, checked_rows,
+                      checked_snr, correlation_profile, is_degenerate)
 from .specfun import port_cdf
 
 
@@ -194,13 +193,6 @@ def quad(f, lo, hi, full_output=0):
     return total, error
 
 
-def _port_cdf_product(a2: np.ndarray, b2: np.ndarray, t) -> np.ndarray:
-    """prod_k P1(a_k sqrt(t), b_k) over the non-reference ports at each t,
-    from a_k^2 and b_k^2 in one `port_cdf` call."""
-    t = np.asarray(t, dtype=float)
-    return np.prod(port_cdf(a2 * t[..., None], b2), axis=-1)
-
-
 def _cdf_integrals(mu: np.ndarray, keep: np.ndarray, r1_sq: np.ndarray,
                    rk_sq) -> np.ndarray:
     """P[|g_1|^2 < r1_sq and |g_k|^2 < rk_sq for the kept k] (sigma = 1)
@@ -209,10 +201,10 @@ def _cdf_integrals(mu: np.ndarray, keep: np.ndarray, r1_sq: np.ndarray,
 
     Conditioned on t = |g_1|^2, port k is Rician, so the probability is
     int_0^r1_sq e^-t prod_k P1(a_k sqrt(t), b_k) dt with a_k^2 =
-    2 mu_k^2/(1 - mu_k^2) and b_k^2 = 2 rk_sq/(1 - mu_k^2), the integrand
-    of `_port_cdf_product` over the kept ports.  One `quad` call takes
-    every row, and each of its rounds is one `port_cdf` call on the kept
-    ports alone; every other port's factor is exactly 1.
+    2 mu_k^2/(1 - mu_k^2) and b_k^2 = 2 rk_sq/(1 - mu_k^2), P1 the port
+    cdf (`port_cdf` of a_k^2 t and b_k^2), over the kept ports.  One `quad`
+    call takes every row, and each of its rounds is one `port_cdf` call on
+    the kept ports alone; every other port's factor is exactly 1.
     """
     mu_sq = np.where(keep, mu, 0.0) ** 2  # a dropped port's a2, b2 go unused
     one_minus = 1.0 - mu_sq
@@ -239,6 +231,14 @@ def _cdf_integrals(mu: np.ndarray, keep: np.ndarray, r1_sq: np.ndarray,
     # keeps the first nodes where the mass is when r1_sq is large
     p, _ = quad(integrand, np.zeros(len(mu)), np.minimum(r1_sq, _EXP_ZERO))
     return p
+
+
+def _clamped(p: float, first: float, log_others: float, least: float) -> float:
+    """p clamped into positively associated ports' bracket: at least port
+    1's marginal times the `math.exp` (numpy's can round to the neighbouring
+    double) of the others' summed log-marginals, which underflows to 0.0
+    where a running product sticks at 5e-324; at most the least marginal."""
+    return min(max(p, first * math.exp(log_others)), least)
 
 
 def _validated_mu(mu, r) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +277,8 @@ def joint_pdf(mu, r) -> float | np.ndarray:
 
 def joint_cdf(mu, r: Sequence[float]) -> float:
     """P[|g_1| < r_1, ..., |g_N| < r_N] via a single adaptive quadrature,
-    clamped into the model's bracket as `outage_exact_rows` is: between
-    port 1's marginal times the exp of the others' summed log-marginals,
-    and the least marginal."""
+    clamped into the model's bracket (`_clamped`) as `outage_exact_rows`
+    is."""
     mu, r = _validated_mu(mu, r)
     if r.ndim != 1:
         raise ValueError("joint_cdf takes one point r")
@@ -288,8 +287,8 @@ def joint_cdf(mu, r: Sequence[float]) -> float:
                        r_sq[:1], r_sq[None, 1:])[0]
     marginals = -np.expm1(-r_sq)
     with np.errstate(divide="ignore"):
-        others = math.exp(math.fsum(np.log(marginals[1:]).tolist()))
-    return float(min(max(p, marginals[0] * others), marginals.min()))
+        log_others = math.fsum(np.log(marginals[1:]).tolist())
+    return float(_clamped(p, marginals[0], log_others, marginals.min()))
 
 
 def outage_exact_rows(mu, snr_ratio) -> np.ndarray:
@@ -298,31 +297,25 @@ def outage_exact_rows(mu, snr_ratio) -> np.ndarray:
 
     Degenerate ports, the padding included, are port 1 over again and drop
     out.  The ports are positively associated (every factor falls with
-    t), so each value is clamped between the product of the ports'
-    marginals 1 - e^-x and one marginal: (1 - e^-x)^N <= p <= 1 - e^-x.
-    The lower side is port 1's marginal times the exp of the others'
-    summed logs, which underflows to 0.0 where a running product would
-    stick at 5e-324; the N - 1 equal logs sum to their count times one,
-    rounded once, as a correctly rounded sum gives, and the exp is
-    `math.exp`'s, as `joint_cdf` takes it (numpy's can round to the
-    neighbouring double).
+    t), so each value is clamped (`_clamped`) between the product of the
+    ports' marginals 1 - e^-x and one marginal: (1 - e^-x)^N <= p <=
+    1 - e^-x.  The N - 1 equal logs sum to their count times one, rounded
+    once, as `joint_cdf`'s correctly rounded sum gives.
     """
-    return _exact_rows(*checked_rows(mu, snr_ratio))
-
-
-def _exact_rows(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    mu, x = checked_rows(mu, snr_ratio)
     keep = ~is_degenerate(mu[:, 1:])
     p = _cdf_integrals(mu[:, 1:], keep, x, x[:, None])
     marginal = -np.expm1(-x)
     return np.array([
-        min(max(q, m * math.exp(count * log_m)), m) for q, m, count, log_m
+        _clamped(q, m, count * log_m, m) for q, m, count, log_m
         in zip(p.tolist(), marginal.tolist(),
                np.add.reduce(keep, 1).tolist(), np.log(marginal).tolist())])
 
 
 def outage_exact_profile(mu: Sequence[float], snr_ratio: float) -> float:
     """Exact selection outage for an explicit correlation profile."""
-    return float(_exact_rows(*checked_row(mu, snr_ratio))[0])
+    return float(outage_exact_rows(checked_mu(mu)[None],
+                                   [checked_snr(snr_ratio)])[0])
 
 
 def outage_exact(config: FasConfig) -> float:
@@ -362,10 +355,7 @@ def outage_approx_rows(mu, snr_ratio) -> np.ndarray:
     x / (1 - mu_2^2) <= 1, where the Marcum form cancels, it is the
     two-port series `_n2_series`.
     """
-    return _approx_rows(*checked_rows(mu, snr_ratio))
-
-
-def _approx_rows(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    mu, x = checked_rows(mu, snr_ratio)
     keep = ~is_degenerate(mu[:, 1:])
     # a row's one kept port, where it keeps one
     only = np.add.reduce(np.where(keep, mu[:, 1:], 0.0), 1)
@@ -392,7 +382,8 @@ def _approx_rows(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
 def outage_approx_profile(mu: Sequence[float], snr_ratio: float) -> float:
     """Closed-form outage approximation for an explicit profile; see
     `outage_approx_rows`."""
-    return float(_approx_rows(*checked_row(mu, snr_ratio))[0])
+    return float(outage_approx_rows(checked_mu(mu)[None],
+                                    [checked_snr(snr_ratio)])[0])
 
 
 def outage_n2_closed_form(mu2: float, snr_ratio: float) -> float:

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (DEGENERATE_MU, FasConfig, checked_mu_range,
-                      checked_row, checked_rows, checked_snr,
-                      correlation_profile, is_degenerate)
+from .channel import (DEGENERATE_MU, FasConfig, checked_mu, checked_mu_range,
+                      checked_rows, checked_snr, correlation_profile,
+                      is_degenerate)
 
 DEFAULT_KAPPA = 2.0
 
@@ -115,11 +115,7 @@ def outage_upper_bound_rows(mu, snr_ratio,
     """Bound of each row of a block of profiles at its own SNR ratio
     (`channel.checked_rows`), from one pass of the factor kernel: the
     padding and the degenerate ports add factors of exactly 1."""
-    return _bound_rows(*checked_rows(mu, snr_ratio), constants)
-
-
-def _bound_rows(mu: np.ndarray, x: np.ndarray,
-                constants: BoundConstants) -> np.ndarray:
+    mu, x = checked_rows(mu, snr_ratio)
     factors = _bound_factors(mu[:, 1:], x[:, None], constants)
     # one port's outage 1 - e^-x from math.expm1, as `design` takes it:
     # numpy's array expm1 can round to the neighbouring double
@@ -130,7 +126,8 @@ def _bound_rows(mu: np.ndarray, x: np.ndarray,
 def outage_upper_bound_profile(mu: Sequence[float], snr_ratio: float,
                                constants: BoundConstants) -> float:
     """Bound for an explicit profile; a degenerate port's factor is 1."""
-    return float(_bound_rows(*checked_row(mu, snr_ratio), constants)[0])
+    return float(outage_upper_bound_rows(
+        checked_mu(mu)[None], [checked_snr(snr_ratio)], constants)[0])
 
 
 def outage_upper_bound(config: FasConfig, constants: BoundConstants) -> float:

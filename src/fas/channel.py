@@ -118,12 +118,6 @@ def checked_rows(mu, snr_ratio) -> tuple[np.ndarray, np.ndarray]:
     return checked_mu_range(mu), x
 
 
-def checked_row(mu, snr_ratio) -> tuple[np.ndarray, np.ndarray]:
-    """One profile and its SNR ratio, under `checked_mu`'s and
-    `checked_snr`'s rules, as a block of one row (`checked_rows`)."""
-    return checked_mu(mu)[None], np.array([checked_snr(snr_ratio)])
-
-
 def is_degenerate(mu) -> np.ndarray:
     """|mu_k| > `DEGENERATE_MU`: the ports that are port 1 over again."""
     return np.abs(mu) > DEGENERATE_MU
@@ -178,12 +172,20 @@ def first_lobe_end(size_wl: float) -> float | None:
             if 2.0 * math.pi * size_wl < 2.404825557695773 else None)
 
 
-def correlation_profile(config: FasConfig) -> np.ndarray:
-    """Jakes-model profile: row N of `port_mu`, mu_1 = 0 ([0.0] at N = 1)."""
-    n = config.n_ports
-    mu = port_mu(np.arange(n), n, config.size_wavelengths)
-    mu[0] = 0.0
+def profile_rows(n_ports, size_wl) -> np.ndarray:
+    """The Jakes-model profiles of N-port rows at apertures W, one row per
+    entry of the 1-D n_ports and size_wl, as the block `checked_rows`
+    takes: row i is `port_mu`'s ports 0 ... max N - 1, padded with mu = 1,
+    with port 1's mu set to 0."""
+    n = np.asarray(n_ports)[:, None]
+    mu = port_mu(np.arange(n.max()), n, np.asarray(size_wl)[:, None])
+    mu[:, 0] = 0.0
     return mu
+
+
+def correlation_profile(config: FasConfig) -> np.ndarray:
+    """Jakes-model profile: `profile_rows`' one row ([0.0] at N = 1)."""
+    return profile_rows([config.n_ports], [config.size_wavelengths])[0]
 
 
 def draw_channels_batch(mu, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import orjson
 from . import __version__, analytic, bounds, design, mc
 from .channel import (DopplerTraceConfig, FasConfig, checked_count,
                       checked_nonnegative, checked_positive, checked_size,
-                      envelope_trace, port_mu)
+                      envelope_trace, profile_rows)
 from .validation import GRID_PRESETS, ValidationSettings, run_validation
 
 _log = logging.getLogger("fas")
@@ -252,7 +252,7 @@ def _run_sweep(args, fixed: str, run: str, extra_header: list[str],
     the command's own columns `extra_columns(sweep, exact, approx)`;
     `fixed` ends the fixed-point comment and `run` is the last comment line.
     Each block of points (`_Sweep.blocks`) is one profile block from
-    `port_mu`, one call of each evaluator."""
+    `profile_rows`, one call of each evaluator."""
     # argparse admits exactly one swept variable
     variable, values = next((name, values) for name, values in
                             [("n_ports", args.sweep_n), ("size_wl", args.sweep_w),
@@ -261,9 +261,7 @@ def _run_sweep(args, fixed: str, run: str, extra_header: list[str],
     constants = bounds.bound_constants(args.kappa)
     exact, approx, ub = [], [], []
     for start, stop in sweep.blocks():
-        n = sweep.n_ports[start:stop, None]
-        mu = port_mu(np.arange(n.max()), n, sweep.size_wl[start:stop, None])
-        mu[:, 0] = 0.0  # the reference ports
+        mu = profile_rows(sweep.n_ports[start:stop], sweep.size_wl[start:stop])
         x = sweep.snr_ratio[start:stop]
         try:
             exact.append(analytic.outage_exact_rows(mu, x))

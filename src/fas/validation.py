@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__, analytic, bounds, mc
 from ._special import sp
-from .channel import FasConfig
+from .channel import FasConfig, profile_rows
 from .specfun import marcum_q1, port_cdf
 
 # Chance that mc_vs_exact fails a correct estimator, over its whole grid.
@@ -35,13 +35,20 @@ class ValidationSettings:
                              f"got {self.grid!r}")
 
     @functools.cached_property
-    def exact_points(self) -> list[tuple[FasConfig, float]]:
-        """Each grid point's config and exact outage, evaluated once for
-        the checks that read them."""
+    def grid_rows(self) -> tuple[list[FasConfig], np.ndarray, np.ndarray]:
+        """The grid's configs, their profile block and SNR ratios."""
         spec = GRID_PRESETS[self.grid]
-        return [(config, analytic.outage_exact(config)) for config in
-                (FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=x)
-                 for n in spec["n"] for w in spec["w"] for x in spec["x"])]
+        points = [(n, w, x) for n in spec["n"] for w in spec["w"]
+                  for x in spec["x"]]
+        n, w, x = zip(*points)
+        return ([FasConfig(*point) for point in points], profile_rows(n, w),
+                np.array(x))
+
+    @functools.cached_property
+    def exact_points(self) -> list[tuple[FasConfig, float]]:
+        """Each grid point's config and exact outage, from one block."""
+        configs, mu, x = self.grid_rows
+        return list(zip(configs, analytic.outage_exact_rows(mu, x).tolist()))
 
 
 def check_marcum_specials(settings: ValidationSettings) -> dict:
@@ -57,12 +64,12 @@ def check_n2_closed_form(settings: ValidationSettings) -> dict:
     rng = np.random.default_rng(settings.mc.seed)
     draws = [(rng.uniform(-0.98, 0.98), rng.uniform(0.05, 8.0))
              for _ in range(20)]
-    worst = 0.0
-    for mu2, x in draws + [(mu2, x) for mu2, _ in draws[:5]
-                           for x in (1e-6, 1e-10)]:
-        exact = analytic.outage_exact_profile([0.0, mu2], x)
-        closed = analytic.outage_n2_closed_form(mu2, x)
-        worst = max(worst, abs(exact - closed) / closed)
+    mu2, x = np.array(draws + [(mu2, x) for mu2, _ in draws[:5]
+                               for x in (1e-6, 1e-10)]).T
+    mu = np.stack([np.zeros_like(mu2), mu2], axis=1)
+    exact = analytic.outage_exact_rows(mu, x)
+    closed = analytic.outage_approx_rows(mu, x)
+    worst = float(np.max(np.abs(exact - closed) / closed))
     return {"pass": worst <= 1e-8, "worst_error": repr(worst)}
 
 
@@ -73,9 +80,10 @@ def check_marcum_integral_identity(settings: ValidationSettings) -> dict:
     #   = e^{-b^2/(a^2+2)} Q1(sqrt(c(a^2+2)), ab/sqrt(a^2+2)) - e^-c Q1(a sqrt(c), b)
     a, b, c = np.random.default_rng(settings.mc.seed + 1).uniform(
         0.1, 3.0, (10, 3)).T
-    lhs = np.array([analytic.quad(
-        lambda t: np.exp(-t) * (1.0 - port_cdf(ai * ai * t, bi * bi)),
-        0.0, ci)[0] for ai, bi, ci in zip(a, b, c)])
+    lhs, _ = analytic.quad(
+        lambda t, at: np.exp(-t) * (1.0 - port_cdf((a * a)[at, None] * t,
+                                                   (b * b)[at, None])),
+        0.0, c)
     a2 = a * a + 2.0
     rhs = (np.exp(-b * b / a2) * marcum_q1(np.sqrt(c * a2), a * b / np.sqrt(a2))
            - np.exp(-c) * marcum_q1(a * np.sqrt(c), b))
@@ -102,25 +110,27 @@ def check_mc_vs_exact(settings: ValidationSettings) -> dict:
 
 
 def check_bound_ordering(settings: ValidationSettings) -> dict:
-    violations = []
-    for config, exact in settings.exact_points:
-        for kappa in (1.5, 2.0, 3.0):
-            ub = bounds.outage_upper_bound(config, bounds.bound_constants(kappa))
-            if exact > ub + 1e-12:
-                violations.append({"n": config.n_ports,
-                                   "w": config.size_wavelengths,
-                                   "x": config.snr_ratio, "kappa": kappa,
-                                   "exact": repr(exact), "bound": repr(ub)})
+    _, mu, x = settings.grid_rows
+    kappas = (1.5, 2.0, 3.0)
+    # each grid point's bounds, one per kappa
+    bound = zip(*(bounds.outage_upper_bound_rows(
+        mu, x, bounds.bound_constants(kappa)).tolist() for kappa in kappas))
+    violations = [{"n": config.n_ports, "w": config.size_wavelengths,
+                   "x": config.snr_ratio, "kappa": kappa,
+                   "exact": repr(exact), "bound": repr(ub)}
+                  for (config, exact), ubs in zip(settings.exact_points, bound)
+                  for kappa, ub in zip(kappas, ubs) if exact > ub + 1e-12]
     return {"pass": not violations, "violations": violations}
 
 
 def check_special_case_independent(settings: ValidationSettings) -> dict:
-    worst = 0.0
-    for n in (1, 2, 4, 8):
-        for x in (0.3, 1.0, 4.0):
-            got = analytic.outage_exact_profile(np.zeros(n), x)
-            want = (-math.expm1(-x)) ** n
-            worst = max(worst, abs(got - want))
+    # n independent ports, then padding (mu = 1) up to 8
+    points = [(n, x) for n in (1, 2, 4, 8) for x in (0.3, 1.0, 4.0)]
+    got = analytic.outage_exact_rows([[0.0] * n + [1.0] * (8 - n)
+                                      for n, _ in points],
+                                     [x for _, x in points])
+    want = [(-math.expm1(-x)) ** n for n, x in points]
+    worst = float(np.max(np.abs(got - want)))
     return {"pass": worst <= 1e-9, "worst_error": repr(worst)}
 
 

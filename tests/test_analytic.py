@@ -7,8 +7,8 @@ from scipy import special as sp
 from scipy.integrate import quad
 
 from fas import analytic
-from fas.analytic import (QuadratureError, _port_cdf_product, db_to_linear,
-                          joint_cdf, joint_pdf, outage_approx,
+from fas.analytic import (QuadratureError, db_to_linear, joint_cdf,
+                          joint_pdf, outage_approx,
                           outage_approx_profile, outage_exact,
                           outage_exact_profile, outage_mrc,
                           outage_n2_closed_form)
@@ -109,7 +109,8 @@ class TestQuadratureParity:
             FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=x)))[1:]
         a2 = 2.0 * mu ** 2 / (1.0 - mu ** 2)
         b2 = 2.0 * x / (1.0 - mu ** 2)
-        return lambda t: np.exp(-t) * _port_cdf_product(a2, b2, t)
+        return lambda t: np.exp(-t) * np.prod(
+            port_cdf(a2 * t[..., None], b2), axis=-1)
 
     @pytest.mark.parametrize("w", [0.01, 0.05, 0.5, 2.0, 5.0, 20.0])
     def test_matches_qags(self, w):
@@ -573,7 +574,7 @@ class TestPortCdfKernel:
             for b in grid:
                 nc, x = a * a, b * b
                 want = reference.ncx2_cdf_2dof_mpmath(x, nc)
-                got = _port_cdf_product(np.array([nc]), np.array([x]), 1.0)
+                got = float(port_cdf(nc, x))
                 rel = float(abs(mp.mpf(got) - want) / want)
                 if want >= self.P1_FLOOR:
                     ok = rel <= self.REL_TOL
@@ -584,14 +585,6 @@ class TestPortCdfKernel:
                 if not ok:
                     failures.append((a, b, mp.nstr(want, 5), rel))
         assert not failures
-
-    def test_product_over_ports(self):
-        a2 = np.array([0.0, 0.5, 8.0])
-        b2 = np.array([1.0, 2.0, 3.0])
-        want = math.prod(1.0 - marcum_q1(math.sqrt(na * 0.7), math.sqrt(nb))
-                         for na, nb in zip(a2, b2))
-        assert _port_cdf_product(a2, b2, 0.7) == pytest.approx(want, rel=1e-12)
-        assert _port_cdf_product(np.empty(0), np.empty(0), 0.7) == 1.0
 
     @pytest.mark.parametrize("n, w, x", [(5, 1.0, 1.0), (12, 0.5, 0.3),
                                          (20, 5.0, 1.0), (8, 2.0, 4.0)])

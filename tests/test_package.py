@@ -396,6 +396,20 @@ def test_channel_alone_rules_on_mu():
                      if id(node) not in inside] == []
 
 
+def test_validate_and_cli_take_the_block_evaluators():
+    # validation.py and cli.py evaluate an outage only through the block
+    # forms (`*_rows`), so no one-point evaluator runs in a loop over points
+    one_point = ("outage_exact", "outage_exact_profile", "outage_approx",
+                 "outage_approx_profile", "outage_n2_closed_form",
+                 "outage_upper_bound", "outage_upper_bound_profile")
+    found = []
+    for module in ("validation.py", "cli.py"):
+        tree = ast.parse((ROOT / "src" / "fas" / module).read_text())
+        found += [f"{module}:{line}" for name in one_point
+                  for line in _names(tree, name)]
+    assert found == []
+
+
 def test_specfun_alone_calls_boosts_port_cdf():
     # specfun.port_cdf is the one caller of Boost's noncentral chi-square
     # cdf, and marcum_q1 of its survival function: no other module names

@@ -4,7 +4,7 @@ import math
 import pytest
 from scipy import stats
 
-from fas import analytic, mc, validation
+from fas import analytic, bounds, mc, validation
 from fas.analytic import outage_exact
 from fas.validation import (ALL_CHECKS, GRID_PRESETS, MC_FAMILY_LEVEL,
                             ValidationSettings, check_mc_vs_exact,
@@ -34,16 +34,36 @@ class TestValidationSettings:
 
 class TestExactPoints:
     def test_each_grid_point_is_evaluated_once_per_run(self, monkeypatch):
-        # mc_vs_exact and bound_ordering read one list of exact outages,
+        # mc_vs_exact and bound_ordering read one block of exact outages,
         # and a second run's settings evaluate their own
         calls = []
-        real = analytic.outage_exact
-        monkeypatch.setattr(analytic, "outage_exact",
-                            lambda config: calls.append(config) or real(config))
+        real = analytic.outage_exact_rows
+
+        def counted(mu, x):
+            calls.append(len(x))
+            return real(mu, x)
+
+        monkeypatch.setattr(analytic, "outage_exact_rows", counted)
         for runs in (1, 2):
             run_validation(_settings(trials=20_000))
-            assert len(calls) == 8 * runs  # the quick grid's 8 points
-        assert len(set(calls)) == 8
+            # one block of the quick grid's 8 points per run; the other
+            # checks' blocks hold 30 and 12 rows
+            assert calls.count(8) == runs
+        assert sorted(calls) == [8, 8, 12, 12, 30, 30]
+
+    @pytest.mark.parametrize("grid", sorted(GRID_PRESETS))
+    def test_block_values_are_the_one_point_values(self, grid):
+        # the grid's block rows give outage_exact's and outage_upper_bound's
+        # values bit for bit
+        settings = _settings(grid=grid)
+        configs, mu, x = settings.grid_rows
+        assert [e for _, e in settings.exact_points] \
+            == [outage_exact(config) for config in configs]
+        for kappa in (1.5, 2.0, 3.0):
+            constants = bounds.bound_constants(kappa)
+            assert bounds.outage_upper_bound_rows(mu, x, constants).tolist() \
+                == [bounds.outage_upper_bound(config, constants)
+                    for config in configs]
 
 
 class TestChecks:
@@ -73,10 +93,25 @@ class TestChecks:
         # fault of 1e-12, nothing beside 1e-8, fails the check
         result = ALL_CHECKS["n2_closed_form"](self.settings())
         assert float(result["worst_error"]) <= 1e-14
-        real = analytic.outage_n2_closed_form
-        monkeypatch.setattr(analytic, "outage_n2_closed_form",
-                            lambda mu2, x: real(mu2, x) + 1e-12)
+        real = analytic.outage_approx_rows
+        monkeypatch.setattr(analytic, "outage_approx_rows",
+                            lambda mu, x: real(mu, x) + 1e-12)
         assert not ALL_CHECKS["n2_closed_form"](self.settings())["pass"]
+
+    @pytest.mark.parametrize("name", ["n2_closed_form",
+                                      "special_case_independent"])
+    def test_a_nan_outage_fails_the_check(self, monkeypatch, name):
+        # the worst error is NaN, and fails, wherever the NaN stands
+        real = analytic.outage_exact_rows
+
+        def nan_last(mu, x):
+            p = real(mu, x)
+            p[-1] = math.nan
+            return p
+
+        monkeypatch.setattr(analytic, "outage_exact_rows", nan_last)
+        result = ALL_CHECKS[name](self.settings())
+        assert not result["pass"] and result["worst_error"] == "nan"
 
     def test_identity_is_met_to_rounding(self):
         # one G10/K21 round resolves the integrand, which is entire in t
