@@ -56,6 +56,9 @@ _GK21_NODES = np.array([
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
     0.0])
 _GK21_NODES = np.concatenate([_GK21_NODES, -_GK21_NODES[-2::-1]])
+# most nodes a round of `quad` evaluates per integrand: the two halves of
+# the interval it bisects
+ROUND_NODES = 2 * _GK21_NODES.size
 _KRONROD_WEIGHTS = np.array([
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
@@ -108,34 +111,29 @@ def _within_tol(error: float, total: float) -> bool:
 
 
 def quad(f, lo, hi, full_output=0):
-    """Adaptive G10/K21 quadrature of f over [lo, hi], as QUADPACK's qags
-    without its extrapolation; or of P integrands over P ranges at once.
+    """Adaptive G10/K21 quadrature of P integrands over P ranges at once,
+    each as QUADPACK's qags without its extrapolation.
 
-    With scalar lo and hi, f takes an array of nodes and returns f at each.
-    With 1-D arrays lo and hi, f(t, at) takes nodes t of shape (m, 21) and
-    the integrand at[i] whose range row i of t lies in.  Each integrand's
-    rule stops once its summed error estimate is at most tol =
-    max(_ABS_TOL, _REL_TOL * |value|); until then each round bisects the
-    interval of largest error of every unfinished integrand, up to
-    _MAX_INTERVALS intervals each, and evaluates all the new intervals in
-    one call of f.  Like qags, it accepts the first interval only when the
-    error estimate is not its `resasc`, which it equals when the
-    Gauss-Kronrod difference is too large to trust.  Returns (value,
-    error), arrays for P ranges, or with full_output (value, error,
-    {"neval": n}), n counting every integrand's evaluations.  Raises
-    QuadratureError, for the first integrand in range order that fails,
-    when its value or error is not finite, or its error exceeds max(100
-    tol, 1e-8).
+    lo and hi are 1-D arrays of equal length P, and f(t, at) takes nodes t
+    of shape (m, 21) and the integrand at[i] whose range row i of t lies
+    in.  Each integrand's rule stops once its summed error estimate is at
+    most tol = max(_ABS_TOL, _REL_TOL * |value|); until then each round
+    bisects the interval of largest error of every unfinished integrand, up
+    to _MAX_INTERVALS intervals each, and evaluates all the new intervals
+    (at most ROUND_NODES nodes per integrand) in one call of f.  Like qags,
+    it accepts the first interval only when the error estimate is not its
+    `resasc`, which it equals when the Gauss-Kronrod difference is too
+    large to trust.  Returns arrays (value, error), or with full_output
+    (value, error, {"neval": n}), n counting every integrand's
+    evaluations.  Raises QuadratureError, for the first integrand in range
+    order that fails, when its value or error is not finite, or its error
+    exceeds max(100 tol, 1e-8).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    scalar = lo.ndim == hi.ndim == 0
-    if lo.shape != hi.shape:  # one end shared by every range
-        lo, hi = np.broadcast_arrays(lo, hi)
-    lo, hi = lo.ravel(), hi.ravel()
 
     def rule(lows, highs, at):  # the rule on intervals of the integrands at
-        return _gk21(f if scalar else lambda t: f(t, at), lows, highs)
+        return _gk21(lambda t: f(t, at), lows, highs)
 
     value, err, resasc = rule(lo, hi, np.arange(lo.size))
     totals, errs = value.tolist(), err.tolist()
@@ -184,10 +182,7 @@ def quad(f, lo, hi, full_output=0):
         raise QuadratureError(
             f"quadrature {problem} after {n_evals} integrand evaluations on "
             f"{n_intervals[p]} subintervals", total, error, n_evals, p)
-    if scalar:
-        total, error = totals[0], errs[0]
-    else:
-        total, error = np.array(totals), np.array(errs)
+    total, error = np.array(totals), np.array(errs)
     if full_output:
         return total, error, {"neval": 21 * (2 * sum(n_intervals) - lo.size)}
     return total, error
@@ -211,20 +206,13 @@ def _cdf_integrals(mu: np.ndarray, keep: np.ndarray, r1_sq: np.ndarray,
     a2 = 2.0 * mu_sq / one_minus
     b2 = 2.0 * rk_sq / one_minus
 
-    # every port of every row kept, as in one profile with no degenerate
-    # port: the kernel takes the dense (node, port) array
-    dense = keep.all()
-
     def integrand(t, at):
-        # row i of t holds the nodes of an interval of row at[i]
-        if dense:
-            factors = port_cdf(a2[at, None] * t[..., None], b2[at, None])
-        else:  # (i, k) runs over the kept ports k of each row
-            i, k = np.nonzero(keep[at])
-            row = at[i]
-            factors = np.ones(t.shape + mu.shape[1:])
-            factors[i, :, k] = port_cdf(a2[row, k, None] * t[i],
-                                        b2[row, k, None])
+        # row i of t holds the nodes of an interval of row at[i], and
+        # (i, k) runs over the kept ports k of each row
+        i, k = np.nonzero(keep[at])
+        row = at[i]
+        factors = np.ones(t.shape + mu.shape[1:])
+        factors[i, :, k] = port_cdf(a2[row, k, None] * t[i], b2[row, k, None])
         return np.exp(-t) * np.multiply.reduce(factors, -1)
 
     # e^-t is 0.0 in double beyond _EXP_ZERO: the cut drops nothing, and
@@ -305,7 +293,9 @@ def outage_exact_rows(mu, snr_ratio) -> np.ndarray:
     mu, x = checked_rows(mu, snr_ratio)
     keep = ~is_degenerate(mu[:, 1:])
     p = _cdf_integrals(mu[:, 1:], keep, x, x[:, None])
-    marginal = -np.expm1(-x)
+    # the marginal from math.expm1, as `bounds` and `design` take it:
+    # numpy's array expm1 can round to the neighbouring double
+    marginal = -np.array([math.expm1(-v) for v in x.tolist()])
     return np.array([
         _clamped(q, m, count * log_m, m) for q, m, count, log_m
         in zip(p.tolist(), marginal.tolist(),

@@ -123,13 +123,6 @@ def is_degenerate(mu) -> np.ndarray:
     return np.abs(mu) > DEGENERATE_MU
 
 
-def active_mu(mu) -> np.ndarray:
-    """The checked profile mu without its degenerate ports; the reference
-    port, mu[0] = 0, always stays."""
-    mu = checked_mu(mu)
-    return mu[~is_degenerate(mu)]
-
-
 @dataclass(frozen=True)
 class FasConfig:
     """Independent variables of one experiment.

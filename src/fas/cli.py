@@ -39,11 +39,10 @@ _ROW_BLOCK = 128  # rows per block of the envelope CSV writer
 # built.
 _SWEEP_POINTS_MAX = 10 ** 6
 # Most (row, node, port) cells of one block of sweep points: a quadrature
-# round evaluates up to 42 nodes of every row, each over the block's widest
-# row.  It bounds a block's working arrays to a few MB, so a long or
-# large-N sweep runs in bounded memory.
+# round evaluates up to `analytic.ROUND_NODES` nodes of every row, each
+# over the block's widest row.  It bounds a block's working arrays to a few
+# MB, so a long or large-N sweep runs in bounded memory.
 _SWEEP_BLOCK_CELLS = 2 ** 18
-_ROUND_NODES = 42
 
 
 def _fmt(value) -> str:
@@ -117,10 +116,9 @@ def _parse_range(kind: type, first):
     return start_stop_step
 
 
-def _checked(parse, check=lambda value: None):
+def _checked(parse, check):
     """Type for a flag whose text `parse` reads and whose value the library
-    rule `check` takes: a ValueError from either is a usage error.  A flag
-    without a check is checked by its command."""
+    rule `check` takes: a ValueError from either is a usage error."""
     def flag_type(text: str):
         try:
             value = parse(text)
@@ -221,7 +219,7 @@ class _Sweep:
         for i, n in enumerate(self.n_ports.tolist()):
             widest = max(widest, n)
             if (i > start
-                    and (i + 1 - start) * _ROUND_NODES * widest
+                    and (i + 1 - start) * analytic.ROUND_NODES * widest
                     > _SWEEP_BLOCK_CELLS):
                 yield start, i
                 start, widest = i, n

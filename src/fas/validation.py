@@ -83,7 +83,7 @@ def check_marcum_integral_identity(settings: ValidationSettings) -> dict:
     lhs, _ = analytic.quad(
         lambda t, at: np.exp(-t) * (1.0 - port_cdf((a * a)[at, None] * t,
                                                    (b * b)[at, None])),
-        0.0, c)
+        np.zeros_like(c), c)
     a2 = a * a + 2.0
     rhs = (np.exp(-b * b / a2) * marcum_q1(np.sqrt(c * a2), a * b / np.sqrt(a2))
            - np.exp(-c) * marcum_q1(a * np.sqrt(c), b))

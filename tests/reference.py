@@ -237,6 +237,16 @@ def ncx2_cdf_2dof_mpmath(x: float, nc: float, dps: int = 40):
                 return total
 
 
+def active_mu(mu) -> np.ndarray:
+    """The checked profile mu without its degenerate ports; the reference
+    port, mu[0] = 0, always stays.  The package once passed its profiles
+    through this before its kernels, which now drop those ports
+    themselves."""
+    from fas.channel import checked_mu, is_degenerate
+    mu = checked_mu(mu)
+    return mu[~is_degenerate(mu)]
+
+
 def correlation_discrepancy(mu, d) -> np.ndarray:
     """Model-vs-Jakes correlation gap between port pairs (k, l), k,l >= 2,
     of the profile mu of ports at displacements d (wavelengths).

@@ -89,8 +89,9 @@ def test_criterion_2_closed_form_cross_checks(monkeypatch):
     monkeypatch.setattr(analytic, "_ABS_TOL", 1e-11)
     for _ in range(50):
         a, b, c = (float(v) for v in rng.uniform(0.1, 3.0, 3))
-        lhs, _ = quad(lambda t: np.exp(-t) * marcum_q1(a * np.sqrt(t), b),
-                      0.0, c)
+        (lhs,), _ = quad(
+            lambda t, at: np.exp(-t) * marcum_q1(a * np.sqrt(t), b),
+            np.zeros(1), np.array([c]))
         a2 = a * a + 2.0
         rhs = (math.exp(-b * b / a2)
                * marcum_q1(math.sqrt(c * a2), a * b / math.sqrt(a2))

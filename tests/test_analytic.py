@@ -12,9 +12,9 @@ from fas.analytic import (QuadratureError, db_to_linear, joint_cdf,
                           outage_approx_profile, outage_exact,
                           outage_exact_profile, outage_mrc,
                           outage_n2_closed_form)
-from fas.bounds import bound_constants, outage_upper_bound
-from fas.channel import (DEGENERATE_MU, FasConfig, active_mu,
-                         correlation_profile)
+from fas.bounds import (bound_constants, outage_upper_bound,
+                        outage_upper_bound_rows)
+from fas.channel import DEGENERATE_MU, FasConfig, correlation_profile
 from fas.mc import McSettings, mc_outage_fas
 from fas.specfun import marcum_q1, port_cdf
 
@@ -60,20 +60,24 @@ class TestManyRanges:
                 assert [part[i] for part in stacked] == [
                     part[0] for part in alone]
 
-    def test_each_range_is_its_scalar_call(self):
+    def test_each_range_is_its_one_range_call(self):
         # an integrand per range: t^k e^-t on [0, hi_k]
         powers = np.array([0.0, 0.5, 3.0, 9.0])
         hi = np.array([1.0, 40.0, 3.0, 700.0])
-        got, err, info = analytic.quad(
-            lambda t, at: t ** powers[at, None] * np.exp(-t), 0.0, hi,
-            full_output=1)
+
+        def integrand(t, at):
+            return t ** powers[at, None] * np.exp(-t)
+
+        got, err, info = analytic.quad(integrand, np.zeros(4), hi,
+                                       full_output=1)
         nevals = 0
-        for k, (power, top) in enumerate(zip(powers, hi)):
-            want = analytic.quad(lambda t: t ** power * np.exp(-t), 0.0, top,
-                                 full_output=1)
-            assert (got[k], err[k]) == want[:2]
+        for k in range(4):
+            want = analytic.quad(lambda t, at: integrand(t, at + k),
+                                 np.zeros(1), hi[k:k + 1], full_output=1)
+            assert (got[k], err[k]) == (want[0][0], want[1][0])
             nevals += want[2]["neval"]
         assert info == {"neval": nevals}
+        assert nevals == 1218
 
     def test_failure_names_the_first_failing_range(self):
         def integrand(t, at):
@@ -82,7 +86,7 @@ class TestManyRanges:
             return value
 
         with pytest.raises(QuadratureError) as exc_info:
-            analytic.quad(integrand, 0.0, np.ones(4))
+            analytic.quad(integrand, np.zeros(4), np.ones(4))
         assert exc_info.value.index == 2
         assert exc_info.value.n_evals == 21
 
@@ -90,7 +94,8 @@ class TestManyRanges:
 class TestQuadratureFailure:
     def test_nan_integrand_raises(self):
         with pytest.raises(QuadratureError) as exc_info:
-            analytic.quad(lambda t: np.full(t.shape, math.nan), 0.0, 1.0)
+            analytic.quad(lambda t, at: np.full(t.shape, math.nan),
+                          np.zeros(1), np.ones(1))
         assert math.isnan(exc_info.value.estimate)
         # the rule gives up on the first interval's 21 nodes
         assert exc_info.value.n_evals == 21
@@ -105,12 +110,18 @@ class TestQuadratureParity:
 
     @staticmethod
     def integrand(n, w, x):
-        mu = active_mu(correlation_profile(
+        mu = reference.active_mu(correlation_profile(
             FasConfig(n_ports=n, size_wavelengths=w, snr_ratio=x)))[1:]
         a2 = 2.0 * mu ** 2 / (1.0 - mu ** 2)
         b2 = 2.0 * x / (1.0 - mu ** 2)
         return lambda t: np.exp(-t) * np.prod(
             port_cdf(a2 * t[..., None], b2), axis=-1)
+
+    @staticmethod
+    def one_range(f, top, full_output=0):
+        """`analytic.quad` of f on the one range [0, top]."""
+        return analytic.quad(lambda t, at: f(t), np.zeros(1), np.array([top]),
+                             full_output)
 
     @pytest.mark.parametrize("w", [0.01, 0.05, 0.5, 2.0, 5.0, 20.0])
     def test_matches_qags(self, w):
@@ -124,7 +135,7 @@ class TestQuadratureParity:
                                      epsrel=analytic._REL_TOL,
                                      limit=analytic._MAX_INTERVALS,
                                      full_output=1)[:3]
-                got, _, mine = analytic.quad(f, 0.0, x, full_output=1)
+                (got,), _, mine = self.one_range(f, x, full_output=1)
                 if (mine["neval"] != info["neval"]
                         or abs(got - want) > 1e-13 * abs(want)):
                     mismatches.append((n, db, got, want, mine, info["neval"]))
@@ -134,12 +145,13 @@ class TestQuadratureParity:
         # the benchmark's tracer calls the rule with full_output=1 and reads
         # result[2]["neval"]
         f = self.integrand(5, 1.0, 1.0)
-        plain = analytic.quad(f, 0.0, 1.0)
-        full = analytic.quad(f, 0.0, 1.0, full_output=1)
+        plain = self.one_range(f, 1.0)
+        full = self.one_range(f, 1.0, full_output=1)
         assert len(plain) == 2 and len(full) == 3
-        assert full[:2] == plain
+        assert [v.tobytes() for v in full[:2]] == [v.tobytes() for v in plain]
         assert full[2] == {"neval": 21}
-        assert all(type(v) is float for v in full[:2])
+        assert all(type(v) is np.ndarray and v.shape == (1,)
+                   for v in full[:2])
 
     def test_failure_reports_its_work(self, monkeypatch):
         # a two-interval budget on a sharply kneed integrand
@@ -148,7 +160,7 @@ class TestQuadratureParity:
                        _MAX_INTERVALS=2)
         with pytest.raises(QuadratureError, match=r"63 integrand evaluations "
                                                   r"on 2 subintervals") as exc:
-            analytic.quad(f, 0.0, 1.0)
+            self.one_range(f, 1.0)
         assert exc.value.n_evals == 63
 
 
@@ -253,6 +265,17 @@ class TestOutageExact:
         assert got == pytest.approx(-math.expm1(-x), rel=1e-14, abs=0.0)
         assert got <= 1.0
 
+    def test_single_port_is_the_bound_to_the_bit(self):
+        # one port's outage is 1 - e^-x from math.expm1 in the exact rows
+        # and the bound alike: numpy's array expm1 rounds ~1% of these x
+        # to the neighbouring double, which can sit above the bound
+        x = np.geomspace(1e-6, 1e3, 10_000)
+        mu = np.zeros((x.size, 1))
+        want = [-math.expm1(-v) for v in x.tolist()]
+        assert analytic.outage_exact_rows(mu, x).tolist() == want
+        assert outage_upper_bound_rows(mu, x, bound_constants()).tolist() == (
+            want)
+
     def test_independent_profile_power_law(self):
         for n in (2, 3, 5):
             got = outage_exact_profile(np.zeros(n), 0.7)
@@ -330,7 +353,7 @@ class TestOutageExact:
         # 10^-1841.01 at N = 10,000; the clamp from below by the marginals'
         # running product stuck at 5e-324 above both
         config = FasConfig(n_ports=n, size_wavelengths=5.0, snr_ratio=1.0)
-        mu = active_mu(correlation_profile(config))[1:]
+        mu = reference.active_mu(correlation_profile(config))[1:]
         log_upper = math.log(-math.expm1(-1.0)) + float(
             np.sum(np.log(-np.expm1(-1.0 / (1.0 - mu ** 2)))))
         assert log_upper < math.log(5e-324)
@@ -668,7 +691,7 @@ def test_exact_outage_contract(n, log_w, db):
     x = config.snr_ratio
     p = outage_exact(config)
     assert math.isfinite(p) and p >= 0.0
-    mu = active_mu(correlation_profile(config))[1:]
+    mu = reference.active_mu(correlation_profile(config))[1:]
     one_minus = 1.0 - mu ** 2
     single = -math.expm1(-x)
     lower = single * float(np.prod(port_cdf(2.0 * mu ** 2 / one_minus * x,

@@ -460,7 +460,8 @@ class TestSweepBlocks:
         whole = run_cli(capsys, *argv)
         assert calls == [12]
         calls.clear()
-        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 3 * 42 * 12)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS",
+                            3 * analytic.ROUND_NODES * 12)
         split = run_cli(capsys, *argv)
         assert calls == [6, 3, 3]
         assert split == whole

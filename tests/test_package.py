@@ -17,7 +17,7 @@ from fas.analytic import (outage_approx_profile, outage_approx_rows,
                           outage_exact_profile, outage_exact_rows)
 from fas.bounds import (outage_upper_bound_profile, outage_upper_bound_rows,
                         per_port_bound_factors)
-from fas.channel import active_mu, checked_mu
+from fas.channel import checked_mu
 from fas.design import min_size_frontier
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,7 +130,6 @@ def _mc(mu, x):
 # last port of a profile (or as the one mu it takes) at SNR ratio x
 MU_TAKERS = {
     "checked_mu": lambda mu, x: checked_mu([0.0, 0.5, mu]),
-    "active_mu": lambda mu, x: active_mu([0.0, 0.5, mu]),
     "outage_exact_profile": lambda mu, x: outage_exact_profile(
         [0.0, 0.5, mu], x),
     "outage_approx_profile": lambda mu, x: outage_approx_profile(
