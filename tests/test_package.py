@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fas
+import reference
 from fas.analytic import (outage_approx_profile, outage_approx_rows,
                           outage_exact_profile, outage_exact_rows)
 from fas.bounds import (outage_upper_bound_profile, outage_upper_bound_rows,
@@ -130,6 +131,8 @@ def _mc(mu, x):
 # last port of a profile (or as the one mu it takes) at SNR ratio x
 MU_TAKERS = {
     "checked_mu": lambda mu, x: checked_mu([0.0, 0.5, mu]),
+    # the tests' reference helper, built on checked_mu and is_degenerate
+    "active_mu": lambda mu, x: reference.active_mu([0.0, 0.5, mu]),
     "outage_exact_profile": lambda mu, x: outage_exact_profile(
         [0.0, 0.5, mu], x),
     "outage_approx_profile": lambda mu, x: outage_approx_profile(
